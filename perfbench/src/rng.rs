@@ -1,0 +1,40 @@
+//! SplitMix64: the benchmark's only source of randomness.
+//!
+//! Every seeded choice (the Csmith draw, the edit sequence, the query
+//! mix) comes from its own stream, `Rng::stream(seed, tag)`, so adding a
+//! draw to one workload never shifts the inputs of another.
+
+/// A small seedable generator (Steele, Lea & Flood's SplitMix64).
+#[derive(Clone, Debug)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// The stream for `seed`, separated from other streams by `tag`.
+    pub fn stream(seed: u64, tag: u64) -> Rng {
+        let mut r = Rng(seed ^ tag.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        r.next_u64();
+        r
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Fisher–Yates shuffle.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i + 1);
+            items.swap(i, j);
+        }
+    }
+}
