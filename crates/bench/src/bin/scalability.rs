@@ -382,9 +382,10 @@ fn incremental_stats() -> IncrementalStats {
                 solver,
                 Jobs::N(NonZeroUsize::MIN),
                 Some(&cache),
+                None,
             ));
         });
-        let (warm, _warm_keys, outcome) = warmed.expect("ran");
+        let (warm, _warm_keys, outcome, _) = warmed.expect("ran");
         assert_eq!((outcome.misses, outcome.invalidated), (0, 0), "{}: keys churned", w.name);
         assert_eq!(warm.stats.solves, 0, "{}: warm run must skip all solves", w.name);
         for (f, s) in cold.iter() {
@@ -410,9 +411,10 @@ fn incremental_stats() -> IncrementalStats {
                 solver,
                 jobs,
                 Some(&cache),
+                None,
             ));
         });
-        let (sharded, _, sharded_outcome) = sharded.expect("ran");
+        let (sharded, _, sharded_outcome, _) = sharded.expect("ran");
         assert_eq!(sharded_outcome, outcome, "{}: outcome must not depend on jobs", w.name);
         for (f, s) in cold.iter() {
             assert_eq!(sharded.of(f), s, "{}: sharded warm summary differs", w.name);
@@ -540,7 +542,7 @@ fn dense_inter_us() -> f64 {
 /// `upload_us` is a warm re-upload round trip (compile on the daemon +
 /// incremental classify with zero solves + re-render); `resident_query_us`
 /// is one `no-alias` query against the resident engine — a loopback
-/// socket round trip plus a memoized lookup; `oneshot_warm_us` is what
+/// socket round trip plus a direct criteria check; `oneshot_warm_us` is what
 /// the same answer costs without the daemon: compile + e-SSA + a warm
 /// engine build against an in-memory summary cache + the query. The gate
 /// enforces resident ≤ one-shot warm on every fresh run — the daemon's
@@ -558,8 +560,12 @@ fn serve_stats() -> ServeBenchStats {
     // Cold local build: produces the warm in-memory cache and picks the
     // question both paths answer (the first function with two pointers).
     let mut m0 = sraa_minic::compile(&w.source).expect("workload compiles");
-    let engine0 =
-        sraa_core::DisambiguationEngine::build_with_cache(&mut m0, EngineConfig::default(), None);
+    let engine0 = sraa_core::DisambiguationEngine::build_with_cache_and_store(
+        &mut m0,
+        EngineConfig::default(),
+        None,
+        None,
+    );
     let cache = engine0.export_summary_cache(&m0).expect("summaries mode");
     let (fname, _, v1, v2) = m0
         .functions()
@@ -575,10 +581,11 @@ fn serve_stats() -> ServeBenchStats {
     for _ in 0..5 {
         let t0 = Instant::now();
         let mut m = sraa_minic::compile(&w.source).expect("workload compiles");
-        let engine = sraa_core::DisambiguationEngine::build_with_cache(
+        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
             &mut m,
             EngineConfig::default(),
             Some(&cache),
+            None,
         );
         let fid = m.function_by_name(&fname).expect("function survives recompilation");
         std::hint::black_box(engine.no_alias(m.function(fid), fid, v1, v2));

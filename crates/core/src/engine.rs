@@ -6,7 +6,7 @@
 //!                                        scoped threads)                 │
 //!                                                      SolverKind::solve │ (DenseStore)
 //!                                                                        ▼
-//!        queries (memoized pair cache, batch API) ◀────────────────  Solution
+//!                  queries (point and batch API) ◀────────────────  Solution
 //! ```
 //!
 //! Historically every consumer — the alias backends, the Pentagon
@@ -15,9 +15,11 @@
 //! The engine centralises that: it owns the interned [`VarIndex`] arena,
 //! runs constraint generation (fanning the per-function pass out across
 //! scoped threads on large modules), solves through
-//! [`SolverKind::solve`], and serves all disambiguation queries from one
-//! memoized result cache. Consumers hold an engine (usually behind an
-//! `Arc`) and ask questions; none of them constructs solvers anymore.
+//! [`SolverKind::solve`], and answers every disambiguation query from the
+//! solved relation. Consumers hold an engine (usually behind an `Arc`)
+//! and ask questions; none of them constructs solvers anymore. The
+//! engine reads no files: summary reuse goes through caller-held
+//! [`persist::SummaryCache`] and [`SharedSummaryStore`] handles.
 
 use crate::analysis::{derived_pointer, strip_copies};
 use crate::constraints::{self, Constraint, GenConfig};
@@ -31,8 +33,6 @@ use crate::summary::{CacheOutcome, FunctionSummary, ModuleSummaries};
 use crate::var_index::VarIndex;
 use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
 use sraa_range::RangeAnalysis;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Which fixpoint strategy the engine runs.
 ///
@@ -146,8 +146,13 @@ impl std::fmt::Display for Contextuality {
 }
 
 /// Full engine configuration: constraint-generation options, the fixpoint
-/// strategy, the interprocedural mode, and the optional persistent
-/// summary cache.
+/// strategy, the interprocedural mode and the summary worker count.
+///
+/// There is no file path in here: the engine never reads or writes a
+/// summary cache or opens a store. Callers that reuse summaries load a
+/// [`persist::SummaryCache`] and/or open a [`SharedSummaryStore`]
+/// themselves and pass them to
+/// [`DisambiguationEngine::build_with_cache_and_store`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Constraint-generation options (paper fidelity knobs).
@@ -156,25 +161,6 @@ pub struct EngineConfig {
     pub solver: SolverKind,
     /// Interprocedural mode (default: [`Contextuality::Intra`]).
     pub contextuality: Contextuality,
-    /// Path of the persistent summary cache (the CLI's `--summary-cache`).
-    /// Only meaningful with [`Contextuality::Summaries`] — the cache
-    /// stores interprocedural summaries. When set, the engine reads the
-    /// file before the summary phase (any defect falls back to a cold
-    /// solve with a warning on stderr, never a panic or a stale result)
-    /// and rewrites it afterwards. Hit/miss/invalidated counts land in
-    /// [`SolveStats`].
-    pub summary_cache: Option<std::path::PathBuf>,
-    /// Directory of the content-addressed shared summary store (the
-    /// CLI's `--shared-store`). Only meaningful with
-    /// [`Contextuality::Summaries`]. Unlike `summary_cache` — one file,
-    /// one module name — the store spans *all* modules and processes:
-    /// entries are keyed by the content-addressed summary key alone, so
-    /// a helper solved under any module (or by another daemon sharing
-    /// the directory) is a hit here. Consulted after the per-module
-    /// cache; newly solved summaries are published back. A defective
-    /// directory falls back to running without the store, with a warning
-    /// on stderr. Hit/miss/publish counts land in [`SolveStats`].
-    pub shared_store: Option<std::path::PathBuf>,
     /// Worker threads for the wavefront-parallel summary pipeline
     /// (default: [`Jobs::Auto`] — `SRAA_JOBS`, else available
     /// parallelism). Exposed as the `--jobs N` CLI flag; every jobs
@@ -186,24 +172,6 @@ impl EngineConfig {
     /// This configuration with interprocedural summaries switched on.
     pub fn with_summaries(mut self) -> Self {
         self.contextuality = Contextuality::Summaries;
-        self
-    }
-
-    /// This configuration with a persistent summary cache at `path`
-    /// (implies [`Contextuality::Summaries`]).
-    pub fn with_summary_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.contextuality = Contextuality::Summaries;
-        self.summary_cache = Some(path.into());
-        self
-    }
-
-    /// This configuration with a content-addressed shared summary store
-    /// at `dir` (implies [`Contextuality::Summaries`]). Composes with
-    /// [`EngineConfig::with_summary_cache`]: the per-module cache is
-    /// consulted first, the store catches what it misses.
-    pub fn with_shared_store(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.contextuality = Contextuality::Summaries;
-        self.shared_store = Some(dir.into());
         self
     }
 
@@ -222,17 +190,14 @@ impl From<GenConfig> for EngineConfig {
 }
 
 /// The solved less-than relation over a whole module plus the pointer
-/// disambiguation criteria of the paper's Definition 3.11, behind a
-/// memoized query layer.
+/// disambiguation criteria of the paper's Definition 3.11.
 ///
-/// `no_alias` answers are cached per pointer pair (flat [`VarId`](crate::VarId) pairs
-/// are function-scoped, so the cache is effectively per-function); the
-/// batch API ([`DisambiguationEngine::no_alias_pairs`]) answers all-pairs
-/// queries in one call and warms the same cache. The engine is
-/// `Send + Sync` — share it behind an `Arc` instead of cloning results;
-/// the cache is sharded so concurrent sharers do not serialize on one
-/// lock.
-#[derive(Debug)]
+/// A plain immutable value: every query evaluates the criteria directly
+/// (most `LT` sets hold at most two members, so a membership probe is
+/// cheaper than any memo lookup), and construction does no file IO. The
+/// engine is `Send + Sync` — share it behind an `Arc` instead of cloning
+/// results.
+#[derive(Clone, Debug)]
 pub struct DisambiguationEngine {
     index: VarIndex,
     solution: Solution,
@@ -242,35 +207,6 @@ pub struct DisambiguationEngine {
     /// Interprocedural summaries, when built with
     /// [`Contextuality::Summaries`].
     summaries: Option<ModuleSummaries>,
-    /// Memoized pair verdicts, keyed by ordered raw id pairs and sharded
-    /// by key so `Arc`-sharing consumers contend on 1/16th of a lock.
-    cache: [Mutex<HashMap<(u32, u32), bool>>; CACHE_SHARDS],
-}
-
-/// Power of two, so shard selection is a mask.
-const CACHE_SHARDS: usize = 16;
-
-fn fresh_cache() -> [Mutex<HashMap<(u32, u32), bool>>; CACHE_SHARDS] {
-    std::array::from_fn(|_| Mutex::new(HashMap::new()))
-}
-
-impl Clone for DisambiguationEngine {
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            solution: self.solution.clone(),
-            ranges: self.ranges.clone(),
-            cfg: self.cfg,
-            solver: self.solver,
-            summaries: self.summaries.clone(),
-            cache: std::array::from_fn(|i| {
-                // A poisoning panic cannot leave the map half-updated
-                // (single-call insert), so recover the data instead of
-                // cascading the panic into every sharer.
-                Mutex::new(self.cache[i].lock().unwrap_or_else(|e| e.into_inner()).clone())
-            }),
-        }
-    }
 }
 
 impl DisambiguationEngine {
@@ -297,79 +233,21 @@ impl DisambiguationEngine {
     /// Analyzes a module that is *already* in e-SSA form, with
     /// caller-provided ranges. Useful when the caller also needs the
     /// intermediate artifacts.
+    ///
+    /// In [`Contextuality::Summaries`] mode every summary is solved cold
+    /// and no [`persist::SummaryKeys`] are computed, so this path never
+    /// hashes function bodies.
     pub fn on_prepared(module: &Module, ranges: &RangeAnalysis, cfg: EngineConfig) -> Self {
         let index = VarIndex::new(module);
         // Interprocedural mode: distil per-function summaries bottom-up
         // over the condensed call graph first, then let module-wide
-        // constraint generation apply them at every call site. With a
-        // persistent cache configured, unchanged components reuse their
-        // stored summaries instead of re-solving.
+        // constraint generation apply them at every call site.
         let summary_t0 = std::time::Instant::now();
-        let mut cache_outcome = CacheOutcome::default();
-        let mut store_outcome = StoreOutcome::default();
         let summaries = match cfg.contextuality {
             Contextuality::Intra => None,
-            Contextuality::Summaries => match (&cfg.summary_cache, Self::open_store(&cfg)) {
-                (None, None) => Some(ModuleSummaries::compute(
-                    module, ranges, cfg.gen, &index, cfg.solver, cfg.jobs,
-                )),
-                (None, Some(store)) => {
-                    // Store only: consult by content-addressed key, solve
-                    // the residue, publish everything back (idempotent —
-                    // insert-if-absent, so a warm run publishes nothing).
-                    let (sums, keys, _, mut s_out) = ModuleSummaries::compute_incremental_shared(
-                        module,
-                        ranges,
-                        cfg.gen,
-                        &index,
-                        cfg.solver,
-                        cfg.jobs,
-                        None,
-                        Some(&store),
-                    );
-                    s_out.published = Self::publish_all(&store, &sums, &keys);
-                    store_outcome = s_out;
-                    Some(sums)
-                }
-                (Some(path), store) => {
-                    let cache = match persist::load(path, cfg.gen) {
-                        Ok(cache) => Some(cache),
-                        Err(e) if e.is_not_found() => None, // first run: plain cold start
-                        Err(e) => {
-                            eprintln!(
-                                "# summary-cache warning: {}: {e}; running cold",
-                                path.display()
-                            );
-                            None
-                        }
-                    };
-                    let had_entries = cache.as_ref().is_some_and(|c| !c.is_empty());
-                    let (sums, keys, outcome, s_out) = Self::summaries_from_cache(
-                        module,
-                        ranges,
-                        &cfg,
-                        &index,
-                        cache.as_ref(),
-                        store.as_ref(),
-                    );
-                    if had_entries && outcome.hits == 0 && module.num_functions() > 0 {
-                        eprintln!(
-                            "# summary-cache warning: {}: no cached summary matched this \
-                             module; running cold",
-                            path.display()
-                        );
-                    }
-                    // Rewrite unconditionally: refreshes stale entries and
-                    // heals corrupted files. A write failure only costs
-                    // the *next* run its warm start.
-                    if let Err(e) = persist::save(path, module, &sums, &keys, cfg.gen) {
-                        eprintln!("# summary-cache warning: cannot write {}: {e}", path.display());
-                    }
-                    cache_outcome = outcome;
-                    store_outcome = s_out;
-                    Some(sums)
-                }
-            },
+            Contextuality::Summaries => Some(ModuleSummaries::compute(
+                module, ranges, cfg.gen, &index, cfg.solver, cfg.jobs,
+            )),
         };
         Self::assemble(
             module,
@@ -378,79 +256,28 @@ impl DisambiguationEngine {
             index,
             summaries,
             summary_t0,
-            cache_outcome,
-            store_outcome,
+            CacheOutcome::default(),
+            StoreOutcome::default(),
         )
     }
 
-    /// Opens the configured shared store, degrading to `None` (with a
-    /// stderr warning) on any IO failure — like a defective summary
-    /// cache, a defective store can cost speed, never correctness.
-    fn open_store(cfg: &EngineConfig) -> Option<SharedSummaryStore> {
-        let dir = cfg.shared_store.as_ref()?;
-        match SharedSummaryStore::open(dir, cfg.gen) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!(
-                    "# shared-store warning: {}: {e}; running without a store",
-                    dir.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// Publishes every `(key, summary)` pair of a finished solve into
-    /// `store`, returning how many were new. Publishing all pairs (not
-    /// just the cold-solved ones) is deliberate: insert-if-absent makes
-    /// it idempotent, and it migrates summaries that arrived via the
-    /// per-module cache into the shared store.
-    fn publish_all(
-        store: &SharedSummaryStore,
-        sums: &ModuleSummaries,
-        keys: &persist::SummaryKeys,
-    ) -> u32 {
-        let entries: Vec<(u64, FunctionSummary)> =
-            sums.iter().map(|(fid, s)| (keys.of(fid), s.clone())).collect();
-        match store.publish(&entries) {
-            Ok(n) => n as u32,
-            Err(e) => {
-                eprintln!(
-                    "# shared-store warning: cannot publish to {}: {e}",
-                    store.dir().display()
-                );
-                0
-            }
-        }
-    }
-
-    /// Builds the engine in interprocedural mode against a caller-held
-    /// **in-memory** summary cache — the resident-daemon path
-    /// (`sraa serve`). No file IO happens: the caller owns persistence
-    /// (see [`DisambiguationEngine::export_summary_cache`] for the other
-    /// half of the round trip). The warm/cold outcome lands in the
-    /// [`SolveStats`] cache counters exactly like the file-backed path,
-    /// and re-building against the cache of a previous build invalidates
-    /// exactly the reverse-reachability closure of the edit (same
-    /// key scheme, same `compute_incremental` path).
+    /// Builds the engine in interprocedural mode, reusing summaries from
+    /// a caller-held per-module `cache` and/or content-addressed `store`.
+    ///
+    /// This is the one summary-reuse path. The caller owns all IO: it
+    /// loads the cache (the CLI's `--summary-cache`, or the daemon's
+    /// resident copy — see [`DisambiguationEngine::export_summary_cache`]
+    /// for the other half of the round trip) and opens the store. Every
+    /// function is classified against the cache first; components the
+    /// cache cannot satisfy are looked up in the store by key; the rest
+    /// are solved cold. Every solved summary is published back to the
+    /// store (insert-if-absent, so a warm run publishes nothing).
+    /// Re-building against the cache of a previous build invalidates
+    /// exactly the reverse-reachability closure of the edit. Outcomes
+    /// land in the [`SolveStats`] cache and store counters.
     ///
     /// The module is mutated (converted to e-SSA form) and
-    /// [`Contextuality::Summaries`] is implied; any `summary_cache` path
-    /// in `cfg` is ignored.
-    pub fn build_with_cache(
-        module: &mut Module,
-        cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-    ) -> Self {
-        Self::build_with_cache_and_store(module, cfg, cache, None)
-    }
-
-    /// [`DisambiguationEngine::build_with_cache`] with an additional
-    /// caller-held [`SharedSummaryStore`]: components the per-module
-    /// cache cannot satisfy are looked up by content-addressed key, and
-    /// every solved summary is published back (idempotently). This is
-    /// the daemon's `--shared-store` path — the daemon owns one resident
-    /// store for its lifetime and threads it through every upload.
+    /// [`Contextuality::Summaries`] is implied.
     pub fn build_with_cache_and_store(
         module: &mut Module,
         cfg: EngineConfig,
@@ -459,17 +286,6 @@ impl DisambiguationEngine {
     ) -> Self {
         let (ranges, _) = sraa_essa::transform_module(module);
         Self::on_prepared_with_cache_and_store(module, &ranges, cfg, cache, store)
-    }
-
-    /// [`DisambiguationEngine::build_with_cache`] over a module already in
-    /// e-SSA form, with caller-provided ranges.
-    pub fn on_prepared_with_cache(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-    ) -> Self {
-        Self::on_prepared_with_cache_and_store(module, ranges, cfg, cache, None)
     }
 
     /// [`DisambiguationEngine::build_with_cache_and_store`] over a module
@@ -482,42 +298,40 @@ impl DisambiguationEngine {
         store: Option<&SharedSummaryStore>,
     ) -> Self {
         cfg.contextuality = Contextuality::Summaries;
-        cfg.summary_cache = None;
-        cfg.shared_store = None;
         let index = VarIndex::new(module);
         let summary_t0 = std::time::Instant::now();
-        let (sums, _keys, outcome, store_outcome) =
-            Self::summaries_from_cache(module, ranges, &cfg, &index, cache, store);
+        let (sums, outcome, store_outcome) =
+            Self::reuse_summaries(module, ranges, &cfg, &index, cache, store);
         Self::assemble(module, ranges, cfg, index, Some(sums), summary_t0, outcome, store_outcome)
     }
 
     /// The engine's current summaries as an in-memory [`persist::SummaryCache`] —
     /// what a resident daemon hands back to
-    /// [`DisambiguationEngine::build_with_cache`] on the next upload of
-    /// the same module. `module` must be the (e-SSA) module this engine
-    /// was built on. `None` for intraprocedural engines, which carry no
-    /// summaries to cache.
+    /// [`DisambiguationEngine::build_with_cache_and_store`] on the next
+    /// upload of the same module. `module` must be the (e-SSA) module
+    /// this engine was built on. `None` for intraprocedural engines,
+    /// which carry no summaries to cache.
     pub fn export_summary_cache(&self, module: &Module) -> Option<persist::SummaryCache> {
         let sums = self.summaries.as_ref()?;
         let keys = persist::SummaryKeys::compute(module);
         Some(persist::SummaryCache::from_parts(module, sums, &keys))
     }
 
-    /// The shared incremental summary phase: classify every component
-    /// against `cache` (reusing hits, re-solving the rest) and keep the
-    /// hit/miss accounting honest when there was no usable cache at all.
-    fn summaries_from_cache(
+    /// The summary phase of the reuse path: classify every component
+    /// against `cache` and `store` (reusing hits, re-solving the rest),
+    /// publish the result to `store`, and keep the hit/miss accounting
+    /// honest when there was no usable cache at all.
+    fn reuse_summaries(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: &EngineConfig,
         index: &VarIndex,
         cache: Option<&persist::SummaryCache>,
         store: Option<&SharedSummaryStore>,
-    ) -> (ModuleSummaries, persist::SummaryKeys, CacheOutcome, StoreOutcome) {
-        let (sums, keys, mut outcome, mut store_outcome) =
-            ModuleSummaries::compute_incremental_shared(
-                module, ranges, cfg.gen, index, cfg.solver, cfg.jobs, cache, store,
-            );
+    ) -> (ModuleSummaries, CacheOutcome, StoreOutcome) {
+        let (sums, keys, mut outcome, mut store_outcome) = ModuleSummaries::compute_incremental(
+            module, ranges, cfg.gen, index, cfg.solver, cfg.jobs, cache, store,
+        );
         if cache.is_none() {
             // No usable cache at all: every function was a miss, so a
             // first (or fallback) run reports an honest 0% hit rate
@@ -525,9 +339,24 @@ impl DisambiguationEngine {
             outcome.misses = module.num_functions() as u32;
         }
         if let Some(store) = store {
-            store_outcome.published = Self::publish_all(store, &sums, &keys);
+            // Publishing every pair, not just the cold-solved ones, is
+            // deliberate: insert-if-absent makes it idempotent, and it
+            // migrates summaries that arrived via the per-module cache
+            // into the shared store.
+            let entries: Vec<(u64, FunctionSummary)> =
+                sums.iter().map(|(fid, s)| (keys.of(fid), s.clone())).collect();
+            store_outcome.published = match store.publish(&entries) {
+                Ok(n) => n as u32,
+                Err(e) => {
+                    eprintln!(
+                        "# shared-store warning: cannot publish to {}: {e}",
+                        store.dir().display()
+                    );
+                    0
+                }
+            };
         }
-        (sums, keys, outcome, store_outcome)
+        (sums, outcome, store_outcome)
     }
 
     /// The tail of every construction path: constraint generation, the
@@ -611,7 +440,6 @@ impl DisambiguationEngine {
             cfg: cfg.gen,
             solver: cfg.solver,
             summaries,
-            cache: fresh_cache(),
         }
     }
 
@@ -672,9 +500,11 @@ impl DisambiguationEngine {
         self.solution.size_histogram()
     }
 
-    /// Number of memoized pair verdicts currently cached.
+    /// Always 0: the engine keeps no pair memo (see the type's docs). Kept
+    /// for the benchmark harness, which reports it as
+    /// `core.query.memo_entries`.
     pub fn cached_queries(&self) -> usize {
-        self.cache.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len()).sum()
+        0
     }
 
     /// The paper's Definition 3.11: can `p1` and `p2` be proven disjoint?
@@ -684,48 +514,10 @@ impl DisambiguationEngine {
     ///   offsets variables) with `x1 ∈ LT(x2)` or `x2 ∈ LT(x1)`.
     ///
     /// Both pointers must live in function `f`. Non-pointer operands
-    /// always answer `false`. Verdicts are memoized: repeated queries for
-    /// the same pair (optimisation passes re-ask constantly) are a cache
-    /// hit.
+    /// always answer `false`.
     pub fn no_alias(&self, func: &Function, f: FuncId, p1: Value, p2: Value) -> bool {
-        if p1 == p2 {
-            return false;
-        }
-        let (a, b) = (self.index.id(f, p1).raw(), self.index.id(f, p2).raw());
-        let key = (a.min(b), a.max(b));
-        let shard = &self.cache[(key.0 ^ key.1) as usize & (CACHE_SHARDS - 1)];
-        if let Some(&hit) = shard.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return hit;
-        }
-        let verdict = self.no_alias_uncached(func, f, p1, p2);
-        shard.lock().unwrap_or_else(|e| e.into_inner()).insert(key, verdict);
-        verdict
-    }
-
-    /// Batched pair-query API: disambiguates every unordered pair of
-    /// `ptrs` (the `aa-eval` access pattern), returning the pairs proven
-    /// disjoint, in input order. Warms the memo cache, so subsequent
-    /// point queries on the same pairs are hits.
-    pub fn no_alias_pairs(
-        &self,
-        func: &Function,
-        f: FuncId,
-        ptrs: &[Value],
-    ) -> Vec<(Value, Value)> {
-        let mut out = Vec::new();
-        for (i, &p1) in ptrs.iter().enumerate() {
-            for &p2 in &ptrs[i + 1..] {
-                if self.no_alias(func, f, p1, p2) {
-                    out.push((p1, p2));
-                }
-            }
-        }
-        out
-    }
-
-    fn no_alias_uncached(&self, func: &Function, f: FuncId, p1: Value, p2: Value) -> bool {
         let is_ptr = |v: Value| func.value_type(v).is_some_and(Type::is_ptr);
-        if !is_ptr(p1) || !is_ptr(p2) {
+        if p1 == p2 || !is_ptr(p1) || !is_ptr(p2) {
             return false;
         }
         // Criterion 1.
@@ -758,6 +550,26 @@ impl DisambiguationEngine {
             }
         }
         false
+    }
+
+    /// Batched pair-query API: disambiguates every unordered pair of
+    /// `ptrs` (the `aa-eval` access pattern), returning the pairs proven
+    /// disjoint, in input order.
+    pub fn no_alias_pairs(
+        &self,
+        func: &Function,
+        f: FuncId,
+        ptrs: &[Value],
+    ) -> Vec<(Value, Value)> {
+        let mut out = Vec::new();
+        for (i, &p1) in ptrs.iter().enumerate() {
+            for &p2 in &ptrs[i + 1..] {
+                if self.no_alias(func, f, p1, p2) {
+                    out.push((p1, p2));
+                }
+            }
+        }
+        out
     }
 
     /// Walks copies and nested `gep`s down to the root pointer, summing
@@ -841,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_queries_are_memoized_and_batched() {
+    fn no_alias_pairs_equals_the_point_queries_in_input_order() {
         let (m, scc, _) = engines(
             r#"
             void f(int* v, int N) {
@@ -861,17 +673,25 @@ mod tests {
                 }
             }
         }
-        assert_eq!(scc.cached_queries(), 0);
         let pairs = scc.no_alias_pairs(f, fid, &ptrs);
         assert!(!pairs.is_empty(), "v[i]/v[j] must be disambiguated");
-        let warmed = scc.cached_queries();
-        assert!(warmed > 0, "batch queries must warm the cache");
-        // Point queries over the same pairs add no new entries.
-        for (p1, p2) in &pairs {
-            assert!(scc.no_alias(f, fid, *p1, *p2));
+        let mut point = Vec::new();
+        for (i, &p1) in ptrs.iter().enumerate() {
+            for &p2 in &ptrs[i + 1..] {
+                if scc.no_alias(f, fid, p1, p2) {
+                    point.push((p1, p2));
+                }
+            }
         }
-        assert_eq!(scc.cached_queries(), warmed);
+        assert_eq!(pairs, point);
+        assert_eq!(scc.cached_queries(), 0, "the engine keeps no pair memo");
     }
+
+    /// The engine is a plain value: cloneable and shareable across threads.
+    const _: fn() = || {
+        fn plain_value<T: Clone + Send + Sync>() {}
+        plain_value::<DisambiguationEngine>();
+    };
 
     #[test]
     fn summaries_mode_refines_call_results() {

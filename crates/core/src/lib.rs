@@ -28,7 +28,7 @@
 //!                            §6 answer)          differential oracle)
 //!                                  └────────┬────────┘
 //!                                           ▼  one DenseStore arena
-//!                                      ┌──────────┐   memoized pair cache, batch API
+//!                                      ┌──────────┐   point and batch pair queries
 //!                                      │ Solution │──▶ queries: less_than · lt_set ·
 //!                                      └──────────┘            no_alias · histograms
 //! ```
@@ -51,8 +51,14 @@
 //! 5. **Disambiguation** (paper Definition 3.11):
 //!    [`no_alias`](DisambiguationEngine::no_alias) — `p1 ∈ LT(p2)` ∨
 //!    `p2 ∈ LT(p1)` (criterion 1), or both derived from one base with
-//!    strictly ordered variable offsets (criterion 2) — served from a
-//!    memoized per-function pair cache with a batch all-pairs API.
+//!    strictly ordered variable offsets (criterion 2) — evaluated
+//!    directly on every query (a few membership probes on `LT` sets that
+//!    are almost always tiny), with a batch all-pairs API.
+//!
+//! The engine is a plain immutable value: it keeps no query memo, reads
+//! and writes no files and prints nothing except a warning when
+//! publishing to a shared store fails. Summary reuse goes through
+//! caller-held [`SummaryCache`] and [`SharedSummaryStore`] handles.
 //!
 //! Consumers (the `sraa-alias` backends, `sraa-pentagon`, the `sraa-opt`
 //! passes, `sraa-pdg`, the `sraa` CLI) hold an engine — usually behind an

@@ -56,7 +56,7 @@ use crate::jobs::Jobs;
 use crate::persist::{SummaryCache, SummaryKeys};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::var_index::{VarId, VarIndex};
-use sraa_ir::{CallGraph, FuncId, InstKind, Module, Value};
+use sraa_ir::{CallGraph, Condensation, FuncId, InstKind, Module, Value};
 use sraa_range::RangeAnalysis;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -179,21 +179,31 @@ impl ModuleSummaries {
         solver: SolverKind,
         jobs: Jobs,
     ) -> Self {
-        Self::compute_inner(module, ranges, cfg, index, solver, jobs, false, None, None).0
+        let cond = CallGraph::build(module).condense();
+        Self::walk(module, ranges, cfg, index, solver, jobs, &cond, None).0
     }
 
     /// [`ModuleSummaries::compute`] with a **warm path**: components whose
-    /// members all hit the persistent `cache` (same name, same
+    /// members all hit the per-module `cache` (same name, same
     /// [`SummaryKeys`] key) reuse their stored summaries and skip the
-    /// Init-grounded per-SCC solve entirely. Cold components solve as
-    /// usual — against the already-installed summaries of their callees,
-    /// cached or not — so the result is *identical* to a cold
-    /// [`ModuleSummaries::compute`] (up to `stats.solves`, which records
-    /// the work actually done; the differential suite in
-    /// `tests/incremental.rs` holds this to byte-identical solutions).
-    /// Computes (and returns) the [`SummaryKeys`] itself, sharing one
-    /// call-graph + condensation build with the solve loop; hand the
-    /// keys to [`crate::persist::save`] to refresh the cache afterwards.
+    /// Init-grounded per-SCC solve entirely. Any component the cache
+    /// cannot satisfy is then looked up in the content-addressed `store`
+    /// by key before being solved cold. The cache wins when both would
+    /// hit (it is free — no store lock traffic), so the two compose:
+    /// `--summary-cache` answers "did *this* module change", the store
+    /// answers "has *anyone* already solved this exact function".
+    ///
+    /// Cold components solve as usual — against the already-installed
+    /// summaries of their callees, reused or not — so the result is
+    /// *identical* to a cold [`ModuleSummaries::compute`] (up to
+    /// `stats.solves`, which records the work actually done; the
+    /// differential suite in `tests/incremental.rs` holds this to
+    /// byte-identical solutions). Computes (and returns) the
+    /// [`SummaryKeys`] itself, sharing one call-graph + condensation
+    /// build with the solve loop; hand the keys to [`crate::persist::save`]
+    /// to refresh a cache file afterwards. Publishing to the store is the
+    /// caller's job ([`crate::DisambiguationEngine`] publishes every
+    /// `(key, summary)` pair after the solve).
     #[allow(clippy::too_many_arguments)]
     pub fn compute_incremental(
         module: &Module,
@@ -203,56 +213,30 @@ impl ModuleSummaries {
         solver: SolverKind,
         jobs: Jobs,
         cache: Option<&SummaryCache>,
-    ) -> (Self, SummaryKeys, CacheOutcome) {
-        let (sums, keys, outcome, _) =
-            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, None);
-        (sums, keys.expect("requested above"), outcome)
-    }
-
-    /// [`ModuleSummaries::compute_incremental`] with an additional
-    /// consultation of a content-addressed [`SharedSummaryStore`]: any
-    /// component the per-module `cache` could not satisfy is looked up in
-    /// the store by its [`SummaryKeys`] key before being solved cold. The
-    /// per-module cache wins when both would hit (it is free — no store
-    /// lock traffic), so the two compose: `--summary-cache` answers
-    /// "did *this* module change", the store answers "has *anyone*
-    /// already solved this exact function". Publishing back is the
-    /// caller's job ([`crate::DisambiguationEngine`] publishes every
-    /// `(key, summary)` pair after the solve; insert-if-absent makes that
-    /// idempotent).
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_incremental_shared(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: GenConfig,
-        index: &VarIndex,
-        solver: SolverKind,
-        jobs: Jobs,
-        cache: Option<&SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (Self, SummaryKeys, CacheOutcome, StoreOutcome) {
-        let (sums, keys, outcome, store_outcome) =
-            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, store);
-        (sums, keys.expect("requested above"), outcome, store_outcome)
+        let cg = CallGraph::build(module);
+        let cond = cg.condense();
+        let keys = SummaryKeys::compute_with(module, &cg, &cond);
+        let reuse = Reuse { keys: &keys, cache, store };
+        let (sums, outcome, store_outcome) =
+            Self::walk(module, ranges, cfg, index, solver, jobs, &cond, Some(reuse));
+        (sums, keys, outcome, store_outcome)
     }
 
+    /// The bottom-up wavefront walk shared by both entry points; `reuse`
+    /// is `None` on the cold path, which then never needs keys.
     #[allow(clippy::too_many_arguments)]
-    fn compute_inner(
+    fn walk(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
         solver: SolverKind,
         jobs: Jobs,
-        want_keys: bool,
-        cache: Option<&SummaryCache>,
-        store: Option<&SharedSummaryStore>,
-    ) -> (Self, Option<SummaryKeys>, CacheOutcome, StoreOutcome) {
-        let cg = CallGraph::build(module);
-        let cond = cg.condense();
-        let keys = want_keys.then(|| SummaryKeys::compute_with(module, &cg, &cond));
-        let warm = cache.and_then(|c| keys.as_ref().map(|k| (k, c)));
-        let shared = store.and_then(|s| keys.as_ref().map(|k| (k, s)));
+        cond: &Condensation,
+        reuse: Option<Reuse<'_>>,
+    ) -> (Self, CacheOutcome, StoreOutcome) {
         let jobs = jobs.get();
         let mut outcome = CacheOutcome::default();
         let mut store_outcome = StoreOutcome::default();
@@ -276,7 +260,7 @@ impl ModuleSummaries {
             for &ci in &layer {
                 let ci = ci as usize;
                 let members = cond.members(ci);
-                if let Some((keys, cache)) = warm {
+                if let Some(Reuse { keys, cache: Some(cache), .. }) = reuse {
                     let mut all_hit = true;
                     for &f in members {
                         match cache.get(&module.function(f).name) {
@@ -307,7 +291,7 @@ impl ModuleSummaries {
                 // may come from a different module name, another daemon,
                 // or another machine. All-or-nothing per component, like
                 // the cache: members share a key-invalidation fate.
-                if let Some((keys, store)) = shared {
+                if let Some(Reuse { keys, store: Some(store), .. }) = reuse {
                     let found: Option<Vec<FunctionSummary>> =
                         members.iter().map(|&f| store.get(keys.of(f))).collect();
                     if let Some(found) = found {
@@ -391,7 +375,7 @@ impl ModuleSummaries {
         }
 
         sums.stats.facts = sums.per_func.iter().map(FunctionSummary::facts).sum();
-        (sums, keys, outcome, store_outcome)
+        (sums, outcome, store_outcome)
     }
 
     /// The summary of function `f`.
@@ -408,6 +392,15 @@ impl ModuleSummaries {
     pub fn iter(&self) -> impl Iterator<Item = (FuncId, &FunctionSummary)> {
         self.per_func.iter().enumerate().map(|(i, s)| (FuncId::from_index(i), s))
     }
+}
+
+/// What the warm path of [`ModuleSummaries::compute_incremental`] may
+/// reuse: the module's keys plus the optional cache and store.
+#[derive(Clone, Copy)]
+struct Reuse<'a> {
+    keys: &'a SummaryKeys,
+    cache: Option<&'a SummaryCache>,
+    store: Option<&'a SharedSummaryStore>,
 }
 
 /// A wavefront layer below this much total work (instruction count over
@@ -762,7 +755,7 @@ mod tests {
         )
         .unwrap();
 
-        let (warm, warm_keys, outcome) = ModuleSummaries::compute_incremental(
+        let (warm, warm_keys, outcome, _) = ModuleSummaries::compute_incremental(
             &m,
             &ranges,
             GenConfig::default(),
@@ -770,6 +763,7 @@ mod tests {
             solver,
             Jobs::default(),
             Some(&cache),
+            None,
         );
         assert_eq!(warm_keys, keys, "keys must not depend on who builds the condensation");
         assert_eq!((outcome.hits, outcome.misses, outcome.invalidated), (3, 0, 0));
@@ -781,7 +775,7 @@ mod tests {
         assert_eq!(warm.facts(), cold.facts());
 
         // Without a cache, the incremental entry point is exactly `compute`.
-        let (cold2, _, zero) = ModuleSummaries::compute_incremental(
+        let (cold2, _, zero, none) = ModuleSummaries::compute_incremental(
             &m,
             &ranges,
             GenConfig::default(),
@@ -789,9 +783,11 @@ mod tests {
             solver,
             Jobs::default(),
             None,
+            None,
         );
         assert_eq!(cold2, cold);
         assert_eq!(zero, CacheOutcome::default());
+        assert_eq!(none, StoreOutcome::default());
     }
 
     /// A module wide enough that jobs > 1 genuinely takes the

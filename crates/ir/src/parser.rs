@@ -261,12 +261,17 @@ impl Parser {
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
         self.expect_keyword("int")?;
-        let mut depth = 0u8;
+        let mut depth = 0usize;
         while self.peek() == Some(&Tok::Star) {
             self.bump();
             depth += 1;
         }
-        Ok(if depth == 0 { Type::Int } else { Type::Ptr(depth) })
+        // `Type::Ptr` holds the depth in a `u8`.
+        match u8::try_from(depth) {
+            Ok(0) => Ok(Type::Int),
+            Ok(d) => Ok(Type::Ptr(d)),
+            Err(_) => Err(self.err(format!("pointer nesting deeper than {}", u8::MAX))),
+        }
     }
 }
 
@@ -425,11 +430,13 @@ fn parse_function_body(
                     if next_is_colon && !prev_is_percent {
                         label_order.push(id.clone());
                     } else if next_is_colon && prev_is_percent {
-                        // `%name: ty =` — a definition. Parse its type.
-                        let mut q = Parser { toks: p.toks.clone(), pos: i + 2 };
-                        let ty = q.parse_type()?;
-                        if q.peek() == Some(&Tok::Eq) {
-                            defs.push((id.clone(), ty));
+                        // `%name: ty =` — a definition. Parse its type in
+                        // place (the cursor is restored after the scan).
+                        let id = id.clone();
+                        p.pos = i + 2;
+                        let ty = p.parse_type()?;
+                        if p.peek() == Some(&Tok::Eq) {
+                            defs.push((id, ty));
                         }
                     }
                 }
@@ -769,6 +776,28 @@ bb1:
         let src = "func @f() {\nbb0:\n  jump bb0\nbb0:\n  ret\n}\n";
         let e = parse_module(src).unwrap_err();
         assert!(e.message.contains("duplicate block label"), "{e}");
+    }
+
+    /// A function whose parameter and return type is `int` followed by
+    /// `depth` stars.
+    fn deep_pointer_source(depth: usize) -> String {
+        let ty = format!("int{}", "*".repeat(depth));
+        format!("func @f(%p: {ty}) -> {ty} {{\nbb0:\n  ret %p\n}}\n")
+    }
+
+    #[test]
+    fn pointer_depth_255_parses_and_round_trips() {
+        let m = parse_module(&deep_pointer_source(255)).expect("255 stars fit a u8");
+        let f = m.function(m.function_by_name("f").unwrap());
+        assert_eq!(f.ret_ty, Some(Type::Ptr(255)));
+        let p1 = print_module(&m);
+        assert_eq!(print_module(&parse_module(&p1).unwrap()), p1);
+    }
+
+    #[test]
+    fn pointer_depth_256_is_an_error() {
+        let e = parse_module(&deep_pointer_source(256)).unwrap_err();
+        assert!(e.message.contains("pointer nesting deeper than 255"), "{e}");
     }
 
     #[test]

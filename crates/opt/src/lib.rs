@@ -24,8 +24,9 @@
 //! optimised program against its original and require identical results.
 //! The passes re-ask the same pointer pairs constantly (per store, per
 //! loop iteration of the scan); when the oracle is the strict-inequality
-//! backend those queries hit the `sraa_core::DisambiguationEngine`'s
-//! memoized pair cache instead of re-deriving Definition 3.11 each time.
+//! backend each query is a few membership probes on the
+//! `sraa_core::DisambiguationEngine`'s solved `LT` sets (Definition 3.11),
+//! cheap enough that re-asking costs less than remembering.
 //! The `applicability_opt` harness (`cargo run -p sraa-bench --bin
 //! applicability_opt`) turns them into the experiment the paper's §2
 //! promises: the same pass, driven by BA, removes fewer memory

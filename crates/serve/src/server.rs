@@ -46,7 +46,10 @@ pub struct ServerConfig {
     /// Engine configuration for uploads. `Contextuality::Summaries`
     /// is forced — the daemon's
     /// incremental re-upload path needs summaries; solver and jobs knobs
-    /// are honoured.
+    /// are honoured. The configuration names no files: the caller reads
+    /// any warm-start cache and opens any shared store, and hands them
+    /// over with [`Server::with_warm_cache`] and
+    /// [`Server::with_shared_store`]; the engine does no IO of its own.
     pub engine: EngineConfig,
     /// Per-connection idle timeout: a connection that sends no byte for
     /// this long is closed.
@@ -66,7 +69,7 @@ impl Default for ServerConfig {
 }
 
 /// One uploaded module, fully solved and resident. Queries never touch
-/// the engine-construction path again: `no-alias`/`lt` hit the memoized
+/// the engine-construction path again: `no-alias`/`lt` ask the solved
 /// engine, `eval` returns the pre-rendered report.
 struct ModuleEntry {
     /// The module in e-SSA form (what the engine was built on).

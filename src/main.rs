@@ -26,15 +26,23 @@
 //! on the next invocation. Cache outcomes (`N hit(s), M miss(es), …`) go
 //! to stderr so stdout stays byte-identical between warm and cold runs;
 //! a damaged or mismatched cache file falls back to a cold solve with a
-//! warning, never a panic or a stale result.
+//! warning, never a panic or a stale result. `--shared-store <dir>` works
+//! the same way across modules and processes. The CLI, not the engine,
+//! reads and writes the cache file and opens the store ([`ReuseFlags`]);
+//! the engine only sees the loaded handles.
 //!
 //! Unrecognised `--flags` are rejected with exit code 2 (they used to be
 //! silently ignored, which hid typos like `--interporc`).
 
 use sraa::alias::{render_eval, AliasAnalysis, BasicAliasAnalysis, Combined, StrictInequalityAa};
 use sraa::ir::{InstKind, Interpreter};
-use sraa::lt::{CacheOutcome, Contextuality, EngineConfig, Jobs, SolverKind, StoreOutcome};
+use sraa::lt::persist::{self, SummaryCache, SummaryKeys};
+use sraa::lt::{
+    CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, Jobs, SharedSummaryStore,
+    SolverKind, StoreOutcome,
+};
 use sraa::pdg::DepGraph;
+use std::path::PathBuf;
 use std::process::exit;
 
 fn main() {
@@ -87,15 +95,16 @@ fn main() {
 
 /// Extracts `--solver <kind>`, `--jobs <n>`, `--interproc`,
 /// `--summary-cache <path>` and `--shared-store <dir>` from `args`,
-/// returning the remaining arguments and the chosen [`EngineConfig`]
-/// knobs (defaults: [`SolverKind::Scc`], [`Jobs::Auto`],
-/// [`Contextuality::Intra`], no cache, no store). `--summary-cache` and `--shared-store` both
-/// imply `--interproc` — they persist interprocedural summaries — and
-/// compose: the per-module cache answers first, the cross-module store
-/// catches what it misses. An explicit `--jobs` count beats the
-/// `SRAA_JOBS` environment variable; whichever wins is reported on
-/// **stderr** (stdout must stay byte-identical across every jobs value).
-fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig), i32> {
+/// returning the remaining arguments, the chosen [`EngineConfig`] knobs
+/// (defaults: [`SolverKind::Scc`], [`Jobs::Auto`],
+/// [`Contextuality::Intra`]) and the summary-reuse paths (default none).
+/// `--summary-cache` and `--shared-store` both imply `--interproc` —
+/// they persist interprocedural summaries — and compose: the per-module
+/// cache answers first, the cross-module store catches what it misses.
+/// An explicit `--jobs` count beats the `SRAA_JOBS` environment variable;
+/// whichever wins is reported on **stderr** (stdout must stay
+/// byte-identical across every jobs value).
+fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, ReuseFlags), i32> {
     let mut cfg = EngineConfig::default();
     let (rest, solver) = take_value_flag(args, "--solver")?;
     if let Some(value) = solver {
@@ -123,14 +132,80 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig), i32
         cfg.contextuality = Contextuality::Summaries;
     }
     let (rest, cache) = take_value_flag(&rest, "--summary-cache")?;
-    if let Some(path) = cache {
-        cfg = cfg.with_summary_cache(path);
-    }
     let (rest, store) = take_value_flag(&rest, "--shared-store")?;
-    if let Some(dir) = store {
-        cfg = cfg.with_shared_store(dir);
+    let reuse = ReuseFlags { cache: cache.map(PathBuf::from), store: store.map(PathBuf::from) };
+    if reuse.cache.is_some() || reuse.store.is_some() {
+        cfg.contextuality = Contextuality::Summaries;
     }
-    Ok((rest, cfg))
+    Ok((rest, cfg, reuse))
+}
+
+/// The `--summary-cache <path>` and `--shared-store <dir>` arguments.
+struct ReuseFlags {
+    cache: Option<PathBuf>,
+    store: Option<PathBuf>,
+}
+
+impl ReuseFlags {
+    /// Reads the cache file (`None` before the first run) and opens the
+    /// store — shared by the one-shot verbs and `serve`. A defective
+    /// cache or store can cost speed, never correctness: either degrades
+    /// to running without it, with a warning on stderr.
+    fn open(&self, gen: sraa::lt::GenConfig) -> (Option<SummaryCache>, Option<SharedSummaryStore>) {
+        let store = self.store.as_ref().and_then(|dir| match SharedSummaryStore::open(dir, gen) {
+            Ok(store) => Some(store),
+            Err(e) => {
+                eprintln!(
+                    "# shared-store warning: {}: {e}; running without a store",
+                    dir.display()
+                );
+                None
+            }
+        });
+        let cache = self.cache.as_ref().and_then(|path| match persist::load(path, gen) {
+            Ok(cache) => Some(cache),
+            Err(e) if e.is_not_found() => None, // first run: plain cold start
+            Err(e) => {
+                eprintln!("# summary-cache warning: {}: {e}; running cold", path.display());
+                None
+            }
+        });
+        (cache, store)
+    }
+}
+
+/// Runs the engine for a one-shot verb (`eval`, `lt`, `pdg`, `opt`) and
+/// wraps it as the LT analysis. With `--summary-cache` or
+/// `--shared-store` the summaries are reused through them, the cache
+/// file is rewritten afterwards, and both outcomes go to stderr.
+fn analyze(m: &mut sraa::ir::Module, cfg: EngineConfig, flags: ReuseFlags) -> StrictInequalityAa {
+    let gen = cfg.gen;
+    let (cache, store) = flags.open(gen);
+    let engine = if flags.cache.is_none() && store.is_none() {
+        DisambiguationEngine::build(m, cfg)
+    } else {
+        DisambiguationEngine::build_with_cache_and_store(m, cfg, cache.as_ref(), store.as_ref())
+    };
+    if let Some(path) = &flags.cache {
+        let had_entries = cache.as_ref().is_some_and(|c| !c.is_empty());
+        if had_entries && engine.stats().cache_hits == 0 && m.num_functions() > 0 {
+            eprintln!(
+                "# summary-cache warning: {}: no cached summary matched this module; running cold",
+                path.display()
+            );
+        }
+        // Rewrite unconditionally: refreshes stale entries and heals
+        // corrupted files. A write failure only costs the *next* run its
+        // warm start.
+        let sums = engine.summaries().expect("reuse implies summaries");
+        if let Err(e) = persist::save(path, m, sums, &SummaryKeys::compute(m), gen) {
+            eprintln!("# summary-cache warning: cannot write {}: {e}", path.display());
+        }
+    }
+    let lt = StrictInequalityAa::from_engine(engine);
+    report_cache(flags.cache.is_some(), &lt);
+    report_store(flags.store.is_some(), &lt);
+    lt
 }
 
 /// Prints the warm/cold summary-cache outcome to **stderr** (stdout stays
@@ -253,7 +328,7 @@ fn cmd_compile(args: &[String]) -> i32 {
 fn cmd_eval(args: &[String]) -> i32 {
     const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] [--jobs N] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -262,11 +337,7 @@ fn cmd_eval(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = analyze(&mut m, cfg, reuse);
     print!("{}", render_eval(&m, &lt));
     0
 }
@@ -275,7 +346,7 @@ fn cmd_lt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] \
                          [--jobs N] [--interproc] \
                          [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -284,11 +355,7 @@ fn cmd_lt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = analyze(&mut m, cfg, reuse);
     let Some(fid) = m.function_by_name(fname) else {
         eprintln!("no function `{fname}`");
         return 1;
@@ -363,7 +430,7 @@ fn cmd_run(args: &[String]) -> i32 {
 fn cmd_pdg(args: &[String]) -> i32 {
     const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] [--jobs N] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, mut cfg)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, mut cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -373,11 +440,7 @@ fn cmd_pdg(args: &[String]) -> i32 {
     };
     let Ok(mut m) = load(path) else { return 1 };
     cfg.gen.range_offsets = true; // the Figure 12 experiment's setting
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = analyze(&mut m, cfg, reuse);
     let ba = BasicAliasAnalysis::new(&m);
     let both = Combined::new(vec![Box::new(BasicAliasAnalysis::new(&m)), Box::new(lt.clone())]);
     let g_ba = DepGraph::build(&m, &ba);
@@ -394,7 +457,7 @@ fn cmd_opt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] \
                          [--jobs N] [--interproc] \
                          [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     let (args, ba_only) = take_flag(&args, "--ba");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -404,11 +467,7 @@ fn cmd_opt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = analyze(&mut m, cfg, reuse);
     let aa: Box<dyn AliasAnalysis> = if ba_only {
         Box::new(BasicAliasAnalysis::new(&m))
     } else {
@@ -491,7 +550,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) \
                          [--solver worklist|scc] [--jobs N] \
                          [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, mut cfg)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     let (args, endpoint) = match take_endpoint(&args, USAGE) {
         Ok(x) => x,
         Err(code) => return code,
@@ -501,36 +560,16 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
     // `--summary-cache` is the daemon's warm start: read once at boot,
     // then the cache lives in memory and rolls forward upload-to-upload.
-    let warm =
-        cfg.summary_cache.take().and_then(|path| match sraa::lt::persist::load(&path, cfg.gen) {
-            Ok(c) => {
-                eprintln!("# serve: warm start from {} ({} summaries)", path.display(), c.len());
-                Some(c)
-            }
-            Err(e) if e.is_not_found() => None,
-            Err(e) => {
-                eprintln!("# serve warning: {}: {e}; starting cold", path.display());
-                None
-            }
-        });
     // `--shared-store` becomes a resident store handle: opened once at
     // boot, refreshed before each upload so concurrent daemons sharing
     // the directory see each other's published segments.
-    let store = cfg.shared_store.take().and_then(|dir| {
-        match sraa::lt::SharedSummaryStore::open(&dir, cfg.gen) {
-            Ok(s) => {
-                eprintln!("# serve: shared store at {} ({} summaries)", dir.display(), s.len());
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!(
-                    "# serve warning: {}: {e}; running without a shared store",
-                    dir.display()
-                );
-                None
-            }
-        }
-    });
+    let (cache, store) = reuse.open(cfg.gen);
+    if let (Some(path), Some(c)) = (&reuse.cache, &cache) {
+        eprintln!("# serve: warm start from {} ({} summaries)", path.display(), c.len());
+    }
+    if let Some(s) = &store {
+        eprintln!("# serve: shared store at {} ({} summaries)", s.dir().display(), s.len());
+    }
     let scfg = sraa::serve::ServerConfig { engine: cfg, ..Default::default() };
     let server = match &endpoint {
         Endpoint::Unix(path) => sraa::serve::Server::bind_unix(path, scfg),
@@ -543,7 +582,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let server = match warm {
+    let server = match cache {
         Some(c) => server.with_warm_cache(c),
         None => server,
     };

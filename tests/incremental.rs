@@ -75,7 +75,7 @@ fn reverse_reachable(m: &Module, from: &BTreeSet<FuncId>) -> BTreeSet<FuncId> {
 
 /// The warm run on `p` against `cache`, plus its outcome.
 fn warm(p: &Prepared, cache: &persist::SummaryCache) -> (ModuleSummaries, CacheOutcome) {
-    let (sums, keys, outcome) = ModuleSummaries::compute_incremental(
+    let (sums, keys, outcome, _) = ModuleSummaries::compute_incremental(
         &p.module,
         &p.ranges,
         GenConfig::default(),
@@ -83,6 +83,7 @@ fn warm(p: &Prepared, cache: &persist::SummaryCache) -> (ModuleSummaries, CacheO
         SolverKind::Scc,
         sraa_core::Jobs::default(),
         Some(cache),
+        None,
     );
     assert_eq!(keys, p.keys, "internally computed keys must match the standalone ones");
     (sums, outcome)
@@ -234,14 +235,25 @@ fn engine_warm_run_through_a_cache_file_matches_the_cold_engine() {
     let path = std::env::temp_dir().join(format!("sraa_incr_engine_{}.bin", std::process::id()));
     std::fs::remove_file(&path).ok();
 
+    // The caller owns the file: load it (absent on the first run), build
+    // against it, write it back — what `sraa eval --summary-cache` does.
     let build = |cache: bool| {
         let mut m = sraa_minic::compile(&src).unwrap();
-        let cfg = if cache {
-            EngineConfig::default().with_summary_cache(&path)
-        } else {
-            EngineConfig::default().with_summaries()
-        };
-        let engine = sraa_core::DisambiguationEngine::build(&mut m, cfg);
+        let cfg = EngineConfig::default().with_summaries();
+        if !cache {
+            let engine = sraa_core::DisambiguationEngine::build(&mut m, cfg);
+            return (m, engine);
+        }
+        let prior = persist::load(&path, cfg.gen).ok();
+        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
+            &mut m,
+            cfg,
+            prior.as_ref(),
+            None,
+        );
+        let keys = SummaryKeys::compute(&m);
+        persist::save(&path, &m, engine.summaries().unwrap(), &keys, GenConfig::default())
+            .expect("cache written");
         (m, engine)
     };
     let (m_cold, cold) = build(false);

@@ -74,7 +74,7 @@ fn warm(
     j: Jobs,
     cache: &persist::SummaryCache,
 ) -> (ModuleSummaries, SummaryKeys, CacheOutcome) {
-    ModuleSummaries::compute_incremental(
+    let (sums, keys, outcome, _) = ModuleSummaries::compute_incremental(
         &p.module,
         &p.ranges,
         GenConfig::default(),
@@ -82,7 +82,9 @@ fn warm(
         SolverKind::Scc,
         j,
         Some(cache),
-    )
+        None,
+    );
+    (sums, keys, outcome)
 }
 
 /// Asserts two summary computations are indistinguishable all the way

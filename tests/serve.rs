@@ -258,10 +258,11 @@ fn warm_start_cache_makes_the_first_upload_hit() {
     std::fs::remove_file(&path).ok();
     {
         let mut m = sraa::minic::compile(CALLS).unwrap();
-        let _ = sraa::lt::DisambiguationEngine::build(
-            &mut m,
-            EngineConfig::default().with_summary_cache(&path),
-        );
+        let engine =
+            sraa::lt::DisambiguationEngine::build(&mut m, EngineConfig::default().with_summaries());
+        let keys = sraa::lt::SummaryKeys::compute(&m);
+        persist::save(&path, &m, engine.summaries().unwrap(), &keys, Default::default())
+            .expect("cache written");
     }
     let cache = persist::load(&path, Default::default()).expect("cache written");
     let server = Box::leak(Box::new(
