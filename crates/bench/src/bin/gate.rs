@@ -39,12 +39,7 @@
 //!   algorithmic regression tightly. Peak RSS rides under the same bar.
 //! * **hard floors** (fresh run only) — the SCC strategy must beat the
 //!   worklist (`scc_speedup_over_worklist ≥ 1.0`: it is the engine
-//!   default on that argument), and the sharded warm pass must not lose
-//!   to the serial one. The wavefront pipeline must likewise not lose to
-//!   its own serial leg (`parallel.speedup_over_serial ≥ 1.0`) — but
-//!   only when the fresh run actually had workers (`parallel.jobs ≥ 2`);
-//!   on a single-core host both legs run the identical serial path and
-//!   the row is informational. The resident daemon must likewise beat the
+//!   default on that argument). The resident daemon must likewise beat the
 //!   one-shot path it replaces (`serve.resident_query_us ≤
 //!   serve.oneshot_warm_us`), and the shared summary store must pay for
 //!   itself on the fresh run: an upload answered from a populated store
@@ -75,7 +70,6 @@ fn main() {
     let fresh = read_doc(fresh_path);
     let (binter, finter) = (baseline.section("interproc"), fresh.section("interproc"));
     let (binc, finc) = (baseline.section("incremental"), fresh.section("incremental"));
-    let (bpar, fpar) = (baseline.section("parallel"), fresh.section("parallel"));
     let mut gate = Gate { failures: 0, tolerance: 1.0 + tolerance_pct / 100.0 };
 
     println!(
@@ -97,7 +91,6 @@ fn main() {
     );
     corpus_ok &= gate.exact("incremental.workloads", binc.num("workloads"), finc.num("workloads"));
     corpus_ok &= gate.exact("incremental.functions", binc.num("functions"), finc.num("functions"));
-    corpus_ok &= gate.exact("parallel.functions", bpar.num("functions"), fpar.num("functions"));
     if !corpus_ok {
         eprintln!(
             "\nthe benchmark corpus differs from the baseline's — if intentional, regenerate \
@@ -176,15 +169,6 @@ fn main() {
         binc.num("warm_us") / bc,
         finc.num("warm_us") / fc,
     );
-    gate.at_most(
-        "incremental.sharded_warm/calib",
-        binc.num("sharded_warm_us") / bc,
-        finc.num("sharded_warm_us") / fc,
-    );
-    // Sharding must actually pay for its threads *on this run*: the
-    // sharded warm pass may not be slower than the serial one (within
-    // the time tolerance), whatever the baseline recorded.
-    gate.at_most("incremental.sharded_vs_warm", finc.num("warm_us"), finc.num("sharded_warm_us"));
     // The resident daemon: a warm re-upload round trip and one resident
     // query over the loopback socket, normalised like every other
     // wall-clock metric.
@@ -214,13 +198,6 @@ fn main() {
         baseline.num("dense_inter_us") / bc,
         fresh.num("dense_inter_us") / fc,
     );
-    // The wavefront pipeline's serial leg: jobs=1 must stay within noise
-    // of the historical serial path (the scheduler itself may not cost).
-    gate.at_most(
-        "parallel.serial_us/calibration",
-        bpar.num("serial_us") / bc,
-        fpar.num("serial_us") / fc,
-    );
     // Peak RSS is machine-dependent (allocator, page size), so it rides
     // under the looser time bar too.
     gate.at_most("peak_rss_kb", baseline.num("peak_rss_kb"), fresh.num("peak_rss_kb"));
@@ -242,20 +219,6 @@ fn main() {
     let store_cold = fstore.num("cold_upload_us");
     let store_warm = fstore.num("warm_upload_us");
     gate.row("store.warm_vs_cold_upload", store_cold, store_warm, store_warm <= store_cold);
-    // The wavefront fan-out must pay for its threads on runs that had
-    // any: with ≥ 2 workers the parallel leg may not lose to the serial
-    // one. On a single-core host both legs run the identical serial
-    // path, so the row is informational there, not a floor.
-    let par_jobs = fpar.num("jobs");
-    let par_speedup = fpar.num("speedup_over_serial");
-    if par_jobs >= 2.0 {
-        gate.row("parallel_speedup_over_serial", 1.0, par_speedup, par_speedup >= 1.0);
-    } else {
-        println!(
-            "{:<34} {:>12} {:>12.3} {:>8}  info (jobs=1: no spare parallelism)",
-            "parallel_speedup_over_serial", "-", par_speedup, "-"
-        );
-    }
 
     if gate.failures > 0 {
         eprintln!("\nperf gate FAILED: {} metric(s) regressed", gate.failures);

@@ -11,14 +11,7 @@
 //!   precision gained (`Contextuality::Summaries` vs `Intra` no-alias
 //!   counts), summary facts/solves, and build-time overhead;
 //! * the incremental engine over the same family — cold summary build vs
-//!   a warm run against a just-serialized cache (`warm_us`, `hit_rate`),
-//!   plus the same warm run at `jobs > 1` through the engine's wavefront
-//!   scheduler (`sharded_warm_us`) to show the cache composes with
-//!   parallelism;
-//! * the wavefront-parallel summary pipeline on a wide call graph —
-//!   `jobs = 1` vs `jobs = N` wall clock (`parallel_speedup_over_serial`;
-//!   the host's parallelism is recorded so the gate only enforces the
-//!   floor where threads exist);
+//!   a warm run against a just-serialized cache (`warm_us`, `hit_rate`);
 //! * the lattice store's `Inter` hot path on a deterministic
 //!   intersection-heavy system (`dense_inter_us`);
 //! * the resident daemon (`sraa serve`) — a warm re-upload round trip
@@ -37,25 +30,11 @@
 
 use sraa_bench::{alloc_count, peak_rss_kb, r_squared, suite_n, Prepared};
 use sraa_core::{
-    persist, Constraint, EngineConfig, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryKeys,
-    VarId, VarIndex,
+    persist, Constraint, EngineConfig, GenConfig, ModuleSummaries, SolverKind, SummaryKeys, VarId,
+    VarIndex,
 };
 use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::Instant;
-
-/// The jobs count the parallel legs run at: `SRAA_JOBS` if set, else 4
-/// clamped to the host's available parallelism. The clamp keeps the
-/// measurement honest — a 1-core host would only measure spawn overhead
-/// at jobs=4 — and `parallel_jobs` lands in the JSON so the gate knows
-/// whether the speedup floor is meaningful on the machine that produced
-/// the numbers.
-fn bench_jobs() -> usize {
-    match Jobs::from_env() {
-        Some(j) => j.get(),
-        None => 4.min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get)),
-    }
-}
 
 struct SolverTotals {
     kind: SolverKind,
@@ -181,33 +160,16 @@ fn main() {
     println!();
     println!("incremental summary cache (call-heavy suite, {} workloads):", inc.workloads);
     println!(
-        "  cold build {:.0}µs → warm {:.0}µs ({:.2}x) → sharded warm {:.0}µs ({} shards)",
+        "  cold build {:.0}µs → warm {:.0}µs ({:.2}x)",
         inc.cold_us,
         inc.warm_us,
-        inc.cold_us / inc.warm_us.max(1e-9),
-        inc.sharded_warm_us,
-        inc.shards
+        inc.cold_us / inc.warm_us.max(1e-9)
     );
     println!(
         "  {} function(s) warmed, hit rate {:.1}% (unchanged modules must be 100%)",
         inc.functions,
         inc.hit_rate * 100.0
     );
-
-    let par = parallel_stats();
-    println!();
-    println!(
-        "parallel summary pipeline (wide module, {} functions): \
-         jobs=1 {:.0}µs → jobs={} {:.0}µs ({:.2}x)",
-        par.functions,
-        par.serial_us,
-        par.jobs,
-        par.parallel_us,
-        par.speedup()
-    );
-    if par.jobs < 2 {
-        println!("  (host has no spare parallelism — both legs ran the serial path)");
-    }
 
     let inter_us = dense_inter_us();
     println!("dense Inter hot path     : {inter_us:.0}µs (chain ∪ / nested ∩ system)");
@@ -242,7 +204,6 @@ fn main() {
         &size_hist,
         &inter,
         &inc,
-        &par,
         &serve,
         &store,
         inter_us,
@@ -304,32 +265,24 @@ fn interproc_stats() -> InterprocStats {
 
 /// Incremental-engine metrics over the call-heavy family: the cost of a
 /// cold summary build (keys + per-SCC solves), a warm run against a
-/// just-serialized cache (keys + lookups, no solves), and the same warm
-/// run at `jobs > 1` ("sharded"), now through the engine's one wavefront
-/// scheduler instead of a bespoke round-robin — so the jobs knob and the
-/// sharding can never disagree. `hit_rate` over unchanged modules is the
-/// cache-correctness canary the perf gate tracks — anything under 1.0
+/// just-serialized cache (keys + lookups, no solves). `hit_rate` over
+/// unchanged modules is the cache-correctness canary the perf gate tracks — anything under 1.0
 /// means keys churn without an edit.
 struct IncrementalStats {
     workloads: usize,
     functions: usize,
     cold_us: f64,
     warm_us: f64,
-    sharded_warm_us: f64,
-    shards: usize,
     hit_rate: f64,
 }
 
 fn incremental_stats() -> IncrementalStats {
     let calls = sraa_synth::call_suite(suite_n().min(24));
-    let shards = bench_jobs();
     let mut out = IncrementalStats {
         workloads: calls.len(),
         functions: 0,
         cold_us: 0.0,
         warm_us: 0.0,
-        sharded_warm_us: 0.0,
-        shards,
         hit_rate: 0.0,
     };
     let mut hits = 0u64;
@@ -356,14 +309,8 @@ fn incremental_stats() -> IncrementalStats {
         let mut cold = None;
         out.cold_us += best_of_3(&mut || {
             keys = Some(SummaryKeys::compute(&m));
-            cold = Some(ModuleSummaries::compute(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                Jobs::N(NonZeroUsize::MIN),
-            ));
+            cold =
+                Some(ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver));
         });
         let (keys, cold) = (keys.expect("ran"), cold.expect("ran"));
 
@@ -380,7 +327,6 @@ fn incremental_stats() -> IncrementalStats {
                 GenConfig::default(),
                 &index,
                 solver,
-                Jobs::N(NonZeroUsize::MIN),
                 Some(&cache),
                 None,
             ));
@@ -393,108 +339,8 @@ fn incremental_stats() -> IncrementalStats {
         }
         hits += u64::from(outcome.hits);
         out.functions += m.num_functions();
-
-        // Sharded warm: the identical warm run at `jobs = shards`, through
-        // the engine's own wavefront scheduler. On an unchanged module
-        // every component is a cache hit, which the scheduler installs
-        // serially (a lookup is tens of nanoseconds — no spawn can pay
-        // for itself), so this leg asserts the *no-pessimization* side of
-        // the unification: jobs > 1 must cost the same as jobs = 1 here.
-        let jobs = Jobs::N(NonZeroUsize::new(shards).expect("bench_jobs is ≥ 1"));
-        let mut sharded = None;
-        out.sharded_warm_us += best_of_3(&mut || {
-            sharded = Some(ModuleSummaries::compute_incremental(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                jobs,
-                Some(&cache),
-                None,
-            ));
-        });
-        let (sharded, _, sharded_outcome, _) = sharded.expect("ran");
-        assert_eq!(sharded_outcome, outcome, "{}: outcome must not depend on jobs", w.name);
-        for (f, s) in cold.iter() {
-            assert_eq!(sharded.of(f), s, "{}: sharded warm summary differs", w.name);
-        }
     }
     out.hit_rate = hits as f64 / (out.functions.max(1)) as f64;
-    out
-}
-
-/// Wavefront-parallel summary pipeline on a wide call graph: one layer of
-/// `width` call-free helper functions (plus `main` above them), solved
-/// cold at `jobs = 1` and `jobs = parallel_jobs`. The two runs must be
-/// identical — the speedup row only tracks wall clock.
-struct ParallelStats {
-    functions: usize,
-    jobs: usize,
-    serial_us: f64,
-    parallel_us: f64,
-}
-
-impl ParallelStats {
-    fn speedup(&self) -> f64 {
-        self.serial_us / self.parallel_us.max(1e-9)
-    }
-}
-
-/// A module whose condensation is maximally wide: `width` independent
-/// straight-line helpers of ~`depth` additions each, all called by
-/// `main`. Layer 0 then holds `width` components carrying enough
-/// instructions to clear the scheduler's spawn floor.
-fn wide_module_source(width: usize, depth: usize) -> String {
-    let mut s = String::new();
-    for i in 0..width {
-        let _ = writeln!(s, "int wf{i}(int a, int b) {{");
-        let _ = writeln!(s, "    int x0 = a + 1;");
-        let _ = writeln!(s, "    int x1 = x0 + b;");
-        for j in 2..depth {
-            let _ = writeln!(s, "    int x{j} = x{} + {};", j - 1, (i + j) % 9 + 1);
-        }
-        let _ = writeln!(s, "    return x{} + 1;", depth - 1);
-        let _ = writeln!(s, "}}");
-    }
-    s.push_str("int main() {\n    int s = 0;\n");
-    for i in 0..width {
-        let _ = writeln!(s, "    s = s + wf{i}({}, {});", i % 5, i % 3 + 1);
-    }
-    s.push_str("    return s;\n}\n");
-    s
-}
-
-fn parallel_stats() -> ParallelStats {
-    let src = wide_module_source(64, 80);
-    let mut m = sraa_minic::compile(&src).expect("wide module compiles");
-    let (ranges, _) = sraa_essa::transform_module(&mut m);
-    let index = VarIndex::new(&m);
-    let solver = SolverKind::Scc;
-    let jobs = bench_jobs();
-    let mut out = ParallelStats {
-        functions: m.num_functions(),
-        jobs,
-        serial_us: f64::INFINITY,
-        parallel_us: f64::INFINITY,
-    };
-    let run = |jobs: Jobs| {
-        let t0 = Instant::now();
-        let sums =
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs);
-        (t0.elapsed().as_secs_f64() * 1e6, sums)
-    };
-    let mut serial = None;
-    let mut parallel = None;
-    for _ in 0..3 {
-        let (dt, sums) = run(Jobs::N(NonZeroUsize::MIN));
-        out.serial_us = out.serial_us.min(dt);
-        serial = Some(sums);
-        let (dt, sums) = run(Jobs::N(NonZeroUsize::new(jobs).expect("≥ 1")));
-        out.parallel_us = out.parallel_us.min(dt);
-        parallel = Some(sums);
-    }
-    assert_eq!(serial, parallel, "jobs must not change summaries or stats");
     out
 }
 
@@ -745,7 +591,6 @@ fn render_json(
     size_hist: &std::collections::BTreeMap<usize, usize>,
     inter: &InterprocStats,
     inc: &IncrementalStats,
-    par: &ParallelStats,
     serve: &ServeBenchStats,
     store: &StoreBenchStats,
     dense_inter_us: f64,
@@ -758,13 +603,6 @@ fn render_json(
     let _ = writeln!(s, "  \"calibration_us\": {calibration_us:.1},");
     let _ = writeln!(s, "  \"dense_inter_us\": {dense_inter_us:.1},");
     let _ = writeln!(s, "  \"peak_rss_kb\": {peak_rss_kb},");
-    s.push_str("  \"parallel\": {\n");
-    let _ = writeln!(s, "    \"functions\": {},", par.functions);
-    let _ = writeln!(s, "    \"jobs\": {},", par.jobs);
-    let _ = writeln!(s, "    \"serial_us\": {:.1},", par.serial_us);
-    let _ = writeln!(s, "    \"parallel_us\": {:.1},", par.parallel_us);
-    let _ = writeln!(s, "    \"speedup_over_serial\": {:.4}", par.speedup());
-    s.push_str("  },\n");
     s.push_str("  \"interproc\": {\n");
     let _ = writeln!(s, "    \"workloads\": {},", inter.workloads);
     let _ = writeln!(s, "    \"intra_no_alias\": {},", inter.intra_no_alias);
@@ -781,8 +619,6 @@ fn render_json(
     let _ = writeln!(s, "    \"functions\": {},", inc.functions);
     let _ = writeln!(s, "    \"cold_us\": {:.1},", inc.cold_us);
     let _ = writeln!(s, "    \"warm_us\": {:.1},", inc.warm_us);
-    let _ = writeln!(s, "    \"sharded_warm_us\": {:.1},", inc.sharded_warm_us);
-    let _ = writeln!(s, "    \"shards\": {},", inc.shards);
     let _ = writeln!(s, "    \"hit_rate\": {:.4}", inc.hit_rate);
     s.push_str("  },\n");
     s.push_str("  \"serve\": {\n");

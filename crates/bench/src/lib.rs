@@ -182,9 +182,10 @@ mod tests {
 
     #[test]
     fn alloc_counter_aggregates_across_threads() {
-        // The wavefront scheduler solves SCCs on scoped worker threads;
-        // the perf gate's allocation counts are only meaningful if heap
-        // traffic from every thread lands in the one global counter.
+        // The resident daemon serves every connection on a thread of its
+        // own; allocation counts taken around a daemon round trip are only
+        // meaningful if heap traffic from every thread lands in the one
+        // global counter.
         let before = alloc_count();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -196,7 +197,7 @@ mod tests {
         });
         assert!(
             alloc_count() >= before + 4,
-            "worker-thread allocations must register in the global counter"
+            "other threads' allocations must register in the global counter"
         );
     }
 

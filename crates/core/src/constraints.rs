@@ -25,14 +25,11 @@
 //! Inter-procedural pseudo-φs (paper §4): each formal parameter gets
 //! `LT(xf) = ∩ LT(aᵢ)` over every internal call site's actual argument.
 //!
-//! Generation is `O(|V|)`: one pass over the instructions. Constraints
-//! address variables by interned [`VarId`]s. Functions are independent
-//! during that pass, so [`generate_with_index`] fans the per-function
-//! work out across threads ([`std::thread::scope`]) on large modules and
-//! merges the per-function outputs in function order — the emitted
-//! constraint sequence is byte-identical to a serial run.
+//! Generation is `O(|V|)`: one pass over the instructions, function by
+//! function in [`FuncId`] order, followed by the parameters' pseudo-φs.
+//! Constraints address variables by interned [`VarId`]s.
 
-use crate::summary::{ModuleSummaries, SummarySource};
+use crate::summary::{FunctionSummary, ModuleSummaries};
 use crate::var_index::{VarId, VarIndex};
 use sraa_ir::{BinOp, CopyOrigin, FuncId, Function, InstKind, Module, Pred, Value};
 use sraa_range::RangeAnalysis;
@@ -156,16 +153,6 @@ pub struct ParamInfo {
 /// the interned actual-argument column.
 type CallRecord = (FuncId, Vec<Option<VarId>>);
 
-/// Module sizes below this run the per-function pass serially — thread
-/// spawn overhead would dominate on the small modules that saturate the
-/// test corpus.
-const PARALLEL_MIN_FUNCTIONS: usize = 8;
-
-/// Even past the function-count floor, a module of tiny functions does
-/// not amortize thread spawns: require this much total work (instruction
-/// count across the module) before fanning out.
-const PARALLEL_MIN_INSTRUCTIONS: usize = 2_000;
-
 /// Generates the constraint system for a module in e-SSA form.
 pub fn generate(module: &Module, ranges: &RangeAnalysis, cfg: GenConfig) -> ConstraintSystem {
     let index = VarIndex::new(module);
@@ -179,7 +166,7 @@ pub fn generate_with_index(
     cfg: GenConfig,
     index: &VarIndex,
 ) -> ConstraintSystem {
-    generate_with_parallelism(module, ranges, cfg, index, None, true)
+    generate_module(module, ranges, cfg, index, None)
 }
 
 /// [`generate_with_index`] with interprocedural summaries applied at call
@@ -193,7 +180,7 @@ pub fn generate_with_summaries(
     index: &VarIndex,
     summaries: &ModuleSummaries,
 ) -> ConstraintSystem {
-    generate_with_parallelism(module, ranges, cfg, index, Some(summaries), true)
+    generate_module(module, ranges, cfg, index, Some(&summaries.per_func))
 }
 
 /// Constraints for a *subset* of functions only — the per-SCC systems the
@@ -208,22 +195,14 @@ pub(crate) fn generate_scoped(
     cfg: GenConfig,
     index: &VarIndex,
     funcs: &[FuncId],
-    summaries: &dyn SummarySource,
+    summaries: &[FunctionSummary],
 ) -> Vec<Constraint> {
     let mut out = Vec::new();
+    let mut calls = Vec::new();
+    let summaries = Some(summaries);
     for &fid in funcs {
-        let mut gen = FuncGen {
-            f: module.function(fid),
-            fid,
-            ranges,
-            cfg,
-            index,
-            summaries: Some(summaries),
-            out: std::mem::take(&mut out),
-            calls: Vec::new(),
-        };
-        gen.run();
-        out = gen.out;
+        let f = module.function(fid);
+        FuncGen { f, fid, ranges, cfg, index, summaries, out: &mut out, calls: &mut calls }.run();
     }
     for &fid in funcs {
         let f = module.function(fid);
@@ -234,40 +213,24 @@ pub(crate) fn generate_scoped(
     out
 }
 
-/// [`generate_with_index`] with the scoped-thread fan-out forced off —
-/// the reference implementation the parallel path must match exactly
-/// (asserted by `parallel_generation_matches_the_forced_serial_pass`).
-#[cfg(test)]
-pub(crate) fn generate_serial(
+/// The module-wide system: every function's Figure-7 constraints in
+/// [`FuncId`] order, then the pseudo-φs of every formal parameter.
+fn generate_module(
     module: &Module,
     ranges: &RangeAnalysis,
     cfg: GenConfig,
     index: &VarIndex,
-) -> ConstraintSystem {
-    generate_with_parallelism(module, ranges, cfg, index, None, false)
-}
-
-fn generate_with_parallelism(
-    module: &Module,
-    ranges: &RangeAnalysis,
-    cfg: GenConfig,
-    index: &VarIndex,
-    summaries: Option<&ModuleSummaries>,
-    allow_parallel: bool,
+    summaries: Option<&[FunctionSummary]>,
 ) -> ConstraintSystem {
     let num_funcs = module.num_functions();
-    let summaries = summaries.map(|s| s as &dyn SummarySource);
-    let per_func =
-        generate_per_function(module, ranges, cfg, index, summaries, num_funcs, allow_parallel);
-
-    // Merge in function order: the output is identical to a serial pass.
     let mut out = Vec::new();
+    let mut calls = Vec::new();
+    for (fid, f) in module.functions() {
+        FuncGen { f, fid, ranges, cfg, index, summaries, out: &mut out, calls: &mut calls }.run();
+    }
     let mut call_sites: Vec<Vec<Vec<Option<VarId>>>> = vec![Vec::new(); num_funcs];
-    for (constraints, calls) in per_func {
-        out.extend(constraints);
-        for (callee, site) in calls {
-            call_sites[callee.index()].push(site);
-        }
+    for (callee, site) in calls {
+        call_sites[callee.index()].push(site);
     }
 
     // Pseudo-φ constraints for formal parameters. `LT(xf) = ∩ᵢ LT(aᵢ)`
@@ -305,73 +268,18 @@ fn generate_with_parallelism(
     ConstraintSystem { constraints: out, num_vars, param_info, param_union }
 }
 
-/// Runs the per-function generation pass over every function, fanning out
-/// across scoped threads when the module is large enough to pay for it.
-fn generate_per_function(
-    module: &Module,
-    ranges: &RangeAnalysis,
-    cfg: GenConfig,
-    index: &VarIndex,
-    summaries: Option<&dyn SummarySource>,
-    num_funcs: usize,
-    allow_parallel: bool,
-) -> Vec<(Vec<Constraint>, Vec<CallRecord>)> {
-    let gen_one = |i: usize| {
-        let fid = FuncId::from_index(i);
-        let mut gen = FuncGen {
-            f: module.function(fid),
-            fid,
-            ranges,
-            cfg,
-            index,
-            summaries,
-            out: Vec::new(),
-            calls: Vec::new(),
-        };
-        gen.run();
-        (gen.out, gen.calls)
-    };
-
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(num_funcs);
-    let big_enough = num_funcs >= PARALLEL_MIN_FUNCTIONS && {
-        // O(#functions) pre-pass; both thresholds must pass so that a
-        // pile of one-liner functions stays on the serial path.
-        let insts: usize =
-            (0..num_funcs).map(|i| module.function(FuncId::from_index(i)).num_insts()).sum();
-        insts >= PARALLEL_MIN_INSTRUCTIONS
-    };
-    if !allow_parallel || !big_enough || threads < 2 {
-        return (0..num_funcs).map(gen_one).collect();
-    }
-
-    // Contiguous chunks, joined in spawn order: deterministic merge.
-    let chunk = num_funcs.div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(num_funcs);
-                s.spawn(move || (lo..hi).map(gen_one).collect::<Vec<_>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("constraint generation worker panicked"))
-            .collect()
-    })
-}
-
 struct FuncGen<'a> {
     f: &'a Function,
     fid: FuncId,
     ranges: &'a RangeAnalysis,
     cfg: GenConfig,
     index: &'a VarIndex,
-    /// Interprocedural summaries to apply at call sites; `None` runs the
-    /// paper's intraprocedural rules (calls are opaque).
-    summaries: Option<&'a dyn SummarySource>,
-    out: Vec<Constraint>,
-    calls: Vec<CallRecord>,
+    /// Interprocedural summaries, indexed by [`FuncId`], to apply at call
+    /// sites; `None` runs the paper's intraprocedural rules (calls are
+    /// opaque).
+    summaries: Option<&'a [FunctionSummary]>,
+    out: &'a mut Vec<Constraint>,
+    calls: &'a mut Vec<CallRecord>,
 }
 
 impl FuncGen<'_> {
@@ -470,8 +378,8 @@ impl FuncGen<'_> {
     fn call_result(&mut self, v: Value, callee: FuncId, args: &[Value]) {
         let x = self.id(v);
         if let Some(sums) = self.summaries {
-            let ids: Vec<VarId> = sums
-                .args_lt_ret_of(callee)
+            let ids: Vec<VarId> = sums[callee.index()]
+                .args_lt_ret()
                 .iter()
                 .filter_map(|&j| args.get(j as usize).copied())
                 .filter(|&a| !self.is_const(a))
@@ -807,42 +715,5 @@ mod tests {
         assert_eq!(info.sites.len(), 1);
         assert!(info.sites[0][0].is_some(), "x is a variable");
         assert!(info.sites[0][1].is_none(), "3 is a constant");
-    }
-
-    /// The scoped-thread fan-out must emit exactly the serial sequence:
-    /// force the parallel path with a many-function module and compare
-    /// it against the forced-serial reference pass, repeatedly.
-    #[test]
-    fn parallel_generation_matches_the_forced_serial_pass() {
-        let mut src = String::new();
-        for i in 0..(PARALLEL_MIN_FUNCTIONS * 3) {
-            src.push_str(&format!("int f{i}(int* v, int n) {{ int s = 0; "));
-            // Enough straight-line body to clear the instruction floor
-            // module-wide, so the fan-out really engages.
-            for j in 0..24 {
-                src.push_str(&format!("s += v[{j}]; "));
-            }
-            src.push_str(&format!("for (int k = 0; k < n; k++) s += v[k]; return s + {i}; }}\n"));
-        }
-        src.push_str("int main() { int a[4]; return f0(a, 4) + f1(a, 3); }\n");
-        let (m, ranges) = prepare(&src);
-        assert!(m.num_functions() >= PARALLEL_MIN_FUNCTIONS);
-        let total: usize =
-            (0..m.num_functions()).map(|i| m.function(FuncId::from_index(i)).num_insts()).sum();
-        assert!(
-            total >= PARALLEL_MIN_INSTRUCTIONS,
-            "test module too small to engage the fan-out ({total} insts)"
-        );
-        let index = VarIndex::new(&m);
-        let serial = generate_serial(&m, &ranges, GenConfig::default(), &index);
-        for _ in 0..3 {
-            let parallel = generate(&m, &ranges, GenConfig::default());
-            assert_eq!(
-                serial.constraints, parallel.constraints,
-                "the fan-out must emit the serial constraint sequence"
-            );
-            assert_eq!(serial.num_vars, parallel.num_vars);
-            assert_eq!(serial.param_union, parallel.param_union);
-        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!             e-SSA lowering        constraint generation
-//! SSA module ───(sraa-essa)──▶ e-SSA ──(Figure 7, per-function,──▶ ConstraintSystem
-//!                                        scoped threads)                 │
+//! SSA module ───(sraa-essa)──▶ e-SSA ──(Figure 7, per function)──▶ ConstraintSystem
+//!                                                                        │
 //!                                                      SolverKind::solve │ (DenseStore)
 //!                                                                        ▼
 //!                  queries (point and batch API) ◀────────────────  Solution
@@ -13,18 +13,18 @@
 //! adapter, the optimisation passes, the PDG builder, the CLI — picked a
 //! solver itself and re-plumbed the e-SSA → constraints → solve pipeline.
 //! The engine centralises that: it owns the interned [`VarIndex`] arena,
-//! runs constraint generation (fanning the per-function pass out across
-//! scoped threads on large modules), solves through
+//! runs constraint generation, solves through
 //! [`SolverKind::solve`], and answers every disambiguation query from the
 //! solved relation. Consumers hold an engine (usually behind an `Arc`)
 //! and ask questions; none of them constructs solvers anymore. The
-//! engine reads no files: summary reuse goes through caller-held
-//! [`persist::SummaryCache`] and [`SharedSummaryStore`] handles.
+//! engine reads no files and prints nothing: summary reuse goes through
+//! caller-held [`persist::SummaryCache`] and [`SharedSummaryStore`]
+//! handles, and a failed publish to the store comes back as a value
+//! ([`DisambiguationEngine::store_warning`]).
 
 use crate::analysis::{derived_pointer, strip_copies};
 use crate::constraints::{self, Constraint, GenConfig};
 use crate::fast_solver::solve_fast_impl;
-use crate::jobs::Jobs;
 use crate::lattice::DenseStore;
 use crate::persist;
 use crate::solver::{solve_impl, Solution, SolveStats};
@@ -146,7 +146,7 @@ impl std::fmt::Display for Contextuality {
 }
 
 /// Full engine configuration: constraint-generation options, the fixpoint
-/// strategy, the interprocedural mode and the summary worker count.
+/// strategy and the interprocedural mode.
 ///
 /// There is no file path in here: the engine never reads or writes a
 /// summary cache or opens a store. Callers that reuse summaries load a
@@ -161,11 +161,6 @@ pub struct EngineConfig {
     pub solver: SolverKind,
     /// Interprocedural mode (default: [`Contextuality::Intra`]).
     pub contextuality: Contextuality,
-    /// Worker threads for the wavefront-parallel summary pipeline
-    /// (default: [`Jobs::Auto`] — `SRAA_JOBS`, else available
-    /// parallelism). Exposed as the `--jobs N` CLI flag; every jobs
-    /// value yields byte-identical output.
-    pub jobs: Jobs,
 }
 
 impl EngineConfig {
@@ -174,19 +169,21 @@ impl EngineConfig {
         self.contextuality = Contextuality::Summaries;
         self
     }
-
-    /// This configuration with an explicit worker-thread count for the
-    /// summary pipeline.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
-        self
-    }
 }
 
 impl From<GenConfig> for EngineConfig {
     fn from(gen: GenConfig) -> Self {
         EngineConfig { gen, ..Default::default() }
     }
+}
+
+/// What the summary phase reused, and what went wrong publishing: the
+/// inputs to the engine's cache and store counters.
+#[derive(Default)]
+struct Reused {
+    cache: CacheOutcome,
+    store: StoreOutcome,
+    store_warning: Option<String>,
 }
 
 /// The solved less-than relation over a whole module plus the pointer
@@ -207,6 +204,8 @@ pub struct DisambiguationEngine {
     /// Interprocedural summaries, when built with
     /// [`Contextuality::Summaries`].
     summaries: Option<ModuleSummaries>,
+    /// Why publishing to the shared store failed, if it did.
+    store_warning: Option<String>,
 }
 
 impl DisambiguationEngine {
@@ -245,20 +244,11 @@ impl DisambiguationEngine {
         let summary_t0 = std::time::Instant::now();
         let summaries = match cfg.contextuality {
             Contextuality::Intra => None,
-            Contextuality::Summaries => Some(ModuleSummaries::compute(
-                module, ranges, cfg.gen, &index, cfg.solver, cfg.jobs,
-            )),
+            Contextuality::Summaries => {
+                Some(ModuleSummaries::compute(module, ranges, cfg.gen, &index, cfg.solver))
+            }
         };
-        Self::assemble(
-            module,
-            ranges,
-            cfg,
-            index,
-            summaries,
-            summary_t0,
-            CacheOutcome::default(),
-            StoreOutcome::default(),
-        )
+        Self::assemble(module, ranges, cfg, index, summaries, summary_t0, Reused::default())
     }
 
     /// Builds the engine in interprocedural mode, reusing summaries from
@@ -271,7 +261,9 @@ impl DisambiguationEngine {
     /// function is classified against the cache first; components the
     /// cache cannot satisfy are looked up in the store by key; the rest
     /// are solved cold. Every solved summary is published back to the
-    /// store (insert-if-absent, so a warm run publishes nothing).
+    /// store (insert-if-absent, so a warm run publishes nothing); if that
+    /// fails, the build still succeeds and
+    /// [`DisambiguationEngine::store_warning`] says why.
     /// Re-building against the cache of a previous build invalidates
     /// exactly the reverse-reachability closure of the edit. Outcomes
     /// land in the [`SolveStats`] cache and store counters.
@@ -300,9 +292,8 @@ impl DisambiguationEngine {
         cfg.contextuality = Contextuality::Summaries;
         let index = VarIndex::new(module);
         let summary_t0 = std::time::Instant::now();
-        let (sums, outcome, store_outcome) =
-            Self::reuse_summaries(module, ranges, &cfg, &index, cache, store);
-        Self::assemble(module, ranges, cfg, index, Some(sums), summary_t0, outcome, store_outcome)
+        let (sums, reuse) = Self::reuse_summaries(module, ranges, &cfg, &index, cache, store);
+        Self::assemble(module, ranges, cfg, index, Some(sums), summary_t0, reuse)
     }
 
     /// The engine's current summaries as an in-memory [`persist::SummaryCache`] —
@@ -328,10 +319,11 @@ impl DisambiguationEngine {
         index: &VarIndex,
         cache: Option<&persist::SummaryCache>,
         store: Option<&SharedSummaryStore>,
-    ) -> (ModuleSummaries, CacheOutcome, StoreOutcome) {
+    ) -> (ModuleSummaries, Reused) {
         let (sums, keys, mut outcome, mut store_outcome) = ModuleSummaries::compute_incremental(
-            module, ranges, cfg.gen, index, cfg.solver, cfg.jobs, cache, store,
+            module, ranges, cfg.gen, index, cfg.solver, cache, store,
         );
+        let mut store_warning = None;
         if cache.is_none() {
             // No usable cache at all: every function was a miss, so a
             // first (or fallback) run reports an honest 0% hit rate
@@ -348,20 +340,17 @@ impl DisambiguationEngine {
             store_outcome.published = match store.publish(&entries) {
                 Ok(n) => n as u32,
                 Err(e) => {
-                    eprintln!(
-                        "# shared-store warning: cannot publish to {}: {e}",
-                        store.dir().display()
-                    );
+                    store_warning =
+                        Some(format!("cannot publish to {}: {e}", store.dir().display()));
                     0
                 }
             };
         }
-        (sums, outcome, store_outcome)
+        (sums, Reused { cache: outcome, store: store_outcome, store_warning })
     }
 
     /// The tail of every construction path: constraint generation, the
     /// module-wide solve(s), and per-phase stats attribution.
-    #[allow(clippy::too_many_arguments)] // internal funnel, one caller per path
     fn assemble(
         module: &Module,
         ranges: &RangeAnalysis,
@@ -369,8 +358,7 @@ impl DisambiguationEngine {
         index: VarIndex,
         summaries: Option<ModuleSummaries>,
         summary_t0: std::time::Instant,
-        cache_outcome: CacheOutcome,
-        store_outcome: StoreOutcome,
+        reuse: Reused,
     ) -> Self {
         let summary_build_ns =
             if summaries.is_some() { summary_t0.elapsed().as_nanos() as u64 } else { 0 };
@@ -426,12 +414,12 @@ impl DisambiguationEngine {
         // the module-wide solve(s), plus the deterministic cache counters.
         solution.stats.summary_build_ns = summary_build_ns;
         solution.stats.final_solve_ns = solve_t0.elapsed().as_nanos() as u64;
-        solution.stats.cache_hits = cache_outcome.hits;
-        solution.stats.cache_misses = cache_outcome.misses;
-        solution.stats.cache_invalidated = cache_outcome.invalidated;
-        solution.stats.store_hits = store_outcome.hits;
-        solution.stats.store_misses = store_outcome.misses;
-        solution.stats.store_published = store_outcome.published;
+        solution.stats.cache_hits = reuse.cache.hits;
+        solution.stats.cache_misses = reuse.cache.misses;
+        solution.stats.cache_invalidated = reuse.cache.invalidated;
+        solution.stats.store_hits = reuse.store.hits;
+        solution.stats.store_misses = reuse.store.misses;
+        solution.stats.store_published = reuse.store.published;
 
         Self {
             index,
@@ -440,6 +428,7 @@ impl DisambiguationEngine {
             cfg: cfg.gen,
             solver: cfg.solver,
             summaries,
+            store_warning: reuse.store_warning,
         }
     }
 
@@ -461,6 +450,14 @@ impl DisambiguationEngine {
     /// [`Contextuality::Summaries`].
     pub fn summaries(&self) -> Option<&ModuleSummaries> {
         self.summaries.as_ref()
+    }
+
+    /// Why publishing this build's summaries to the shared store failed
+    /// (`cannot publish to <dir>: <error>`), or `None` if there was no
+    /// store or the publish succeeded. The answers are unaffected either
+    /// way; callers decide whether and where to report it.
+    pub fn store_warning(&self) -> Option<&str> {
+        self.store_warning.as_deref()
     }
 
     /// The interned variable arena.
@@ -782,6 +779,37 @@ mod tests {
         a.cache_hits += 1;
         b.pops -= 1;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn failed_store_publish_comes_back_as_a_warning() {
+        let src = "int next(int i) { return i + 1; } int main() { return next(3); }";
+        let dir = std::env::temp_dir().join(format!("sraa_engine_publish_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = SharedSummaryStore::open(&dir, GenConfig::default()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut m = sraa_minic::compile(src).unwrap();
+        let engine = DisambiguationEngine::build_with_cache_and_store(
+            &mut m,
+            EngineConfig::default(),
+            None,
+            Some(&store),
+        );
+        assert_eq!(engine.stats().store_published, 0);
+        let warning = engine.store_warning().expect("a failed publish must be reported");
+        let expected = format!("cannot publish to {}: ", dir.display());
+        assert!(warning.starts_with(&expected), "got: {warning}");
+        assert_eq!(engine.summaries().unwrap().facts(), 1, "the answers do not depend on it");
+
+        let mut m2 = sraa_minic::compile(src).unwrap();
+        let plain = DisambiguationEngine::build_with_cache_and_store(
+            &mut m2,
+            EngineConfig::default(),
+            None,
+            None,
+        );
+        assert_eq!(plain.store_warning(), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //!   ┌──────────┐  σ/sub splits  ┌─────────┐  Figure 7, per function  ┌───────────────┐
-//!   │SSA module│───(sraa-essa)─▶│  e-SSA  │───(scoped threads)──────▶│ConstraintSystem│
+//!   │SSA module│───(sraa-essa)─▶│  e-SSA  │─────────────────────────▶│ConstraintSystem│
 //!   └──────────┘                └─────────┘                          └───────┬───────┘
 //!                                                                           │
 //!                                                     SolverKind::solve     │
@@ -39,8 +39,8 @@
 //! 2. **Range analysis** ([`sraa_range`]) classifies `x1 = x2 + x3` as
 //!    addition/subtraction by operand signs.
 //! 3. **Constraint generation** ([`constraints`], the paper's Figure 7) —
-//!    `O(|V|)`, one pass per function, fanned out across scoped threads
-//!    on large modules; variables are interned [`VarId`]s.
+//!    `O(|V|)`, one pass per function; variables are interned
+//!    [`VarId`]s.
 //! 4. **Fixpoint solving** over the lattice `⟨V, ∩, ∅, V, ⊆⟩`, descending
 //!    from ⊤, through [`SolverKind::solve`]: the SCC-condensation solver
 //!    ([`SolverKind::Scc`] — the default) or the paper's FIFO worklist
@@ -55,10 +55,12 @@
 //!    directly on every query (a few membership probes on `LT` sets that
 //!    are almost always tiny), with a batch all-pairs API.
 //!
-//! The engine is a plain immutable value: it keeps no query memo, reads
-//! and writes no files and prints nothing except a warning when
-//! publishing to a shared store fails. Summary reuse goes through
-//! caller-held [`SummaryCache`] and [`SharedSummaryStore`] handles.
+//! The engine is a plain immutable value built on the calling thread: it
+//! keeps no query memo, spawns no threads, reads and writes no files and
+//! prints nothing. Summary reuse goes through caller-held
+//! [`SummaryCache`] and [`SharedSummaryStore`] handles, and a failed
+//! publish to the store is returned as a value
+//! ([`DisambiguationEngine::store_warning`]).
 //!
 //! Consumers (the `sraa-alias` backends, `sraa-pentagon`, the `sraa-opt`
 //! passes, `sraa-pdg`, the `sraa` CLI) hold an engine — usually behind an
@@ -98,7 +100,6 @@ pub mod analysis;
 pub mod constraints;
 pub mod engine;
 pub(crate) mod fast_solver;
-pub mod jobs;
 pub(crate) mod lattice;
 #[cfg(test)]
 pub(crate) mod lt_set;
@@ -115,7 +116,6 @@ pub mod var_index;
 pub use analysis::{derived_pointer, strip_copies, StrictInequalityAnalysis};
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
 pub use engine::{Contextuality, DisambiguationEngine, EngineConfig, SolverKind};
-pub use jobs::Jobs;
 pub use ondemand::OnDemandProver;
 pub use persist::{PersistError, SummaryCache, SummaryKeys, FORMAT_VERSION};
 pub use solver::{Solution, SolveStats};

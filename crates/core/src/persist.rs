@@ -414,14 +414,8 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc,
-            crate::jobs::Jobs::default(),
-        );
+        let sums =
+            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
         let keys = SummaryKeys::compute(&m);
         (m, sums, keys)
     }

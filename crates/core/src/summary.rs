@@ -52,31 +52,11 @@
 
 use crate::constraints::{self, Constraint, GenConfig};
 use crate::engine::SolverKind;
-use crate::jobs::Jobs;
 use crate::persist::{SummaryCache, SummaryKeys};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::var_index::{VarId, VarIndex};
 use sraa_ir::{CallGraph, Condensation, FuncId, InstKind, Module, Value};
 use sraa_range::RangeAnalysis;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Read-only summary lookup during constraint generation. The solved
-/// module view ([`ModuleSummaries`]) and the per-SCC overlay a wavefront
-/// worker holds while iterating a recursive component ([`SccView`]) both
-/// answer the one question `call_result` asks: which parameters of the
-/// callee are proven `< ret`. `Sync` because workers share the view
-/// across scoped threads.
-pub(crate) trait SummarySource: Sync {
-    /// Sorted indices of `f`'s parameters proven strictly less than
-    /// every value `f` returns.
-    fn args_lt_ret_of(&self, f: FuncId) -> &[u32];
-}
-
-impl SummarySource for ModuleSummaries {
-    fn args_lt_ret_of(&self, f: FuncId) -> &[u32] {
-        self.per_func[f.index()].args_lt_ret()
-    }
-}
 
 /// What one function guarantees about its return value, independent of
 /// any calling context.
@@ -153,7 +133,9 @@ impl CacheOutcome {
 /// Per-function summaries for a whole module, in [`FuncId`] order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModuleSummaries {
-    per_func: Vec<FunctionSummary>,
+    /// Indexed by [`FuncId`]; constraint generation reads it at call
+    /// sites.
+    pub(crate) per_func: Vec<FunctionSummary>,
     /// Computation statistics (component counts, fixpoint iterations).
     pub stats: SummaryStats,
 }
@@ -164,23 +146,18 @@ impl ModuleSummaries {
     /// `module` must already be in e-SSA form with `ranges` computed for
     /// it (the same preconditions as constraint generation).
     ///
-    /// The walk proceeds wavefront by wavefront over the Kahn
-    /// levelization ([`sraa_ir::Condensation::layers`]): components in
-    /// one layer share no call edges, so `jobs > 1` dispatches a layer's
-    /// cold solves across work-stealing scoped threads. Results are
-    /// **byte-identical for every jobs value** — workers only read the
-    /// frozen summaries of strictly lower layers, merges happen in
-    /// component order, and all statistics are commutative sums.
+    /// Components are solved one at a time in [`Condensation`] order,
+    /// callees first, so every call leaving a component reads its
+    /// callee's final summary.
     pub fn compute(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
         solver: SolverKind,
-        jobs: Jobs,
     ) -> Self {
         let cond = CallGraph::build(module).condense();
-        Self::walk(module, ranges, cfg, index, solver, jobs, &cond, None).0
+        Self::walk(module, ranges, cfg, index, solver, &cond, None).0
     }
 
     /// [`ModuleSummaries::compute`] with a **warm path**: components whose
@@ -204,14 +181,12 @@ impl ModuleSummaries {
     /// to refresh a cache file afterwards. Publishing to the store is the
     /// caller's job ([`crate::DisambiguationEngine`] publishes every
     /// `(key, summary)` pair after the solve).
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_incremental(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
         solver: SolverKind,
-        jobs: Jobs,
         cache: Option<&SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (Self, SummaryKeys, CacheOutcome, StoreOutcome) {
@@ -220,24 +195,21 @@ impl ModuleSummaries {
         let keys = SummaryKeys::compute_with(module, &cg, &cond);
         let reuse = Reuse { keys: &keys, cache, store };
         let (sums, outcome, store_outcome) =
-            Self::walk(module, ranges, cfg, index, solver, jobs, &cond, Some(reuse));
+            Self::walk(module, ranges, cfg, index, solver, &cond, Some(reuse));
         (sums, keys, outcome, store_outcome)
     }
 
-    /// The bottom-up wavefront walk shared by both entry points; `reuse`
-    /// is `None` on the cold path, which then never needs keys.
-    #[allow(clippy::too_many_arguments)]
+    /// The bottom-up walk shared by both entry points; `reuse` is `None`
+    /// on the cold path, which then never needs keys.
     fn walk(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
         solver: SolverKind,
-        jobs: Jobs,
         cond: &Condensation,
         reuse: Option<Reuse<'_>>,
     ) -> (Self, CacheOutcome, StoreOutcome) {
-        let jobs = jobs.get();
         let mut outcome = CacheOutcome::default();
         let mut store_outcome = StoreOutcome::default();
         let mut sums = ModuleSummaries {
@@ -249,129 +221,65 @@ impl ModuleSummaries {
             },
         };
 
-        for layer in cond.layers() {
-            // Warm path first, serially: an all-members hit installs the
-            // cached summaries and skips the solve — too cheap to pay a
-            // thread spawn for. Partial hits cannot happen within a
-            // component (members are mutually reachable, so one edit
-            // re-keys them all) short of a hash collision; if one ever
-            // did, the cold path below recomputes everything soundly.
-            let mut cold: Vec<usize> = Vec::new();
-            for &ci in &layer {
-                let ci = ci as usize;
-                let members = cond.members(ci);
-                if let Some(Reuse { keys, cache: Some(cache), .. }) = reuse {
-                    let mut all_hit = true;
+        for (ci, members) in cond.bottom_up() {
+            // Warm path first: an all-members hit installs the cached
+            // summaries and skips the solve. Partial hits cannot happen
+            // within a component (members are mutually reachable, so one
+            // edit re-keys them all) short of a hash collision; if one
+            // ever did, the cold solve below recomputes everything soundly.
+            if let Some(Reuse { keys, cache: Some(cache), .. }) = reuse {
+                let mut all_hit = true;
+                for &f in members {
+                    match cache.get(&module.function(f).name) {
+                        Some((k, _)) if k == keys.of(f) => outcome.hits += 1,
+                        Some(_) => {
+                            outcome.invalidated += 1;
+                            all_hit = false;
+                        }
+                        None => {
+                            outcome.misses += 1;
+                            all_hit = false;
+                        }
+                    }
+                }
+                if all_hit {
                     for &f in members {
-                        match cache.get(&module.function(f).name) {
-                            Some((k, _)) if k == keys.of(f) => outcome.hits += 1,
-                            Some(_) => {
-                                outcome.invalidated += 1;
-                                all_hit = false;
-                            }
-                            None => {
-                                outcome.misses += 1;
-                                all_hit = false;
-                            }
-                        }
+                        let cached = cache
+                            .lookup(&module.function(f).name, keys.of(f))
+                            .expect("classified as hit above");
+                        sums.per_func[f.index()] = cached.clone();
                     }
-                    if all_hit {
-                        for &f in members {
-                            let cached = cache
-                                .lookup(&module.function(f).name, keys.of(f))
-                                .expect("classified as hit above");
-                            sums.per_func[f.index()] = cached.clone();
-                        }
-                        continue;
-                    }
-                }
-                // Shared-store consult, after the per-module cache (a
-                // cache hit is free; the store takes a shard lock). The
-                // key is content-addressed across modules, so a hit here
-                // may come from a different module name, another daemon,
-                // or another machine. All-or-nothing per component, like
-                // the cache: members share a key-invalidation fate.
-                if let Some(Reuse { keys, store: Some(store), .. }) = reuse {
-                    let found: Option<Vec<FunctionSummary>> =
-                        members.iter().map(|&f| store.get(keys.of(f))).collect();
-                    if let Some(found) = found {
-                        store_outcome.hits += members.len() as u32;
-                        for (&f, s) in members.iter().zip(found) {
-                            sums.per_func[f.index()] = s;
-                        }
-                        continue;
-                    }
-                    store_outcome.misses += members.len() as u32;
-                }
-                cold.push(ci);
-            }
-
-            // Cold components of one layer are mutually independent:
-            // solve them serially, or fan out work-stealing workers when
-            // the layer carries enough work to amortize the spawns.
-            let layer_insts: usize = cold
-                .iter()
-                .flat_map(|&ci| cond.members(ci))
-                .map(|&f| module.function(f).num_insts())
-                .sum();
-            let parallel =
-                jobs >= 2 && cold.len() >= 2 && layer_insts >= WAVEFRONT_MIN_INSTRUCTIONS;
-            let solve_one = |ci: usize| {
-                solve_scc(
-                    module,
-                    ranges,
-                    cfg,
-                    index,
-                    solver,
-                    cond.members(ci),
-                    cond.is_recursive(ci),
-                    &sums.per_func,
-                )
-            };
-            let outs: Vec<CompOut> = if !parallel {
-                cold.iter().map(|&ci| solve_one(ci)).collect()
-            } else {
-                // Work stealing over the layer: one shared cursor, each
-                // worker grabs the next unsolved component. Slot results
-                // by index so the merge below is order-independent of
-                // which worker solved what.
-                let cursor = AtomicUsize::new(0);
-                let workers = jobs.min(cold.len());
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut done: Vec<(usize, CompOut)> = Vec::new();
-                                loop {
-                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&ci) = cold.get(i) else { break };
-                                    done.push((i, solve_one(ci)));
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                    let mut slots: Vec<Option<CompOut>> = cold.iter().map(|_| None).collect();
-                    for h in handles {
-                        for (i, out) in h.join().expect("summary wavefront worker panicked") {
-                            slots[i] = Some(out);
-                        }
-                    }
-                    slots
-                        .into_iter()
-                        .map(|o| o.expect("work-stealing cursor covers every component"))
-                        .collect()
-                })
-            };
-
-            // Deterministic merge, in component order. `solves` is a
-            // commutative sum, so the total matches a serial walk.
-            for (&ci, out) in cold.iter().zip(outs) {
-                sums.stats.solves += out.solves;
-                for (&f, s) in cond.members(ci).iter().zip(out.summaries) {
-                    sums.per_func[f.index()] = s;
+                    continue;
                 }
             }
+            // Shared-store consult, after the per-module cache (a cache
+            // hit is free; the store takes a shard lock). The key is
+            // content-addressed across modules, so a hit here may come
+            // from a different module name, another daemon, or another
+            // machine. All-or-nothing per component, like the cache:
+            // members share a key-invalidation fate.
+            if let Some(Reuse { keys, store: Some(store), .. }) = reuse {
+                let found: Option<Vec<FunctionSummary>> =
+                    members.iter().map(|&f| store.get(keys.of(f))).collect();
+                if let Some(found) = found {
+                    store_outcome.hits += members.len() as u32;
+                    for (&f, s) in members.iter().zip(found) {
+                        sums.per_func[f.index()] = s;
+                    }
+                    continue;
+                }
+                store_outcome.misses += members.len() as u32;
+            }
+            sums.stats.solves += solve_scc(
+                module,
+                ranges,
+                cfg,
+                index,
+                solver,
+                members,
+                cond.is_recursive(ci),
+                &mut sums.per_func,
+            );
         }
 
         sums.stats.facts = sums.per_func.iter().map(FunctionSummary::facts).sum();
@@ -403,45 +311,10 @@ struct Reuse<'a> {
     store: Option<&'a SharedSummaryStore>,
 }
 
-/// A wavefront layer below this much total work (instruction count over
-/// its cold members) solves serially even at `jobs > 1`: thread spawns
-/// would dominate on the small modules that saturate the test corpus.
-/// Mirrors `PARALLEL_MIN_INSTRUCTIONS` in the constraint generator.
-pub(crate) const WAVEFRONT_MIN_INSTRUCTIONS: usize = 2_000;
-
-/// What one per-component solve produces: the members' summaries (in
-/// member order) and the work counters to fold into [`SummaryStats`].
-struct CompOut {
-    summaries: Vec<FunctionSummary>,
-    solves: u64,
-}
-
-/// The summary view one in-flight component solve reads: its own members'
-/// current iterate (the optimistic descent state), everything else from
-/// the frozen lower-layer base. Members never call *sideways* into their
-/// own layer and never upward, so the base is always final where it is
-/// consulted.
-struct SccView<'a> {
-    base: &'a [FunctionSummary],
-    /// Ascending by [`FuncId`] (Tarjan sorts each component).
-    members: &'a [FuncId],
-    /// Parallel to `members`.
-    local: &'a [FunctionSummary],
-}
-
-impl SummarySource for SccView<'_> {
-    fn args_lt_ret_of(&self, f: FuncId) -> &[u32] {
-        match self.members.binary_search(&f) {
-            Ok(i) => self.local[i].args_lt_ret(),
-            Err(_) => self.base[f.index()].args_lt_ret(),
-        }
-    }
-}
-
-/// Solves one cold component against the frozen summaries in `base` and
-/// returns its members' distilled summaries. Pure with respect to the
-/// module walk — workers share nothing mutable, which is what makes the
-/// wavefront dispatch deterministic.
+/// Solves one cold component in place: `per_func` holds the final
+/// summaries of every component below it, and the members' entries hold
+/// the current iterate, which this function refines until it is stable.
+/// Returns the number of per-SCC solves it took.
 #[allow(clippy::too_many_arguments)]
 fn solve_scc(
     module: &Module,
@@ -451,34 +324,28 @@ fn solve_scc(
     solver: SolverKind,
     members: &[FuncId],
     recursive: bool,
-    base: &[FunctionSummary],
-) -> CompOut {
+    per_func: &mut [FunctionSummary],
+) -> u64 {
     // Optimistic start for recursion: assume every parameter of every
     // member is < ret, then descend (greatest fixpoint).
-    let mut local: Vec<FunctionSummary> = if recursive {
-        members
-            .iter()
-            .map(|&f| {
-                let n = module.function(f).params.len() as u32;
-                FunctionSummary { args_lt_ret: (0..n).collect() }
-            })
-            .collect()
-    } else {
-        vec![FunctionSummary::default(); members.len()]
-    };
+    if recursive {
+        for &f in members {
+            let n = module.function(f).params.len() as u32;
+            per_func[f.index()] = FunctionSummary { args_lt_ret: (0..n).collect() };
+        }
+    }
     let mut solves = 0u64;
     let space = SccSpace::new(module, index, members);
     loop {
-        let view = SccView { base, members, local: &local };
-        let raw = constraints::generate_scoped(module, ranges, cfg, index, members, &view);
+        let raw = constraints::generate_scoped(module, ranges, cfg, index, members, per_func);
         let local_cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
         let solution = solver.solve(&local_cs, space.len());
         solves += 1;
         let mut changed = false;
-        for (i, &f) in members.iter().enumerate() {
+        for &f in members {
             let new = distil(module, index, &space, &solution, f);
-            if new != local[i] {
-                local[i] = new;
+            if new != per_func[f.index()] {
+                per_func[f.index()] = new;
                 changed = true;
             }
         }
@@ -490,7 +357,7 @@ fn solve_scc(
             break;
         }
     }
-    CompOut { summaries: local, solves }
+    solves
 }
 
 /// Distils `f`'s summary from a solved per-SCC system: `j` is a fact iff
@@ -595,14 +462,8 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc,
-            Jobs::default(),
-        );
+        let sums =
+            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
         (m, sums)
     }
 
@@ -740,14 +601,7 @@ mod tests {
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
         let solver = SolverKind::Scc;
-        let cold = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            solver,
-            Jobs::default(),
-        );
+        let cold = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver);
         let keys = SummaryKeys::compute(&m);
         let cache = persist::from_bytes(
             &persist::to_bytes(&m, &cold, &keys, GenConfig::default()),
@@ -761,7 +615,6 @@ mod tests {
             GenConfig::default(),
             &index,
             solver,
-            Jobs::default(),
             Some(&cache),
             None,
         );
@@ -781,68 +634,12 @@ mod tests {
             GenConfig::default(),
             &index,
             solver,
-            Jobs::default(),
             None,
             None,
         );
         assert_eq!(cold2, cold);
         assert_eq!(zero, CacheOutcome::default());
         assert_eq!(none, StoreOutcome::default());
-    }
-
-    /// A module wide enough that jobs > 1 genuinely takes the
-    /// work-stealing branch: `width` independent straight-line helpers
-    /// (one wavefront layer) with enough instructions to clear
-    /// [`WAVEFRONT_MIN_INSTRUCTIONS`], plus callers that chain them.
-    fn wide_source(width: usize, depth: usize) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for i in 0..width {
-            let _ = writeln!(s, "int wf{i}(int a, int b) {{");
-            let _ = writeln!(s, "    int x0 = a + 1;");
-            let _ = writeln!(s, "    int x1 = x0 + b;");
-            for j in 2..depth {
-                let _ = writeln!(s, "    int x{j} = x{} + {};", j - 1, (i + j) % 9 + 1);
-            }
-            let _ = writeln!(s, "    return x{} + 1;", depth - 1);
-            let _ = writeln!(s, "}}");
-        }
-        let _ = writeln!(s, "int rec(int i, int n) {{");
-        let _ = writeln!(s, "    if (n <= 0) {{ return i + 1; }}");
-        let _ = writeln!(s, "    return rec(wf0(i, 1), n - 1);");
-        let _ = writeln!(s, "}}");
-        s.push_str("int main() {\n    int s = 0;\n");
-        for i in 0..width {
-            let _ = writeln!(s, "    s = s + wf{i}({}, {});", i % 5, i % 3 + 1);
-        }
-        s.push_str("    s = s + rec(1, 3);\n    return s;\n}\n");
-        s
-    }
-
-    #[test]
-    fn jobs_do_not_change_summaries_or_stats() {
-        let src = wide_source(24, 80);
-        let mut m = sraa_minic::compile(&src).unwrap();
-        let (ranges, _) = sraa_essa::transform_module(&mut m);
-        let index = VarIndex::new(&m);
-        let total_insts: usize = m.functions().map(|(_, f)| f.num_insts()).sum();
-        assert!(
-            total_insts >= WAVEFRONT_MIN_INSTRUCTIONS,
-            "test module too small ({total_insts} insts) to exercise the parallel branch"
-        );
-        let solver = SolverKind::Scc;
-        let run = |jobs: Jobs| {
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs)
-        };
-        let serial = run(Jobs::parse("1").unwrap());
-        for n in ["2", "4", "7"] {
-            let parallel = run(Jobs::parse(n).unwrap());
-            // Full struct equality: summaries AND stats (solves included —
-            // the per-worker counters must reduce to the serial total).
-            assert_eq!(serial, parallel, "jobs={n} diverged from jobs=1");
-        }
-        assert!(serial.facts() > 0, "the wide module must prove some facts");
-        assert_eq!(serial.stats.recursive_sccs, 1);
     }
 
     #[test]
@@ -858,21 +655,14 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let a = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc,
-            Jobs::default(),
-        );
+        let a =
+            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
         let b = ModuleSummaries::compute(
             &m,
             &ranges,
             GenConfig::default(),
             &index,
             SolverKind::Worklist,
-            Jobs::default(),
         );
         assert_eq!(a, b);
     }

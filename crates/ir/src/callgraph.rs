@@ -229,36 +229,6 @@ impl Condensation {
     pub fn callee_components(&self, i: usize) -> &[u32] {
         &self.callee_comps[i]
     }
-
-    /// Kahn levelization of the component DAG: returns the components
-    /// grouped into wavefront layers, bottom-up. Layer 0 holds the
-    /// components with no cross-component callees; a component's layer is
-    /// `1 + max(layer of its callee components)`. Components within a
-    /// layer share no call edges in either direction, so their summaries
-    /// can be solved independently (and, in particular, concurrently).
-    ///
-    /// Within each layer, component indices are ascending; concatenating
-    /// the layers yields a valid bottom-up order. Deterministic: depends
-    /// only on the module.
-    pub fn layers(&self) -> Vec<Vec<u32>> {
-        if self.sccs.is_empty() {
-            return Vec::new();
-        }
-        // One forward pass suffices: callee components always have
-        // smaller indices, so their levels are already final.
-        let mut level = vec![0u32; self.sccs.len()];
-        let mut max_level = 0u32;
-        for c in 0..self.sccs.len() {
-            let l = self.callee_comps[c].iter().map(|&d| level[d as usize] + 1).max().unwrap_or(0);
-            level[c] = l;
-            max_level = max_level.max(l);
-        }
-        let mut layers: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
-        for (c, &l) in level.iter().enumerate() {
-            layers[l as usize].push(c as u32);
-        }
-        layers
-    }
 }
 
 #[cfg(test)]
@@ -341,25 +311,41 @@ mod tests {
         assert_eq!(cond.component_of(FuncId::from_index(2)), 0);
     }
 
+    /// Every cross-component call edge points to an earlier component,
+    /// on every shape: chains, diamonds, disconnected leaves, cycles and
+    /// duplicated call sites. This is what lets summary computation walk
+    /// the components in `condense()` order and find every callee solved.
     #[test]
     fn callees_always_precede_callers() {
-        // A small DAG with a diamond and a cycle: 0->1, 0->2, 1->3, 2->3,
-        // 3->4, 4->3 (cycle {3,4}).
-        let m = call_module(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 3)]);
-        let cg = CallGraph::build(&m);
-        let cond = cg.condense();
-        for (fi, f) in (0..5).map(|i| (i, FuncId::from_index(i))) {
-            for &g in cg.callees(f) {
-                if cond.component_of(f) != cond.component_of(g) {
-                    assert!(
-                        cond.component_of(g) < cond.component_of(f),
-                        "callee f{} must come before caller f{fi}",
-                        g.index()
-                    );
+        // The fourth shape has a diamond over the cycle {3,4}.
+        let shapes: [(usize, &[(usize, usize)]); 5] = [
+            (3, &[(0, 1), (1, 2)]),
+            (4, &[(0, 1), (0, 2), (1, 3), (2, 3)]),
+            (4, &[(3, 0)]),
+            (5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 3)]),
+            (4, &[(3, 2), (3, 0), (3, 1), (3, 2), (3, 0)]),
+        ];
+        for (n, edges) in shapes {
+            let cg = CallGraph::build(&call_module(n, edges));
+            let cond = cg.condense();
+            let mut seen = vec![0usize; n];
+            for (c, members) in cond.bottom_up() {
+                for &f in members {
+                    assert_eq!(cond.component_of(f), c);
+                    seen[f.index()] += 1;
+                    for &g in cg.callees(f) {
+                        let d = cond.component_of(g);
+                        assert!(d <= c, "{edges:?}: f{} calls later f{}", f.index(), g.index());
+                        if d != c {
+                            assert!(cond.callee_components(c).contains(&(d as u32)));
+                        }
+                    }
                 }
+                assert!(cond.callee_components(c).iter().all(|&d| (d as usize) < c));
             }
+            assert!(seen.iter().all(|&k| k == 1), "{edges:?}: every function in one component");
+            assert_eq!(cond.num_recursive(), usize::from(n == 5), "{edges:?}");
         }
-        assert_eq!(cond.num_recursive(), 1);
     }
 
     #[test]
@@ -367,87 +353,6 @@ mod tests {
         let cond = CallGraph::build(&Module::new()).condense();
         assert!(cond.is_empty());
         assert_eq!(cond.len(), 0);
-        assert!(cond.layers().is_empty());
-    }
-
-    /// Checks the structural layer invariants on any condensation:
-    /// every component appears exactly once, layers concatenate to a
-    /// bottom-up order, and every cross-component call edge crosses to a
-    /// strictly lower layer.
-    fn assert_layer_invariants(cond: &Condensation) {
-        let layers = cond.layers();
-        let mut seen = vec![false; cond.len()];
-        let mut layer_of = vec![0usize; cond.len()];
-        for (l, layer) in layers.iter().enumerate() {
-            assert!(!layer.is_empty(), "no layer may be empty");
-            assert!(layer.windows(2).all(|w| w[0] < w[1]), "layer indices ascending");
-            for &c in layer {
-                assert!(!seen[c as usize], "component {c} appears twice");
-                seen[c as usize] = true;
-                layer_of[c as usize] = l;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every component appears in some layer");
-        for c in 0..cond.len() {
-            for &d in cond.callee_components(c) {
-                assert!(
-                    layer_of[d as usize] < layer_of[c],
-                    "callee component {d} must sit strictly below caller {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chain_layers_are_singletons() {
-        let m = call_module(3, &[(0, 1), (1, 2)]);
-        let cond = CallGraph::build(&m).condense();
-        let layers = cond.layers();
-        assert_eq!(layers.len(), 3);
-        assert!(layers.iter().all(|l| l.len() == 1));
-        assert_layer_invariants(&cond);
-    }
-
-    #[test]
-    fn diamond_middle_shares_a_layer() {
-        // 0 -> {1, 2} -> 3: the two middle functions are independent and
-        // must land in the same wavefront.
-        let m = call_module(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let cond = CallGraph::build(&m).condense();
-        let layers = cond.layers();
-        assert_eq!(layers.len(), 3);
-        let mid: Vec<usize> =
-            layers[1].iter().map(|&c| cond.members(c as usize)[0].index()).collect();
-        assert_eq!(mid, vec![1, 2]);
-        assert_layer_invariants(&cond);
-    }
-
-    #[test]
-    fn disconnected_leaves_share_layer_zero() {
-        // Three leaves with no calls at all, plus one caller of f0.
-        let m = call_module(4, &[(3, 0)]);
-        let cond = CallGraph::build(&m).condense();
-        let layers = cond.layers();
-        assert_eq!(layers.len(), 2);
-        assert_eq!(layers[0].len(), 3);
-        assert_eq!(layers[1].len(), 1);
-        assert_layer_invariants(&cond);
-    }
-
-    #[test]
-    fn recursive_component_is_one_layer_node() {
-        // Cycle {3,4} feeding a diamond above it (same shape as
-        // `callees_always_precede_callers`).
-        let m = call_module(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 3)]);
-        let cond = CallGraph::build(&m).condense();
-        assert_layer_invariants(&cond);
-        let layers = cond.layers();
-        // {3,4} is the sole layer-0 component; 1 and 2 share layer 1.
-        assert_eq!(layers.len(), 3);
-        assert_eq!(cond.members(layers[0][0] as usize).len(), 2);
-        assert_eq!(layers[1].len(), 2);
-        // A self-loop adds no cross-component edge.
-        assert!(cond.callee_components(layers[0][0] as usize).is_empty());
     }
 
     #[test]
@@ -459,6 +364,5 @@ mod tests {
         let cs = cond.callee_components(c3);
         assert_eq!(cs.len(), 3);
         assert!(cs.windows(2).all(|w| w[0] < w[1]));
-        assert_layer_invariants(&cond);
     }
 }

@@ -305,6 +305,9 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                     if count < 0 {
                         return Err(p.err("global size must be non-negative"));
                     }
+                    if global_ids.contains_key(&name) {
+                        return Err(p.err(format!("duplicate global `@{name}`")));
+                    }
                     let id = module.declare_global(name.clone(), ty, count as u32);
                     global_ids.insert(name, id);
                 }
@@ -312,6 +315,9 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                     p.bump();
                     p.expect(Tok::At)?;
                     let name = p.expect_ident()?;
+                    if func_ids.contains_key(&name) {
+                        return Err(p.err(format!("duplicate function `@{name}`")));
+                    }
                     p.expect(Tok::LParen)?;
                     let mut params: Vec<(String, Type)> = Vec::new();
                     while p.peek() != Some(&Tok::RParen) {
@@ -523,7 +529,10 @@ fn parse_statement(
             // `%name: ty = expr`
             p.bump();
             let name = p.expect_ident()?;
-            let v = values[&name];
+            // The pre-scan only reserves well-formed `%name: ty =` heads.
+            let v = *values
+                .get(&name)
+                .ok_or_else(|| p.err(format!("malformed definition `%{name}`")))?;
             p.expect(Tok::Colon)?;
             let ty = p.parse_type()?;
             p.expect(Tok::Eq)?;
@@ -776,6 +785,23 @@ bb1:
         let src = "func @f() {\nbb0:\n  jump bb0\nbb0:\n  ret\n}\n";
         let e = parse_module(src).unwrap_err();
         assert!(e.message.contains("duplicate block label"), "{e}");
+    }
+
+    /// Inputs the pre-scans read differently from the main pass are
+    /// errors, not panics.
+    #[test]
+    fn malformed_bodies_and_duplicate_names_are_errors() {
+        for (src, what) in [
+            ("func @f() {\nbb0:\n  %x: int const 0\n  ret\n}\n", "malformed definition"),
+            (
+                "func @f() {\nbb0:\n  ret\n}\nfunc @f(%a: int) {\nbb0:\n  ret\n}\n",
+                "duplicate function",
+            ),
+            ("global @g: int[1]\nglobal @g: int[2]\n", "duplicate global"),
+        ] {
+            let e = parse_module(src).unwrap_err();
+            assert!(e.message.contains(what), "{src:?}: {e}");
+        }
     }
 
     /// A function whose parameter and return type is `int` followed by

@@ -399,6 +399,16 @@ mod extended_syntax_tests {
         }
     }
 
+    /// A variable assigned in many sequential branches and read once at
+    /// the end: the lookup walks back through every join. It is not
+    /// nesting, so no budget applies; it must compile on a daemon stack.
+    #[test]
+    fn long_runs_of_sequential_joins_compile_on_a_small_stack() {
+        let joins = "if (1) { y = 1; } ".repeat(10_000);
+        let src = format!("int main() {{ int y = 0; {joins}return y; }}");
+        compile_on_small_stack(src).expect("sequential joins are valid MiniC");
+    }
+
     #[test]
     fn absurd_nesting_is_rejected_without_overflowing() {
         let parens = 200_000;

@@ -92,6 +92,15 @@ enum Place {
     Mem { addr: Value, elem: Ty },
 }
 
+/// A suspended step of a variable lookup ([`FnLower::lookup_var`]).
+enum Lookup {
+    /// Record the value found as the variable's definition in this block.
+    Record(BlockId),
+    /// Collect one operand per predecessor for `phi`, then drop it if it
+    /// is trivial.
+    FillPhi { phi: Value, preds: Vec<BlockId>, incomings: Vec<(BlockId, Value)> },
+}
+
 struct FnLower<'a> {
     f: &'a mut Function,
     globals: &'a HashMap<String, (GlobalId, Ty, u32)>,
@@ -243,32 +252,13 @@ impl<'a> FnLower<'a> {
         self.defs.entry(key.to_string()).or_default().insert(block, value);
     }
 
+    /// The value of variable `key` at the end of `block` (Braun et al.'s
+    /// `readVariable`). The lookup walks predecessor chains back to a
+    /// definition, which can be as long as the number of joins between
+    /// the definition and the use, so it keeps its suspended steps on a
+    /// heap stack rather than the call stack.
     fn read_var(&mut self, key: &str, block: BlockId) -> Value {
-        if let Some(&v) = self.defs.get(key).and_then(|m| m.get(&block)) {
-            return v;
-        }
-        let v = if !self.sealed.contains(&block) {
-            // Unknown predecessors: placeholder φ, completed at seal time.
-            let phi = self.insert_phi(block);
-            self.incomplete.entry(block).or_default().push((key.to_string(), phi));
-            phi
-        } else if self.preds[block.index()].len() == 1 {
-            let p = self.preds[block.index()][0];
-            self.read_var(key, p)
-        } else if self.preds[block.index()].is_empty() {
-            // Read of an undefined variable (or dead code): a benign
-            // default — zero for ints, an opaque value for pointers.
-            match self.var_tys[key] {
-                Ty::Int | Ty::Void => self.iconst(0),
-                Ty::Ptr(_) => self.emit_in_entry(InstKind::Opaque, self.var_tys[key].to_ir()),
-            }
-        } else {
-            let phi = self.insert_phi(block);
-            self.write_var(key, block, phi);
-            self.add_phi_operands(key, phi, block)
-        };
-        self.write_var(key, block, v);
-        v
+        self.lookup_var(key, Vec::new(), Some(block))
     }
 
     fn insert_phi(&mut self, block: BlockId) -> Value {
@@ -282,18 +272,88 @@ impl<'a> FnLower<'a> {
     /// (Braun et al.'s `tryRemoveTrivialPhi`). Returns the value that
     /// replaces the φ — the φ itself when it is genuine.
     fn add_phi_operands(&mut self, key: &str, phi: Value, block: BlockId) -> Value {
-        let ty = self.var_tys[key].to_ir();
-        self.f.inst_mut(phi).ty = ty;
+        let fill = self.fill_phi(key, phi, block);
+        self.lookup_var(key, vec![fill], None)
+    }
+
+    /// A [`Lookup::FillPhi`] step for `phi`, which takes `key`'s type.
+    fn fill_phi(&mut self, key: &str, phi: Value, block: BlockId) -> Lookup {
+        self.f.inst_mut(phi).ty = self.var_tys[key].to_ir();
         let preds = self.preds[block.index()].clone();
-        let mut incomings = Vec::with_capacity(preds.len());
-        for p in preds {
-            let v = self.read_var(key, p);
-            incomings.push((p, v));
+        Lookup::FillPhi { phi, incomings: Vec::with_capacity(preds.len()), preds }
+    }
+
+    /// Runs the suspended lookups in `stack` to completion, first looking
+    /// up `key` in block `want` if given, and returns the last value
+    /// produced. This is the recursion of Braun et al.'s `readVariable`
+    /// and `addPhiOperands`, in the same order, with the call stack made
+    /// explicit.
+    fn lookup_var(
+        &mut self,
+        key: &str,
+        mut stack: Vec<Lookup>,
+        mut want: Option<BlockId>,
+    ) -> Value {
+        let mut got: Option<Value> = None;
+        loop {
+            // Descend: answer `want` locally, or suspend on its predecessors.
+            if let Some(b) = want.take() {
+                if let Some(&v) = self.defs.get(key).and_then(|m| m.get(&b)) {
+                    got = Some(v);
+                } else if !self.sealed.contains(&b) {
+                    // Unknown predecessors: placeholder φ, completed at seal time.
+                    let phi = self.insert_phi(b);
+                    self.incomplete.entry(b).or_default().push((key.to_string(), phi));
+                    self.write_var(key, b, phi);
+                    got = Some(phi);
+                } else if let [p] = self.preds[b.index()][..] {
+                    stack.push(Lookup::Record(b));
+                    want = Some(p);
+                    continue;
+                } else if self.preds[b.index()].is_empty() {
+                    // Read of an undefined variable (or dead code): a benign
+                    // default — zero for ints, an opaque value for pointers.
+                    let v = match self.var_tys[key] {
+                        Ty::Int | Ty::Void => self.iconst(0),
+                        Ty::Ptr(_) => {
+                            self.emit_in_entry(InstKind::Opaque, self.var_tys[key].to_ir())
+                        }
+                    };
+                    self.write_var(key, b, v);
+                    got = Some(v);
+                } else {
+                    let phi = self.insert_phi(b);
+                    self.write_var(key, b, phi);
+                    stack.push(Lookup::Record(b));
+                    let fill = self.fill_phi(key, phi, b);
+                    stack.push(fill);
+                }
+            }
+            // Ascend: hand the value to the innermost suspended step.
+            match stack.last_mut() {
+                None => return got.expect("a lookup produces a value"),
+                Some(Lookup::Record(b)) => {
+                    let b = *b;
+                    stack.pop();
+                    self.write_var(key, b, got.expect("a recorded lookup has a value"));
+                }
+                Some(Lookup::FillPhi { phi, preds, incomings }) => {
+                    if let Some(v) = got.take() {
+                        incomings.push((preds[incomings.len()], v));
+                    }
+                    if let Some(&p) = preds.get(incomings.len()) {
+                        want = Some(p);
+                        continue;
+                    }
+                    let (phi, incomings) = (*phi, std::mem::take(incomings));
+                    stack.pop();
+                    if let InstKind::Phi { incomings: slots } = &mut self.f.inst_mut(phi).kind {
+                        *slots = incomings;
+                    }
+                    got = Some(self.try_remove_trivial_phi(phi));
+                }
+            }
         }
-        if let InstKind::Phi { incomings: slots } = &mut self.f.inst_mut(phi).kind {
-            *slots = incomings;
-        }
-        self.try_remove_trivial_phi(phi)
     }
 
     /// Braun et al.'s trivial-φ elimination: a φ whose operands are all
@@ -302,10 +362,35 @@ impl<'a> FnLower<'a> {
     /// expect (LLVM's mem2reg produces minimal SSA too). A trivial φ left
     /// in place would destroy less-than facts through the intersection
     /// rule 4 of Figure 7.
+    ///
+    /// Removing one φ may make the φs that use it trivial in turn; they
+    /// are retried depth-first, as in the paper's recursion, from an
+    /// explicit stack.
     fn try_remove_trivial_phi(&mut self, phi: Value) -> Value {
+        let Some((same, users)) = self.remove_if_trivial(phi) else { return phi };
+        let mut stack = vec![users.into_iter()];
+        while let Some(users) = stack.last_mut() {
+            match users.next() {
+                Some(u) => {
+                    if let Some((_, more)) = self.remove_if_trivial(u) {
+                        stack.push(more.into_iter());
+                    }
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
+        same
+    }
+
+    /// Replaces `phi` by its single operand if it is trivial, returning
+    /// that operand and the other φs that used `phi`; `None` if `phi` is
+    /// genuine (or not a φ).
+    fn remove_if_trivial(&mut self, phi: Value) -> Option<(Value, Vec<Value>)> {
         let incomings = match &self.f.inst(phi).kind {
             InstKind::Phi { incomings } => incomings.clone(),
-            _ => return phi,
+            _ => return None,
         };
         let mut same: Option<Value> = None;
         for (_, op) in &incomings {
@@ -313,11 +398,11 @@ impl<'a> FnLower<'a> {
                 continue;
             }
             if same.is_some() {
-                return phi; // merges at least two distinct values: genuine
+                return None; // merges at least two distinct values: genuine
             }
             same = Some(*op);
         }
-        let Some(same) = same else { return phi }; // self-only φ (dead loop)
+        let same = same?; // self-only φ (dead loop)
 
         // Collect φ users before rewriting (they may become trivial too).
         let mut phi_users: Vec<Value> = Vec::new();
@@ -363,13 +448,7 @@ impl<'a> FnLower<'a> {
         }
         // Orphan the φ; all its uses are gone.
         self.f.detach_inst(phi);
-        // Users may have become trivial in turn.
-        for u in phi_users {
-            if u != phi {
-                self.try_remove_trivial_phi(u);
-            }
-        }
-        same
+        Some((same, phi_users))
     }
 
     fn lookup(&self, name: &str) -> Option<Binding> {

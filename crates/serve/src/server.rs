@@ -5,10 +5,10 @@
 //! uploaded modules, each with its solved [`DisambiguationEngine`] behind
 //! an `Arc`, its pre-rendered `eval` report and its in-memory summary
 //! cache. Connections are served by scoped threads off a polling accept
-//! loop (the PR 7 scheduler idiom: `std::thread::scope`, no detached
-//! threads), so shutdown is a drain: the flag flips, the accept loop
-//! stops, and `scope` waits for every in-flight connection to finish its
-//! current frame and notice the flag.
+//! loop (`std::thread::scope`, no detached threads), so shutdown is a
+//! drain: the flag flips, the accept loop stops, and `scope` waits for
+//! every in-flight connection to finish its current frame and notice the
+//! flag.
 //!
 //! Robustness contract, exercised by the protocol fuzz test: any byte
 //! sequence a client sends yields a typed error reply or a clean close —
@@ -44,12 +44,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Engine configuration for uploads. `Contextuality::Summaries`
-    /// is forced — the daemon's
-    /// incremental re-upload path needs summaries; solver and jobs knobs
-    /// are honoured. The configuration names no files: the caller reads
-    /// any warm-start cache and opens any shared store, and hands them
-    /// over with [`Server::with_warm_cache`] and
-    /// [`Server::with_shared_store`]; the engine does no IO of its own.
+    /// is forced — the daemon's incremental re-upload path needs
+    /// summaries; the solver choice and constraint options are honoured.
+    /// The configuration names no files: the caller reads any warm-start
+    /// cache and opens any shared store, and hands them over with
+    /// [`Server::with_warm_cache`] and [`Server::with_shared_store`]; the
+    /// engine does no IO of its own.
     pub engine: EngineConfig,
     /// Per-connection idle timeout: a connection that sends no byte for
     /// this long is closed.
@@ -542,6 +542,9 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
         prior.as_ref(),
         daemon.store.as_ref(),
     );
+    if let Some(w) = engine.store_warning() {
+        eprintln!("# shared-store warning: {w}");
+    }
     let s = engine.stats();
     let (hits, misses, invalidated) = (s.cache_hits, s.cache_misses, s.cache_invalidated);
     let store_counts = (s.store_hits, s.store_misses, s.store_published);

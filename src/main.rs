@@ -38,7 +38,7 @@ use sraa::alias::{render_eval, AliasAnalysis, BasicAliasAnalysis, Combined, Stri
 use sraa::ir::{InstKind, Interpreter};
 use sraa::lt::persist::{self, SummaryCache, SummaryKeys};
 use sraa::lt::{
-    CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, Jobs, SharedSummaryStore,
+    CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, SharedSummaryStore,
     SolverKind, StoreOutcome,
 };
 use sraa::pdg::DepGraph;
@@ -73,9 +73,6 @@ fn main() {
                  \n\
                  \n  --solver {{worklist,scc}}     fixpoint strategy for\
                  \n                              eval/lt/pdg/opt (default scc)\
-                 \n  --jobs {{N,auto}}             worker threads for parallel\
-                 \n                              summary solves (default auto:\
-                 \n                              SRAA_JOBS, else all cores)\
                  \n  --interproc                 bottom-up call summaries for\
                  \n                              eval/lt/pdg/opt (default intra)\
                  \n  --summary-cache <path>      persist summaries between runs;\
@@ -93,17 +90,14 @@ fn main() {
     exit(code);
 }
 
-/// Extracts `--solver <kind>`, `--jobs <n>`, `--interproc`,
-/// `--summary-cache <path>` and `--shared-store <dir>` from `args`,
-/// returning the remaining arguments, the chosen [`EngineConfig`] knobs
-/// (defaults: [`SolverKind::Scc`], [`Jobs::Auto`],
-/// [`Contextuality::Intra`]) and the summary-reuse paths (default none).
-/// `--summary-cache` and `--shared-store` both imply `--interproc` —
-/// they persist interprocedural summaries — and compose: the per-module
-/// cache answers first, the cross-module store catches what it misses.
-/// An explicit `--jobs` count beats the `SRAA_JOBS` environment variable;
-/// whichever wins is reported on **stderr** (stdout must stay
-/// byte-identical across every jobs value).
+/// Extracts `--solver <kind>`, `--interproc`, `--summary-cache <path>`
+/// and `--shared-store <dir>` from `args`, returning the remaining
+/// arguments, the chosen [`EngineConfig`] knobs (defaults:
+/// [`SolverKind::Scc`], [`Contextuality::Intra`]) and the summary-reuse
+/// paths (default none). `--summary-cache` and `--shared-store` both
+/// imply `--interproc` — they persist interprocedural summaries — and
+/// compose: the per-module cache answers first, the cross-module store
+/// catches what it misses.
 fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, ReuseFlags), i32> {
     let mut cfg = EngineConfig::default();
     let (rest, solver) = take_value_flag(args, "--solver")?;
@@ -113,19 +107,6 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Reus
             return Err(2);
         };
         cfg.solver = k;
-    }
-    let (rest, jobs) = take_value_flag(&rest, "--jobs")?;
-    if let Some(value) = jobs {
-        let Some(j) = Jobs::parse(&value) else {
-            eprintln!("invalid --jobs `{value}` (expected a positive thread count or `auto`)");
-            return Err(2);
-        };
-        cfg.jobs = j;
-    }
-    match (cfg.jobs, Jobs::from_env()) {
-        (Jobs::N(n), _) => eprintln!("# jobs: {n} (flag)"),
-        (Jobs::Auto, Some(Jobs::N(n))) => eprintln!("# jobs: {n} (env)"),
-        _ => {} // hardware default; invalid SRAA_JOBS values are ignored
     }
     let (rest, interproc) = take_flag(&rest, "--interproc");
     if interproc {
@@ -186,6 +167,9 @@ fn analyze(m: &mut sraa::ir::Module, cfg: EngineConfig, flags: ReuseFlags) -> St
     } else {
         DisambiguationEngine::build_with_cache_and_store(m, cfg, cache.as_ref(), store.as_ref())
     };
+    if let Some(w) = engine.store_warning() {
+        eprintln!("# shared-store warning: {w}");
+    }
     if let Some(path) = &flags.cache {
         let had_entries = cache.as_ref().is_some_and(|c| !c.is_empty());
         if had_entries && engine.stats().cache_hits == 0 && m.num_functions() > 0 {
@@ -326,7 +310,7 @@ fn cmd_compile(args: &[String]) -> i32 {
 }
 
 fn cmd_eval(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] [--jobs N] \
+    const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
@@ -344,8 +328,7 @@ fn cmd_eval(args: &[String]) -> i32 {
 
 fn cmd_lt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] \
-                         [--jobs N] [--interproc] \
-                         [--summary-cache <path>] [--shared-store <dir>]";
+                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -428,7 +411,7 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_pdg(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] [--jobs N] \
+    const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, mut cfg, reuse)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
@@ -455,8 +438,7 @@ fn cmd_pdg(args: &[String]) -> i32 {
 
 fn cmd_opt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] \
-                         [--jobs N] [--interproc] \
-                         [--summary-cache <path>] [--shared-store <dir>]";
+                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     let (args, ba_only) = take_flag(&args, "--ba");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
@@ -548,8 +530,7 @@ fn install_signal_handlers(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>)
 
 fn cmd_serve(args: &[String]) -> i32 {
     const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) \
-                         [--solver worklist|scc] [--jobs N] \
-                         [--summary-cache <path>] [--shared-store <dir>]";
+                         [--solver worklist|scc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
     let (args, endpoint) = match take_endpoint(&args, USAGE) {
         Ok(x) => x,

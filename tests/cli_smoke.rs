@@ -473,88 +473,40 @@ fn gen_emits_compilable_minic() {
     assert!(out.status.success(), "generated program failed to compile");
 }
 
-/// Runs `sraa` with a controlled `SRAA_JOBS` (removed unless supplied),
-/// so the jobs tests are immune to whatever the outer environment set.
-fn sraa_jobs_env(args: &[&str], sraa_jobs: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sraa"));
-    cmd.args(args).env_remove("SRAA_JOBS");
-    if let Some(v) = sraa_jobs {
-        cmd.env("SRAA_JOBS", v);
-    }
-    cmd.output().expect("sraa binary runs")
-}
-
 #[test]
-fn jobs_flag_accepted_on_every_engine_verb_with_identical_stdout() {
+fn jobs_flag_is_unknown_and_sraa_jobs_is_ignored() {
     let f = calls_file();
     let path = f.to_str().unwrap();
-    for verb in [
-        vec!["eval", path, "--interproc"],
-        vec!["lt", path, "use_helper", "--interproc"],
-        vec!["pdg", path, "--interproc"],
-        vec!["opt", path, "--interproc"],
+    // The engine runs on the calling thread: there is no worker count to
+    // pick, so `--jobs` with or without a value is an unknown flag.
+    for args in [
+        vec!["eval", path, "--jobs", "2"],
+        vec!["lt", path, "use_helper", "--interproc", "--jobs", "1"],
+        vec!["eval", path, "--jobs"],
     ] {
-        let base = sraa_jobs_env(&verb, None);
-        assert!(base.status.success(), "{verb:?}: {}", stderr_of(&base));
-        for jobs in ["1", "2", "4"] {
-            let mut args = verb.clone();
-            args.extend(["--jobs", jobs]);
-            let out = sraa_jobs_env(&args, None);
-            assert!(out.status.success(), "{args:?}: {}", stderr_of(&out));
-            assert_eq!(
-                stdout(&base),
-                stdout(&out),
-                "stdout must be byte-identical at --jobs {jobs} for {verb:?}"
-            );
-            assert!(
-                stderr_of(&out).contains(&format!("# jobs: {jobs} (flag)")),
-                "{args:?} stderr: {}",
-                stderr_of(&out)
-            );
+        let out = sraa(&args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
+        let err = stderr_of(&out);
+        assert!(err.contains("unknown flag"), "args {args:?}: {err}");
+        assert!(err.contains("usage:"), "args {args:?}: {err}");
+    }
+    assert!(!stderr_of(&sraa(&[])).contains("--jobs"), "the usage must not offer --jobs");
+
+    // And the environment knob is not read at all: stdout and stderr are
+    // byte-identical with and without it.
+    let run = |jobs: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sraa"));
+        cmd.args(["eval", path, "--interproc"]).env_remove("SRAA_JOBS");
+        if let Some(v) = jobs {
+            cmd.env("SRAA_JOBS", v);
         }
-        // The default (no flag, no env) stays silent about jobs.
-        assert!(!stderr_of(&base).contains("# jobs:"), "{verb:?}: {}", stderr_of(&base));
-    }
-}
-
-#[test]
-fn jobs_flag_rejects_zero_garbage_and_missing_values() {
-    let f = tiny_file();
-    let path = f.to_str().unwrap();
-    for bad in ["0", "-2", "four", "2x", ""] {
-        let out = sraa_jobs_env(&["eval", path, "--jobs", bad], None);
-        assert_eq!(out.status.code(), Some(2), "--jobs {bad:?} must exit 2");
-        assert!(stderr_of(&out).contains("invalid --jobs"), "got: {}", stderr_of(&out));
-    }
-    let out = sraa_jobs_env(&["eval", path, "--jobs"], None);
-    assert_eq!(out.status.code(), Some(2), "trailing --jobs must exit 2");
-    assert!(stderr_of(&out).contains("--jobs needs a value"), "got: {}", stderr_of(&out));
-}
-
-#[test]
-fn jobs_env_is_honoured_and_loses_to_the_flag() {
-    let f = calls_file();
-    let path = f.to_str().unwrap();
-    let base = sraa_jobs_env(&["eval", path, "--interproc"], None);
-
-    // Environment alone: reported as such, stdout unchanged.
-    let env_only = sraa_jobs_env(&["eval", path, "--interproc"], Some("3"));
-    assert!(env_only.status.success());
-    assert!(stderr_of(&env_only).contains("# jobs: 3 (env)"), "got: {}", stderr_of(&env_only));
-    assert_eq!(stdout(&base), stdout(&env_only));
-
-    // An explicit flag beats the environment.
-    let both = sraa_jobs_env(&["eval", path, "--interproc", "--jobs", "2"], Some("7"));
-    assert!(both.status.success());
-    assert!(stderr_of(&both).contains("# jobs: 2 (flag)"), "got: {}", stderr_of(&both));
-    assert!(!stderr_of(&both).contains("(env)"));
-    assert_eq!(stdout(&base), stdout(&both));
-
-    // Invalid environment values are ignored, not fatal.
-    let bad_env = sraa_jobs_env(&["eval", path, "--interproc"], Some("zero"));
-    assert!(bad_env.status.success());
-    assert!(!stderr_of(&bad_env).contains("# jobs:"), "got: {}", stderr_of(&bad_env));
-    assert_eq!(stdout(&base), stdout(&bad_env));
+        cmd.output().expect("sraa binary runs")
+    };
+    let (unset, set) = (run(None), run(Some("3")));
+    assert!(unset.status.success(), "{}", stderr_of(&unset));
+    assert_eq!(unset.status.code(), set.status.code());
+    assert_eq!(unset.stdout, set.stdout);
+    assert_eq!(unset.stderr, set.stderr);
 }
 
 // ---------------------------------------------------------------------

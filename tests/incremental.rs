@@ -38,14 +38,8 @@ fn prepare(src: &str) -> Prepared {
     let mut module = sraa_minic::compile(src).expect("generated source compiles");
     let (ranges, _) = sraa_essa::transform_module(&mut module);
     let index = VarIndex::new(&module);
-    let sums = ModuleSummaries::compute(
-        &module,
-        &ranges,
-        GenConfig::default(),
-        &index,
-        SolverKind::Scc,
-        sraa_core::Jobs::default(),
-    );
+    let sums =
+        ModuleSummaries::compute(&module, &ranges, GenConfig::default(), &index, SolverKind::Scc);
     let keys = SummaryKeys::compute(&module);
     Prepared { module, ranges, index, sums, keys }
 }
@@ -81,7 +75,6 @@ fn warm(p: &Prepared, cache: &persist::SummaryCache) -> (ModuleSummaries, CacheO
         GenConfig::default(),
         &p.index,
         SolverKind::Scc,
-        sraa_core::Jobs::default(),
         Some(cache),
         None,
     );
@@ -321,14 +314,7 @@ fn golden_bytes() -> Vec<u8> {
     let m = golden_module();
     let ranges = sraa_range::analyze(&m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(
-        &m,
-        &ranges,
-        GenConfig::default(),
-        &index,
-        SolverKind::Scc,
-        sraa_core::Jobs::default(),
-    );
+    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
     assert_eq!(sums.of(m.function_by_name("next").unwrap()).args_lt_ret(), &[0], "i < next(i)");
     let keys = SummaryKeys::compute(&m);
     persist::to_bytes(&m, &sums, &keys, GenConfig::default())

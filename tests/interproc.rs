@@ -7,15 +7,17 @@
 //! call-heavy workload family it genuinely does add them. Dynamic
 //! soundness of the added facts (no-alias pairs never carry equal
 //! values while simultaneously alive) is covered by `tests/soundness.rs`,
-//! which runs both engines' claims against the interpreter.
+//! which runs both engines' claims against the interpreter. The SCC
+//! solver and the worklist oracle must also agree on every summary.
 
 use sraa_alias::{AaEval, StrictInequalityAa};
 use sraa_core::{
     Contextuality, DisambiguationEngine, EngineConfig, GenConfig, ModuleSummaries, OnDemandProver,
-    SolverKind, VarIndex,
+    SolverKind, VarId, VarIndex,
 };
 use sraa_ir::Module;
 use sraa_synth::{call_suite, csmith_generate, CsmithConfig};
+use std::fmt::Write as _;
 
 /// Builds both engines on identical copies of `source`.
 fn both_engines(source: &str, name: &str) -> (Module, DisambiguationEngine, DisambiguationEngine) {
@@ -92,6 +94,60 @@ fn solver_strategies_agree_in_summaries_mode() {
     }
 }
 
+/// A wide call graph: `width` independent straight-line helpers of
+/// ~`depth` additions each, one recursive helper calling the first of
+/// them, and a `main` calling all of them.
+fn wide_source(width: usize, depth: usize) -> String {
+    let mut s = String::new();
+    for i in 0..width {
+        let _ = writeln!(s, "int wf{i}(int a, int b) {{");
+        let _ = writeln!(s, "    int x0 = a + 1;");
+        let _ = writeln!(s, "    int x1 = x0 + b;");
+        for j in 2..depth {
+            let _ = writeln!(s, "    int x{j} = x{} + {};", j - 1, (i + j + 3) % 9 + 1);
+        }
+        let _ = writeln!(s, "    return x{} + 1;", depth - 1);
+        let _ = writeln!(s, "}}");
+    }
+    let _ = writeln!(s, "int rec(int i, int n) {{");
+    let _ = writeln!(s, "    if (n <= 0) {{ return i + 1; }}");
+    let _ = writeln!(s, "    return rec(wf0(i, 1), n - 1);");
+    let _ = writeln!(s, "}}");
+    s.push_str("int main() {\n    int s = 0;\n");
+    for i in 0..width {
+        let _ = writeln!(s, "    s = s + wf{i}({}, {});", i % 5, i % 3 + 1);
+    }
+    s.push_str("    s = s + rec(1, 3);\n    return s;\n}\n");
+    s
+}
+
+/// The SCC solver and the worklist oracle must distil the same summaries
+/// with the same statistics, and solve the module-wide system built on
+/// them to the same `LT` sets. Returns the number of summary facts.
+fn assert_solvers_agree_on_summaries(source: &str, name: &str) -> usize {
+    let mut m = sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (ranges, _) = sraa_essa::transform_module(&mut m);
+    let index = VarIndex::new(&m);
+    let compute =
+        |solver| ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver);
+    let scc = compute(SolverKind::Scc);
+    assert_eq!(scc, compute(SolverKind::Worklist), "{name}: summaries or stats differ by solver");
+    let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &scc);
+    let a = SolverKind::Scc.solve(&sys.constraints, sys.num_vars);
+    let b = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+    for v in (0..sys.num_vars).map(VarId::from_index) {
+        assert_eq!(a.lt_set(v), b.lt_set(v), "{name}: LT({v}) differs by solver");
+        assert_eq!(a.was_top(v), b.was_top(v), "{name}: frozen sets differ on {v}");
+    }
+    scc.facts()
+}
+
+#[test]
+fn solver_strategies_agree_on_a_wide_module() {
+    let facts = assert_solvers_agree_on_summaries(&wide_source(24, 80), "wide module");
+    assert!(facts > 0, "the wide module must produce interprocedural facts");
+}
+
 #[test]
 fn summaries_are_deterministic_across_builds() {
     let w = &call_suite(3)[2]; // the recursive-partition member
@@ -126,14 +182,7 @@ fn ondemand_prover_agrees_on_summary_systems() {
     let mut m = sraa_minic::compile(&w.source).unwrap();
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(
-        &m,
-        &ranges,
-        GenConfig::default(),
-        &index,
-        SolverKind::Scc,
-        sraa_core::Jobs::default(),
-    );
+    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
     let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
     let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
     let mut prover = OnDemandProver::new(&sys);
@@ -174,6 +223,19 @@ mod proptests {
             });
             let (m, intra, inter) = both_engines(&w.source, &w.name);
             assert_refines(&m, &intra, &inter);
+        }
+
+        /// `scc ≡ worklist` on the summaries and on the module-wide solve
+        /// that applies them, over random csmith programs with helpers.
+        #[test]
+        fn csmith_solver_strategies_agree_on_summaries(seed in 0u64..12) {
+            let w = csmith_generate(CsmithConfig {
+                seed,
+                max_ptr_depth: 3,
+                num_stmts: 18,
+                helpers: 2,
+            });
+            assert_solvers_agree_on_summaries(&w.source, &w.name);
         }
     }
 }
