@@ -9,14 +9,18 @@
 //! | `fig10`       | Figure 10      | %BA vs %(BA+LT) vs %(BA+CF) bars           |
 //! | `fig11`       | Figure 11      | #instructions vs #constraints + R²         |
 //! | `fig12`       | Figure 12      | PDG memory nodes: static/BA/BA+LT          |
-//! | `scalability` | §4.2           | pops/constraint, time-vs-size R², set sizes|
+//! | `scalability` | §4.2           | evals/constraint, time-vs-size R², set sizes|
 //! | `ablation`    | design choices | faithful vs extended rules, param pairs    |
 //! | `pentagon_vs_lt` | §5 prose    | LT vs dense Pentagons: divergence + cost   |
 //! | `applicability_opt` | §2 prose | loads/stores removed per alias oracle      |
+//! | `calibrate`   | synth tuning   | alias-query profile per archetype          |
 //!
-//! All binaries honour `SRAA_SUITE_N` (suite size, default 100) and print
-//! CSV-ish aligned tables to stdout so runs can be diffed against each
-//! other; `tests/spec_shapes.rs` asserts the shape of each headline result.
+//! `fig8`, `fig11` and `scalability` honour `SRAA_SUITE_N` (suite size,
+//! default 100). All binaries print CSV-ish aligned tables to stdout so
+//! runs can be diffed against each other; `tests/spec_shapes.rs` asserts the shape of each headline result
+//! and `tests/work_counters.rs` pins `scalability`'s deterministic work
+//! counters. Timings of the system a user runs come from the benchmark
+//! in `perfbench/`, which also uses this crate's allocation counter.
 
 use sraa_alias::{
     AaEval, AliasAnalysis, AndersenAnalysis, BasicAliasAnalysis, Combined, EvalSummary,
@@ -29,9 +33,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`System`]-backed global allocator that counts allocations, so the
-/// harness can report allocator pressure alongside wall clock: allocation
-/// counts are deterministic where timings are noisy, which makes them the
-/// tighter regression signal for the perf gate.
+/// benchmark can report allocator pressure alongside wall clock:
+/// allocation counts are deterministic where timings are noisy, which
+/// makes them a regression signal a test can pin.
 pub struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -143,9 +147,18 @@ impl Prepared {
     }
 }
 
-/// Suite size from `SRAA_SUITE_N` (default 100).
+/// Suite size from `SRAA_SUITE_N` (default 100 when unset). A value that
+/// is not a whole number ends the process with exit code 2, rather than
+/// silently running the default-sized suite.
 pub fn suite_n() -> usize {
-    std::env::var("SRAA_SUITE_N").ok().and_then(|v| v.parse().ok()).unwrap_or(100)
+    let Some(raw) = std::env::var_os("SRAA_SUITE_N") else { return 100 };
+    match raw.to_str().map(str::parse) {
+        Some(Ok(n)) => n,
+        _ => {
+            eprintln!("SRAA_SUITE_N must be a whole number, got {raw:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Ordinary-least-squares R² of `y` against `x` — the statistic the paper

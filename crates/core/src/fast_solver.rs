@@ -29,8 +29,8 @@
 //!    reached through [`SolverKind::solve`](crate::SolverKind::solve) and
 //!    return the same [`Solution`] type.
 //!
-//! The `solvers` Criterion bench group (`crates/bench/benches/solver.rs`)
-//! and the `fig11` / `scalability` binaries measure the effect.
+//! The `scalability` binary prints the effect (evaluations and wall clock
+//! per strategy), and `tests/work_counters.rs` pins the evaluation counts.
 
 use crate::constraints::Constraint;
 use crate::lattice::{ComponentCtx, LatticeStore};

@@ -3,9 +3,8 @@
 //! The paper (§5) contrasts its design with Bodík et al.'s ABCD: "we chose
 //! to compute a transitive closure of less-than relations, whereas ABCD
 //! works on demand". This module implements the on-demand alternative over
-//! the *same* constraint system, so the two strategies can be compared —
-//! `benches/queries.rs` measures the trade-off, and the differential and
-//! property tests prove they answer identically.
+//! the *same* constraint system, so the two strategies can be compared;
+//! the differential and property tests prove they answer identically.
 //!
 //! A query `y ∈ LT(x)?` runs a backwards proof search over the constraint
 //! defining `x`:

@@ -36,10 +36,11 @@
 //! Writers never touch an existing file: each [`SharedSummaryStore::publish`]
 //! writes one *new* segment via write-temp-then-rename (atomic within the
 //! directory), named with a monotonically increasing generation counter,
-//! the writer's pid and a per-process sequence number — so two processes
-//! can publish the same generation without colliding. Readers fold unseen
-//! segments in with [`SharedSummaryStore::refresh`]; a segment observed
-//! mid-rename simply is not there yet. On load, a directory that has
+//! the writer's pid and a process-wide sequence number — so two processes,
+//! or two handles in one process, can publish the same generation without
+//! colliding. Readers fold unseen segments in with
+//! [`SharedSummaryStore::refresh`]; a segment observed mid-rename simply
+//! is not there yet. On load, a directory that has
 //! accumulated many segments is **compacted**: the full index is written
 //! as one fresh segment and the folded files are deleted (safe, because
 //! every entry they carried is in the compacted one, and entries are
@@ -135,9 +136,6 @@ pub struct SharedSummaryStore {
     /// Highest generation observed in the directory; new segments are
     /// published at `generation + 1`.
     generation: AtomicU64,
-    /// Per-process publish sequence, so one process can publish several
-    /// segments of the same generation without name collisions.
-    seq: AtomicU64,
     /// Defective segment files skipped over this store's lifetime.
     skipped: AtomicU64,
 }
@@ -157,7 +155,6 @@ impl SharedSummaryStore {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             seen: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
         };
         store.refresh()?;
@@ -262,17 +259,26 @@ impl SharedSummaryStore {
         if fresh.is_empty() {
             return Ok(0);
         }
-        let gen = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let name = format!(
-            "seg-{gen:016x}-{:08x}-{:04x}{SEG_SUFFIX}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        );
+        let name = self.next_segment_name();
         let bytes = encode_segment(fresh.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
         persist::write_atomic(&self.dir.join(&name), &bytes)?;
         // Our own segment is already folded in.
         self.seen.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
         Ok(fresh.len())
+    }
+
+    /// A fresh `seg-<generation>-<pid>-<seq>` name. The sequence number is
+    /// process-wide, not per handle: two handles on one directory in one
+    /// process see the same generations, and the second one's rename must
+    /// not replace the first one's segment.
+    fn next_segment_name(&self) -> String {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let gen = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        format!(
+            "seg-{gen:016x}-{:08x}-{:04x}{SEG_SUFFIX}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        )
     }
 
     /// Number of summaries resident in the index.
@@ -311,12 +317,7 @@ impl SharedSummaryStore {
         }
         // Deterministic segment bytes for a given index state.
         all.sort_unstable_by_key(|&(k, _)| k);
-        let gen = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let name = format!(
-            "seg-{gen:016x}-{:08x}-{:04x}{SEG_SUFFIX}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        );
+        let name = self.next_segment_name();
         let bytes = encode_segment(all.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
         if persist::write_atomic(&self.dir.join(&name), &bytes).is_err() {
             return; // compaction is an optimisation; keep the segments

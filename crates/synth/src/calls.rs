@@ -9,8 +9,9 @@
 //! engine must answer *may-alias* for the interesting pairs while
 //! `Contextuality::Summaries` (`sraa eval --interproc`) proves them
 //! no-alias. The gap between the two modes is exactly the summary
-//! layer's win, which makes these workloads the tracked corpus for the
-//! interprocedural rows of `BENCH_scalability.json`.
+//! layer's win, which makes these workloads the corpus that
+//! `tests/work_counters.rs` pins the summary layer's no-alias counts,
+//! solves and cache/store hits on.
 //!
 //! Three archetypes rotate through the suite:
 //!

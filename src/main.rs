@@ -276,6 +276,19 @@ fn reject_unknown_flags(args: &[String], usage: &str) -> Result<(), i32> {
     Ok(())
 }
 
+/// Parses a numeric argument; anything else is a usage error (exit code
+/// 2), never a silently substituted default.
+fn parse_number<T>(arg: &str, usage: &str) -> Result<T, i32>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    arg.parse().map_err(|e| {
+        eprintln!("bad number `{arg}`: {e}\nusage: {usage}");
+        2
+    })
+}
+
 fn load(path: &str) -> Result<sraa::ir::Module, i32> {
     let src = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -396,8 +409,12 @@ fn cmd_run(args: &[String]) -> i32 {
         eprintln!("usage: {USAGE}");
         return 2;
     };
+    let Ok(main_args) =
+        args[1..].iter().map(|a| parse_number(a, USAGE)).collect::<Result<Vec<i64>, _>>()
+    else {
+        return 2;
+    };
     let Ok(m) = load(path) else { return 1 };
-    let main_args: Vec<i64> = args[1..].iter().filter_map(|a| a.parse().ok()).collect();
     match Interpreter::new(&m).with_step_limit(100_000_000).run("main", &main_args) {
         Ok(t) => {
             println!("result: {:?} ({} steps)", t.result, t.steps);
@@ -849,8 +866,12 @@ fn cmd_gen(args: &[String]) -> i32 {
     if let Err(code) = reject_unknown_flags(&rest, USAGE) {
         return code;
     }
-    let seed: u64 = rest.first().and_then(|a| a.parse().ok()).unwrap_or(1);
-    let depth: u8 = rest.get(1).and_then(|a| a.parse().ok()).unwrap_or(3);
+    if let Some(extra) = rest.get(2) {
+        eprintln!("unexpected argument `{extra}`\nusage: {USAGE}");
+        return 2;
+    }
+    let Ok(seed) = rest.first().map_or(Ok(1), |a| parse_number::<u64>(a, USAGE)) else { return 2 };
+    let Ok(depth) = rest.get(1).map_or(Ok(3), |a| parse_number::<u8>(a, USAGE)) else { return 2 };
     let w = sraa::synth::csmith_generate(sraa::synth::CsmithConfig {
         seed,
         max_ptr_depth: depth,

@@ -474,6 +474,32 @@ fn gen_emits_compilable_minic() {
 }
 
 #[test]
+fn malformed_numbers_and_extra_arguments_are_usage_errors() {
+    let f = tiny_file();
+    let path = f.to_str().unwrap();
+    // Each of these used to exit 0 with a default substituted for the bad
+    // word (or, for `run`, drop it and trap on the argument count).
+    for args in [
+        vec!["gen", "abc"],
+        vec!["gen", "-5"],
+        vec!["gen", "1", "999"],
+        vec!["gen", "1", "3", "extra", "junk"],
+        vec!["run", path, "x4"],
+        vec!["run", path, "1", "2.5"],
+    ] {
+        let out = sraa(&args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "args {args:?} printed: {}", stdout(&out));
+        assert!(stderr_of(&out).contains("usage:"), "args {args:?}: {}", stderr_of(&out));
+    }
+    // Missing arguments keep their defaults: seed 1, depth 3.
+    let full = sraa(&["gen", "1", "3"]);
+    assert!(full.status.success());
+    assert_eq!(sraa(&["gen"]).stdout, full.stdout);
+    assert_eq!(sraa(&["gen", "1"]).stdout, full.stdout);
+}
+
+#[test]
 fn jobs_flag_is_unknown_and_sraa_jobs_is_ignored() {
     let f = calls_file();
     let path = f.to_str().unwrap();

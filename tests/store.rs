@@ -9,7 +9,7 @@
 //! a source of answers a cold solve would not give.
 
 use sraa::alias::{render_eval, StrictInequalityAa};
-use sraa::lt::{DisambiguationEngine, EngineConfig, SharedSummaryStore};
+use sraa::lt::{DisambiguationEngine, EngineConfig, FunctionSummary, SharedSummaryStore};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -149,6 +149,27 @@ fn torn_segments_are_skipped_and_answers_stay_cold_identical() {
     let (text, hits, _, _) = store_eval(&src, &store);
     assert_eq!(text, cold_eval(&src), "defective segments must not change answers");
     assert!(hits > 0, "the good segment still serves hits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two handles on one directory in one process start from the same
+/// generation, so their segment names must still differ: otherwise the
+/// second handle's first publish renames over the first handle's segment
+/// and key 1 is lost for every later reader.
+#[test]
+fn two_handles_in_one_process_keep_each_others_segments() {
+    let dir = temp_dir("two_handles");
+    let gen = EngineConfig::default().gen;
+    let summary = FunctionSummary::default();
+    let a = SharedSummaryStore::open(&dir, gen).expect("store opens");
+    let b = SharedSummaryStore::open(&dir, gen).expect("store opens");
+    assert_eq!(a.publish(&[(1, summary.clone())]).expect("A publishes"), 1);
+    assert_eq!(b.publish(&[(2, summary.clone())]).expect("B publishes"), 1);
+    assert_eq!(std::fs::read_dir(&dir).expect("store dir listable").count(), 2);
+
+    let fresh = SharedSummaryStore::open(&dir, gen).expect("store reopens");
+    assert_eq!(fresh.get(1), Some(summary.clone()), "A's segment survives B's publish");
+    assert_eq!(fresh.get(2), Some(summary));
     std::fs::remove_dir_all(&dir).ok();
 }
 
