@@ -117,41 +117,13 @@ pub enum Contextuality {
     Summaries,
 }
 
-impl Contextuality {
-    /// Every mode, in presentation order.
-    pub const ALL: [Contextuality; 2] = [Contextuality::Intra, Contextuality::Summaries];
-
-    /// Parses a CLI-style name (`"intra"` / `"summaries"`).
-    pub fn parse(s: &str) -> Option<Contextuality> {
-        match s {
-            "intra" => Some(Contextuality::Intra),
-            "summaries" => Some(Contextuality::Summaries),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Contextuality::Intra => "intra",
-            Contextuality::Summaries => "summaries",
-        }
-    }
-}
-
-impl std::fmt::Display for Contextuality {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Full engine configuration: constraint-generation options, the fixpoint
 /// strategy and the interprocedural mode.
 ///
 /// There is no file path in here: the engine never reads or writes a
-/// summary cache or opens a store. Callers that reuse summaries load a
-/// [`persist::SummaryCache`] and/or open a [`SharedSummaryStore`]
-/// themselves and pass them to
+/// summary cache or opens a store. Callers that reuse summaries keep a
+/// previous build's [`persist::SummaryCache`] and/or open a
+/// [`SharedSummaryStore`] themselves and pass them to
 /// [`DisambiguationEngine::build_with_cache_and_store`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
@@ -255,9 +227,9 @@ impl DisambiguationEngine {
     /// a caller-held per-module `cache` and/or content-addressed `store`.
     ///
     /// This is the one summary-reuse path. The caller owns all IO: it
-    /// loads the cache (the CLI's `--summary-cache`, or the daemon's
-    /// resident copy — see [`DisambiguationEngine::export_summary_cache`]
-    /// for the other half of the round trip) and opens the store. Every
+    /// keeps the in-memory cache (the daemon's resident copy — see
+    /// [`DisambiguationEngine::export_summary_cache`] for the other half
+    /// of the round trip) and opens the store (`--shared-store`). Every
     /// function is classified against the cache first; components the
     /// cache cannot satisfy are looked up in the store by key; the rest
     /// are solved cold. Every solved summary is published back to the
@@ -410,7 +382,7 @@ impl DisambiguationEngine {
         }
 
         // Per-phase attribution (see `SolveStats`): wall clock split
-        // between the summary build (includes cache IO on warm runs) and
+        // between the summary build (includes the cache and store lookups) and
         // the module-wide solve(s), plus the deterministic cache counters.
         solution.stats.summary_build_ns = summary_build_ns;
         solution.stats.final_solve_ns = solve_t0.elapsed().as_nanos() as u64;
@@ -730,18 +702,6 @@ mod tests {
                     assert!(inter.no_alias(f, fid, a, b), "summaries lost {a} vs {b}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn contextuality_parses_cli_names() {
-        assert_eq!(Contextuality::parse("intra"), Some(Contextuality::Intra));
-        assert_eq!(Contextuality::parse("summaries"), Some(Contextuality::Summaries));
-        assert_eq!(Contextuality::parse("magic"), None);
-        assert_eq!(Contextuality::default(), Contextuality::Intra);
-        for c in Contextuality::ALL {
-            assert_eq!(Contextuality::parse(c.as_str()), Some(c));
-            assert_eq!(format!("{c}"), c.as_str());
         }
     }
 

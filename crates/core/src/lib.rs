@@ -117,7 +117,7 @@ pub use analysis::{derived_pointer, strip_copies, StrictInequalityAnalysis};
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
 pub use engine::{Contextuality, DisambiguationEngine, EngineConfig, SolverKind};
 pub use ondemand::OnDemandProver;
-pub use persist::{PersistError, SummaryCache, SummaryKeys, FORMAT_VERSION};
+pub use persist::{SummaryCache, SummaryKeys, FORMAT_VERSION};
 pub use solver::{Solution, SolveStats};
 pub use store::{SharedSummaryStore, StoreOutcome};
 pub use summary::{CacheOutcome, FunctionSummary, ModuleSummaries, SummaryStats};

@@ -61,7 +61,9 @@ pub struct SolveStats {
     /// Excluded from equality.
     pub final_solve_ns: u64,
     /// Warm-run summary-cache hits (functions reused; see
-    /// [`CacheOutcome`](crate::CacheOutcome)). 0 without `--summary-cache`.
+    /// [`CacheOutcome`](crate::CacheOutcome)). 0 unless the build was
+    /// handed a prior in-memory [`SummaryCache`](crate::SummaryCache), as
+    /// the daemon does on a re-upload.
     pub cache_hits: u32,
     /// Warm-run summary-cache misses (functions absent from the cache).
     pub cache_misses: u32,

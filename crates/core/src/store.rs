@@ -1,14 +1,14 @@
-//! Content-addressed **shared summary store** — cross-module,
-//! cross-process reuse of interprocedural summaries.
+//! Content-addressed **shared summary store** — the one on-disk summary
+//! format: cross-run, cross-module and cross-process reuse of
+//! interprocedural summaries.
 //!
-//! The persistent cache ([`crate::persist`]) is per-module-*name*: it maps
-//! `function name → (key, summary)` and helps exactly the next run over
-//! the same file. But the cache key itself —
-//! `key(f) = H(scc_key(C_f) ∥ body(f))` — already identifies a function
-//! by its *content* plus the content of everything it can call, so two
-//! different modules (or two builds on two machines sharing a directory)
-//! that contain the same helper compute the same key and could share the
-//! solved summary. This module provides that sharing surface:
+//! The summary key ([`crate::persist`]) —
+//! `key(f) = H(scc_key(C_f) ∥ body(f))` — identifies a function by its
+//! *content* plus the content of everything it can call, so the next run
+//! over the same file, two different modules, or two builds on two
+//! machines sharing a directory that contain the same helper compute the
+//! same key and share the solved summary. This module provides that
+//! sharing surface:
 //!
 //! ```text
 //!                   SharedSummaryStore (one directory)
@@ -48,15 +48,16 @@
 //!
 //! # On-disk segment format (all integers little-endian)
 //!
-//! Reuses the `persist` idioms — magic, [`FORMAT_VERSION`] (the key
-//! scheme is shared, so a scheme bump invalidates both artifacts), the
-//! [`GenConfig`] byte, and a trailing FNV-1a checksum:
+//! Versioned, checksummed and endianness-safe: magic, [`FORMAT_VERSION`]
+//! (which also versions the key scheme), the [`GenConfig`] byte, and a
+//! trailing FNV-1a checksum:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"SRAASTOR"
-//!      8     2  format version (u16, same FORMAT_VERSION as the cache)
-//!     10     1  GenConfig encoding
+//!      8     2  format version (u16, FORMAT_VERSION)
+//!     10     1  GenConfig encoding (bit0 extended, bit1 param_pairs,
+//!               bit2 range_offsets)
 //!     11     1  reserved (0)
 //!     12     4  entry count (u32)
 //!     16     …  entries: key u64, fact count u32, fact indices u32×n
@@ -65,11 +66,11 @@
 //!
 //! No function names: entries are content-addressed, the key *is* the
 //! identity. A defective segment (torn, corrupted, wrong version or
-//! config) is skipped, never trusted — the store can only make a run
-//! faster, not wrong.
+//! config) is skipped and counted ([`SharedSummaryStore::skipped_segments`]),
+//! never trusted — the store can only make a run faster, not wrong.
 
 use crate::constraints::GenConfig;
-use crate::persist::{self, Cursor, PersistError, FORMAT_VERSION};
+use crate::persist::FORMAT_VERSION;
 use crate::summary::FunctionSummary;
 use sraa_ir::Fnv64;
 use std::collections::{HashMap, HashSet};
@@ -151,7 +152,7 @@ impl SharedSummaryStore {
         std::fs::create_dir_all(&dir)?;
         let store = SharedSummaryStore {
             dir,
-            cfg_byte: persist::encode_gen_config(cfg),
+            cfg_byte: encode_gen_config(cfg),
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             seen: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
@@ -261,7 +262,7 @@ impl SharedSummaryStore {
         }
         let name = self.next_segment_name();
         let bytes = encode_segment(fresh.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
-        persist::write_atomic(&self.dir.join(&name), &bytes)?;
+        write_atomic(&self.dir.join(&name), &bytes)?;
         // Our own segment is already folded in.
         self.seen.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
         Ok(fresh.len())
@@ -319,7 +320,7 @@ impl SharedSummaryStore {
         all.sort_unstable_by_key(|&(k, _)| k);
         let name = self.next_segment_name();
         let bytes = encode_segment(all.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
-        if persist::write_atomic(&self.dir.join(&name), &bytes).is_err() {
+        if write_atomic(&self.dir.join(&name), &bytes).is_err() {
             return; // compaction is an optimisation; keep the segments
         }
         let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
@@ -340,6 +341,80 @@ fn shard_of(key: u64) -> usize {
 fn parse_generation(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("seg-")?.split('-').next()?;
     u64::from_str_radix(hex, 16).ok()
+}
+
+fn encode_gen_config(cfg: GenConfig) -> u8 {
+    (cfg.extended as u8) | (cfg.param_pairs as u8) << 1 | (cfg.range_offsets as u8) << 2
+}
+
+/// Why a segment could not be folded in. Every variant means "skip and
+/// count it", never a panic.
+#[derive(Debug, PartialEq, Eq)]
+enum SegmentError {
+    /// Shorter than the fixed header + checksum, or an entry runs past
+    /// the end.
+    Truncated,
+    /// Bad magic, failed checksum, or malformed entries.
+    Corrupted(&'static str),
+    /// Written by a different format (or key-scheme) version.
+    VersionMismatch {
+        /// The version recorded in the segment.
+        found: u16,
+    },
+    /// Written under different constraint-generation options; summaries
+    /// are config-dependent, so reuse would be unsound.
+    ConfigMismatch,
+}
+
+/// Bounds-checked little-endian reader over a segment payload.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
+        let end = self.at.checked_add(n).ok_or(SegmentError::Truncated)?;
+        if end > self.bytes.len() {
+            return Err(SegmentError::Truncated);
+        }
+        let s = &self.bytes[self.at..end];
+        self.at = end;
+        Ok(s)
+    }
+
+    fn u32(&mut self) -> Result<u32, SegmentError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, SegmentError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+}
+
+/// Atomically replaces `path` with `bytes`: the bytes are written to a
+/// uniquely named temporary file in the *same directory* (rename is only
+/// atomic within a filesystem) and renamed over the target, so a reader
+/// sees a whole segment or none. A failed rename removes the temporary.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "segment".to_owned());
+    let tmp = dir.join(format!(
+        ".{name}.tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        std::fs::remove_file(&tmp).ok();
+    })
 }
 
 fn encode_segment<'a>(
@@ -366,31 +441,32 @@ fn encode_segment<'a>(
     out
 }
 
-fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummary)>, PersistError> {
+fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummary)>, SegmentError> {
     if bytes.len() < SEG_HEADER_LEN + CHECKSUM_LEN {
-        return Err(PersistError::Truncated);
+        return Err(SegmentError::Truncated);
     }
     if &bytes[0..8] != SEG_MAGIC {
-        return Err(PersistError::Corrupted("bad magic"));
+        return Err(SegmentError::Corrupted("bad magic"));
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
     if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch { found: version });
+        return Err(SegmentError::VersionMismatch { found: version });
     }
     let (payload, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
     let mut h = Fnv64::new();
     h.write(payload);
     if h.finish().to_le_bytes() != tail {
-        return Err(PersistError::Corrupted("checksum mismatch"));
+        return Err(SegmentError::Corrupted("checksum mismatch"));
     }
     if bytes[10] != cfg_byte {
-        return Err(PersistError::ConfigMismatch);
+        return Err(SegmentError::ConfigMismatch);
     }
     let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    // Same hostile-count guard as the cache parser: bound the allocation
-    // by what the payload could possibly hold (an entry is ≥ 12 bytes).
+    // The FNV checksum is integrity, not authentication: a crafted
+    // segment can carry any count it likes, so bound the allocation by
+    // what the payload could possibly hold (an entry is ≥ 12 bytes).
     if count > (payload.len() - SEG_HEADER_LEN) / 12 {
-        return Err(PersistError::Corrupted("entry count exceeds payload"));
+        return Err(SegmentError::Corrupted("entry count exceeds payload"));
     }
     let mut cur = Cursor { bytes: payload, at: SEG_HEADER_LEN };
     let mut entries = Vec::with_capacity(count);
@@ -404,7 +480,7 @@ fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummar
         entries.push((key, FunctionSummary { args_lt_ret: facts.into() }));
     }
     if cur.at != payload.len() {
-        return Err(PersistError::Corrupted("trailing bytes after entries"));
+        return Err(SegmentError::Corrupted("trailing bytes after entries"));
     }
     Ok(entries)
 }
@@ -426,7 +502,7 @@ mod tests {
     #[test]
     fn segment_bytes_round_trip_and_reject_defects() {
         let entries = vec![(7u64, summary(&[0, 2])), (u64::MAX, summary(&[])), (42, summary(&[1]))];
-        let cfg = persist::encode_gen_config(GenConfig::default());
+        let cfg = encode_gen_config(GenConfig::default());
         let bytes = encode_segment(entries.iter().map(|(k, s)| (*k, s)), cfg);
         assert_eq!(decode_segment(&bytes, cfg).unwrap(), entries);
 
@@ -438,19 +514,52 @@ mod tests {
             bad[at] ^= 0x10;
             assert!(decode_segment(&bad, cfg).is_err(), "flip at {at}");
         }
-        assert!(matches!(decode_segment(&bytes, cfg ^ 1), Err(PersistError::ConfigMismatch)));
-        // Hostile count with a re-sealed checksum is rejected pre-allocation.
-        let mut hostile = bytes.clone();
-        hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        let last = hostile.len() - CHECKSUM_LEN;
-        let mut h = Fnv64::new();
-        h.write(&hostile[..last]);
-        let sum = h.finish().to_le_bytes();
-        hostile[last..].copy_from_slice(&sum);
-        assert!(matches!(
-            decode_segment(&hostile, cfg),
-            Err(PersistError::Corrupted("entry count exceeds payload"))
-        ));
+        assert_eq!(decode_segment(&bytes, cfg ^ 1), Err(SegmentError::ConfigMismatch));
+        // Patches a header field and re-seals the (non-cryptographic)
+        // checksum, so the field check itself must fire.
+        let resealed = |at: usize, field: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + field.len()].copy_from_slice(field);
+            let last = b.len() - CHECKSUM_LEN;
+            let mut h = Fnv64::new();
+            h.write(&b[..last]);
+            let sum = h.finish().to_le_bytes();
+            b[last..].copy_from_slice(&sum);
+            b
+        };
+        // A hostile count is rejected before allocation, not on OOM.
+        assert_eq!(
+            decode_segment(&resealed(12, &u32::MAX.to_le_bytes()), cfg),
+            Err(SegmentError::Corrupted("entry count exceeds payload"))
+        );
+        // A future format version is refused with the right variant.
+        let next = FORMAT_VERSION + 1;
+        assert_eq!(
+            decode_segment(&resealed(8, &next.to_le_bytes()), cfg),
+            Err(SegmentError::VersionMismatch { found: next })
+        );
+    }
+
+    #[test]
+    fn write_atomic_leaves_no_temporaries_behind() {
+        let dir = tmpdir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg-1-0-0.sraaseg");
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        // The rename-failure cleanup path too: a rename onto a directory.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(&blocked).unwrap();
+        assert!(write_atomic(&blocked, b"x").is_err());
+        let stray: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(stray.is_empty(), "stray temp files: {stray:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -489,12 +598,12 @@ mod tests {
         // non-atomic copy left a prefix) and a config-mismatched one.
         let good = encode_segment(
             [(9u64, &summary(&[1]))].into_iter(),
-            persist::encode_gen_config(GenConfig::default()),
+            encode_gen_config(GenConfig::default()),
         );
         std::fs::write(dir.join(format!("seg-{:016x}-0-0{SEG_SUFFIX}", 99)), &good[..10]).unwrap();
         let other = encode_segment(
             [(8u64, &summary(&[1]))].into_iter(),
-            persist::encode_gen_config(GenConfig { range_offsets: true, ..Default::default() }),
+            encode_gen_config(GenConfig { range_offsets: true, ..Default::default() }),
         );
         std::fs::write(dir.join(format!("seg-{:016x}-0-1{SEG_SUFFIX}", 98)), other).unwrap();
         // Unrelated files are ignored entirely.

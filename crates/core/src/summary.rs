@@ -100,7 +100,7 @@ pub struct SummaryStats {
     pub facts: usize,
 }
 
-/// How a warm run used the persistent summary cache, counted per
+/// How a warm run used the in-memory summary cache, counted per
 /// *function* (every function of the module falls in exactly one bucket).
 ///
 /// Deterministic for a given `(module, cache)` pair — the differential
@@ -166,9 +166,10 @@ impl ModuleSummaries {
     /// Init-grounded per-SCC solve entirely. Any component the cache
     /// cannot satisfy is then looked up in the content-addressed `store`
     /// by key before being solved cold. The cache wins when both would
-    /// hit (it is free — no store lock traffic), so the two compose:
-    /// `--summary-cache` answers "did *this* module change", the store
-    /// answers "has *anyone* already solved this exact function".
+    /// hit (it is free — no store lock traffic), so the two compose: the
+    /// cache (a daemon's previous upload of the module) answers "did
+    /// *this* module change", the store answers "has *anyone* already
+    /// solved this exact function".
     ///
     /// Cold components solve as usual — against the already-installed
     /// summaries of their callees, reused or not — so the result is
@@ -177,8 +178,7 @@ impl ModuleSummaries {
     /// differential suite in `tests/incremental.rs` holds this to
     /// byte-identical solutions). Computes (and returns) the
     /// [`SummaryKeys`] itself, sharing one call-graph + condensation
-    /// build with the solve loop; hand the keys to [`crate::persist::save`]
-    /// to refresh a cache file afterwards. Publishing to the store is the
+    /// build with the solve loop. Publishing to the store is the
     /// caller's job ([`crate::DisambiguationEngine`] publishes every
     /// `(key, summary)` pair after the solve).
     pub fn compute_incremental(
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn warm_run_reuses_every_summary_and_skips_all_solves() {
-        use crate::persist::{self, SummaryKeys};
+        use crate::persist::SummaryKeys;
         let src = r#"
             int next(int i) { return i + 1; }
             int twice(int i) { return next(next(i)); }
@@ -603,11 +603,7 @@ mod tests {
         let solver = SolverKind::Scc;
         let cold = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver);
         let keys = SummaryKeys::compute(&m);
-        let cache = persist::from_bytes(
-            &persist::to_bytes(&m, &cold, &keys, GenConfig::default()),
-            GenConfig::default(),
-        )
-        .unwrap();
+        let cache = SummaryCache::from_parts(&m, &cold, &keys);
 
         let (warm, warm_keys, outcome, _) = ModuleSummaries::compute_incremental(
             &m,

@@ -1,8 +1,9 @@
 //! Stable content fingerprints of function bodies.
 //!
-//! The incremental summary engine (`sraa-core::persist`) keys its
-//! persistent cache by a hash of everything a function's summary can
-//! depend on. The per-body half of that key lives here:
+//! The incremental summary engine (`sraa-core::persist`) keys reused
+//! summaries — in memory and in the on-disk shared store — by a hash of
+//! everything a function's summary can depend on. The per-body half of
+//! that key lives here:
 //! [`body_fingerprint`] folds a function's signature, block structure and
 //! instruction stream into one 64-bit [FNV-1a] value.
 //!
@@ -11,15 +12,15 @@
 //! * **Determinism across runs, machines and endiannesses.** Every
 //!   multi-byte field is fed to the hasher in little-endian byte order via
 //!   [`Fnv64`]'s typed writers; nothing iterates a hash map. The committed
-//!   golden fixture in `tests/incremental.rs` pins the value — changing
-//!   the fingerprint scheme is a cache-format break and must bump
-//!   `sraa_core::persist::FORMAT_VERSION`.
+//!   golden store-segment fixture in `tests/incremental.rs` pins the
+//!   value — changing the fingerprint scheme is a store-format break and
+//!   must bump `sraa_core::FORMAT_VERSION`.
 //! * **Stability under unrelated edits.** Callees are hashed by *name*,
 //!   not [`FuncId`], so editing one function does not perturb the
 //!   fingerprints of untouched ones even if ids were ever renumbered.
 //!   Function and parameter *names* are excluded for the same reason —
-//!   the analysis never reads them. (A function's own name is the cache
-//!   *lookup key* instead; see `sraa-core::persist`.)
+//!   the analysis never reads them. (A function's own name is the
+//!   in-memory cache's *lookup key* instead; see `sraa-core::persist`.)
 //!
 //! [FNV-1a]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
 
@@ -32,7 +33,7 @@ use crate::types::Type;
 ///
 /// Deliberately *not* [`std::hash::Hasher`]: the std trait hashes
 /// platform-dependent `usize`s and makes no cross-version stability
-/// promise, both of which would silently poison an on-disk cache.
+/// promise, both of which would silently poison an on-disk store.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 

@@ -18,7 +18,7 @@
 //!   interprocedural summary layer;
 //! * [`dom`] — dominator tree (Cooper–Harvey–Kennedy) and dominance queries;
 //! * [`fingerprint`] — endianness-stable content hashes of function
-//!   bodies, the per-body half of the incremental summary-cache key;
+//!   bodies, the per-body half of the incremental summary key;
 //! * [`liveness`] — SSA live-in/live-out sets;
 //! * [`defuse`] — def-use chains;
 //! * [`verifier`] — SSA and type well-formedness checks;
@@ -81,7 +81,6 @@ pub mod liveness;
 pub mod loops;
 pub mod module;
 pub mod parser;
-pub mod passes;
 pub mod printer;
 pub mod stats;
 pub mod types;

@@ -14,7 +14,7 @@
 //!   for every way a frame can be malformed;
 //! * [`server`] — the threaded accept loop and request dispatcher:
 //!   `upload` (compile + solve, incremental against the previous upload
-//!   or a warm-start cache), `no-alias`/`lt` point queries, `eval`
+//!   and an optional shared store), `no-alias`/`lt` point queries, `eval`
 //!   (pre-rendered, byte-identical to one-shot `sraa eval`), `pairs`
 //!   (streamed batch), `stats`, `shutdown` (graceful drain);
 //! * [`client`] — the `sraa query` side: framed request/reply plus

@@ -8,14 +8,14 @@
 //! ```
 //!
 //! * `sraa1` — magic token carrying the protocol version (in the spirit
-//!   of [`sraa_core::persist`]'s magic + [`FORMAT_VERSION`](sraa_core::FORMAT_VERSION):
+//!   of the shared store's segment magic + [`FORMAT_VERSION`](sraa_core::FORMAT_VERSION):
 //!   a frame written by a future incompatible protocol fails the magic
 //!   check, never half-parses);
 //! * `<payload-len>` — decimal byte length of the payload, checked
 //!   against the actual payload and against the server's request-size
 //!   cap *before* the payload is interpreted;
 //! * `<fnv64-hex16>` — FNV-1a of the payload bytes, 16 lowercase hex
-//!   digits ([`sraa_ir::Fnv64`], the same hash the summary cache uses);
+//!   digits ([`sraa_ir::Fnv64`], the same hash the store segments use);
 //! * `<payload-json>` — exactly one JSON value (in practice an object).
 //!   The JSON writer escapes control characters, so a payload never
 //!   contains a raw newline and the frame is always exactly one line.

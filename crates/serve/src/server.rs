@@ -46,9 +46,8 @@ pub struct ServerConfig {
     /// Engine configuration for uploads. `Contextuality::Summaries`
     /// is forced — the daemon's incremental re-upload path needs
     /// summaries; the solver choice and constraint options are honoured.
-    /// The configuration names no files: the caller reads any warm-start
-    /// cache and opens any shared store, and hands them over with
-    /// [`Server::with_warm_cache`] and [`Server::with_shared_store`]; the
+    /// The configuration names no files: the caller opens any shared
+    /// store and hands it over with [`Server::with_shared_store`]; the
     /// engine does no IO of its own.
     pub engine: EngineConfig,
     /// Per-connection idle timeout: a connection that sends no byte for
@@ -85,9 +84,6 @@ struct ModuleEntry {
 struct Daemon {
     cfg: ServerConfig,
     modules: RwLock<HashMap<String, Arc<ModuleEntry>>>,
-    /// Warm-start summaries from `--summary-cache`, used as the prior for
-    /// the first upload of each module name.
-    warm: Option<SummaryCache>,
     /// Resident content-addressed store (`--shared-store`): consulted —
     /// after a directory refresh, so live peer daemons' segments are
     /// seen — and published to on every upload.
@@ -207,14 +203,6 @@ impl Server {
         }
     }
 
-    /// Seeds the daemon with warm-start summaries (the CLI's
-    /// `--summary-cache`): the first upload of every module name is
-    /// classified against these instead of solving cold.
-    pub fn with_warm_cache(mut self, cache: SummaryCache) -> Self {
-        self.daemon.warm = Some(cache);
-        self
-    }
-
     /// Attaches a resident [`SharedSummaryStore`] (the CLI's
     /// `--shared-store`): every upload consults it by content-addressed
     /// key — across module names, and across any other daemon or
@@ -293,7 +281,6 @@ impl Daemon {
         Daemon {
             cfg,
             modules: RwLock::new(HashMap::new()),
-            warm: None,
             store: None,
             stats: ServeStats::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -520,14 +507,12 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
         Ok(m) => m,
         Err(e) => return Outcome::error("compile-error", e.to_string()),
     };
-    // Prior summaries: the resident entry if this is a re-upload, else
-    // the warm-start file. The engine classifies every function against
-    // them — unchanged ones are hits, the reverse-reachability closure of
-    // any edit is invalidated and re-solved.
-    let prior = match daemon.entry(name) {
-        Some(entry) => Some(entry.cache.clone()),
-        None => daemon.warm.clone(),
-    };
+    // Prior summaries: the resident entry if this is a re-upload. The
+    // engine classifies every function against them — unchanged ones are
+    // hits, the reverse-reachability closure of any edit is invalidated
+    // and re-solved. A first upload has no prior; the store, if any,
+    // answers what it can.
+    let prior = daemon.entry(name);
     // Refresh before consulting: another daemon (or one-shot run)
     // sharing the store directory may have published segments since our
     // last upload; folding them in is what makes cross-process sharing
@@ -539,7 +524,7 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
     let engine = DisambiguationEngine::build_with_cache_and_store(
         &mut module,
         daemon.cfg.engine.clone(),
-        prior.as_ref(),
+        prior.as_ref().map(|entry| &entry.cache),
         daemon.store.as_ref(),
     );
     if let Some(w) = engine.store_warning() {

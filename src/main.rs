@@ -21,28 +21,26 @@
 //! which switches the engine to bottom-up interprocedural summaries
 //! ([`Contextuality::Summaries`]) so strict-inequality facts cross call
 //! boundaries — strictly more `no-alias` verdicts, never fewer — and
-//! `--summary-cache <path>` (implies `--interproc`), which persists those
-//! summaries between runs: unchanged functions skip their per-SCC solves
-//! on the next invocation. Cache outcomes (`N hit(s), M miss(es), …`) go
-//! to stderr so stdout stays byte-identical between warm and cold runs;
-//! a damaged or mismatched cache file falls back to a cold solve with a
-//! warning, never a panic or a stale result. `--shared-store <dir>` works
-//! the same way across modules and processes. The CLI, not the engine,
-//! reads and writes the cache file and opens the store ([`ReuseFlags`]);
-//! the engine only sees the loaded handles.
+//! `--shared-store <dir>` (implies `--interproc`), a content-addressed
+//! summary directory shared across runs, modules and processes:
+//! functions whose summaries a previous run published skip their per-SCC
+//! solves. Store outcomes (`N hit(s), M miss(es), …`) go to stderr so
+//! stdout stays byte-identical between warm and cold runs; an unusable
+//! directory or a defective segment costs speed with a warning, never a
+//! panic or a stale result. The CLI, not the engine, opens the store
+//! ([`open_store`]); the engine only sees the handle.
 //!
 //! Unrecognised `--flags` are rejected with exit code 2 (they used to be
 //! silently ignored, which hid typos like `--interporc`).
 
 use sraa::alias::{render_eval, AliasAnalysis, BasicAliasAnalysis, Combined, StrictInequalityAa};
 use sraa::ir::{InstKind, Interpreter};
-use sraa::lt::persist::{self, SummaryCache, SummaryKeys};
 use sraa::lt::{
     CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, SharedSummaryStore,
     SolverKind, StoreOutcome,
 };
 use sraa::pdg::DepGraph;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn main() {
@@ -75,14 +73,11 @@ fn main() {
                  \n                              eval/lt/pdg/opt (default scc)\
                  \n  --interproc                 bottom-up call summaries for\
                  \n                              eval/lt/pdg/opt (default intra)\
-                 \n  --summary-cache <path>      persist summaries between runs;\
-                 \n                              unchanged functions skip their\
-                 \n                              solves (implies --interproc)\
                  \n  --shared-store <dir>        content-addressed summary store\
-                 \n                              shared across modules, daemons\
-                 \n                              and processes (implies\
-                 \n                              --interproc; composes with\
-                 \n                              --summary-cache)"
+                 \n                              shared across runs, modules,\
+                 \n                              daemons and processes; unchanged\
+                 \n                              functions skip their solves\
+                 \n                              (implies --interproc)"
             );
             2
         }
@@ -90,15 +85,13 @@ fn main() {
     exit(code);
 }
 
-/// Extracts `--solver <kind>`, `--interproc`, `--summary-cache <path>`
-/// and `--shared-store <dir>` from `args`, returning the remaining
-/// arguments, the chosen [`EngineConfig`] knobs (defaults:
-/// [`SolverKind::Scc`], [`Contextuality::Intra`]) and the summary-reuse
-/// paths (default none). `--summary-cache` and `--shared-store` both
-/// imply `--interproc` — they persist interprocedural summaries — and
-/// compose: the per-module cache answers first, the cross-module store
-/// catches what it misses.
-fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, ReuseFlags), i32> {
+/// Extracts `--solver <kind>`, `--interproc` and `--shared-store <dir>`
+/// from `args`, returning the remaining arguments, the chosen
+/// [`EngineConfig`] knobs (defaults: [`SolverKind::Scc`],
+/// [`Contextuality::Intra`]) and the store directory (default none).
+/// `--shared-store` implies `--interproc`: it persists interprocedural
+/// summaries.
+fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Option<PathBuf>), i32> {
     let mut cfg = EngineConfig::default();
     let (rest, solver) = take_value_flag(args, "--solver")?;
     if let Some(value) = solver {
@@ -109,114 +102,61 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Reus
         cfg.solver = k;
     }
     let (rest, interproc) = take_flag(&rest, "--interproc");
-    if interproc {
-        cfg.contextuality = Contextuality::Summaries;
-    }
-    let (rest, cache) = take_value_flag(&rest, "--summary-cache")?;
     let (rest, store) = take_value_flag(&rest, "--shared-store")?;
-    let reuse = ReuseFlags { cache: cache.map(PathBuf::from), store: store.map(PathBuf::from) };
-    if reuse.cache.is_some() || reuse.store.is_some() {
+    if interproc || store.is_some() {
         cfg.contextuality = Contextuality::Summaries;
     }
-    Ok((rest, cfg, reuse))
+    Ok((rest, cfg, store.map(PathBuf::from)))
 }
 
-/// The `--summary-cache <path>` and `--shared-store <dir>` arguments.
-struct ReuseFlags {
-    cache: Option<PathBuf>,
-    store: Option<PathBuf>,
-}
-
-impl ReuseFlags {
-    /// Reads the cache file (`None` before the first run) and opens the
-    /// store — shared by the one-shot verbs and `serve`. A defective
-    /// cache or store can cost speed, never correctness: either degrades
-    /// to running without it, with a warning on stderr.
-    fn open(&self, gen: sraa::lt::GenConfig) -> (Option<SummaryCache>, Option<SharedSummaryStore>) {
-        let store = self.store.as_ref().and_then(|dir| match SharedSummaryStore::open(dir, gen) {
-            Ok(store) => Some(store),
-            Err(e) => {
+/// Opens the `--shared-store` directory — shared by the one-shot verbs
+/// and `serve`. A defective store can cost speed, never correctness: a
+/// directory that cannot be opened degrades to running without a store,
+/// and defective segments are skipped; both warn on stderr.
+fn open_store(dir: &Path, gen: sraa::lt::GenConfig) -> Option<SharedSummaryStore> {
+    match SharedSummaryStore::open(dir, gen) {
+        Ok(store) => {
+            let skipped = store.skipped_segments();
+            if skipped > 0 {
                 eprintln!(
-                    "# shared-store warning: {}: {e}; running without a store",
+                    "# shared-store warning: {}: {skipped} defective segment(s) skipped",
                     dir.display()
                 );
-                None
             }
-        });
-        let cache = self.cache.as_ref().and_then(|path| match persist::load(path, gen) {
-            Ok(cache) => Some(cache),
-            Err(e) if e.is_not_found() => None, // first run: plain cold start
-            Err(e) => {
-                eprintln!("# summary-cache warning: {}: {e}; running cold", path.display());
-                None
-            }
-        });
-        (cache, store)
+            Some(store)
+        }
+        Err(e) => {
+            eprintln!("# shared-store warning: {}: {e}; running without a store", dir.display());
+            None
+        }
     }
 }
 
 /// Runs the engine for a one-shot verb (`eval`, `lt`, `pdg`, `opt`) and
-/// wraps it as the LT analysis. With `--summary-cache` or
-/// `--shared-store` the summaries are reused through them, the cache
-/// file is rewritten afterwards, and both outcomes go to stderr.
-fn analyze(m: &mut sraa::ir::Module, cfg: EngineConfig, flags: ReuseFlags) -> StrictInequalityAa {
-    let gen = cfg.gen;
-    let (cache, store) = flags.open(gen);
-    let engine = if flags.cache.is_none() && store.is_none() {
-        DisambiguationEngine::build(m, cfg)
-    } else {
-        DisambiguationEngine::build_with_cache_and_store(m, cfg, cache.as_ref(), store.as_ref())
+/// wraps it as the LT analysis. With `--shared-store` the summaries are
+/// reused through the store and published back, and the outcome goes to
+/// stderr.
+fn analyze(
+    m: &mut sraa::ir::Module,
+    cfg: EngineConfig,
+    store_dir: Option<PathBuf>,
+) -> StrictInequalityAa {
+    let store = store_dir.as_deref().and_then(|dir| open_store(dir, cfg.gen));
+    let engine = match &store {
+        None => DisambiguationEngine::build(m, cfg),
+        Some(s) => DisambiguationEngine::build_with_cache_and_store(m, cfg, None, Some(s)),
     };
     if let Some(w) = engine.store_warning() {
         eprintln!("# shared-store warning: {w}");
     }
-    if let Some(path) = &flags.cache {
-        let had_entries = cache.as_ref().is_some_and(|c| !c.is_empty());
-        if had_entries && engine.stats().cache_hits == 0 && m.num_functions() > 0 {
-            eprintln!(
-                "# summary-cache warning: {}: no cached summary matched this module; running cold",
-                path.display()
-            );
-        }
-        // Rewrite unconditionally: refreshes stale entries and heals
-        // corrupted files. A write failure only costs the *next* run its
-        // warm start.
-        let sums = engine.summaries().expect("reuse implies summaries");
-        if let Err(e) = persist::save(path, m, sums, &SummaryKeys::compute(m), gen) {
-            eprintln!("# summary-cache warning: cannot write {}: {e}", path.display());
-        }
-    }
     let lt = StrictInequalityAa::from_engine(engine);
-    report_cache(flags.cache.is_some(), &lt);
-    report_store(flags.store.is_some(), &lt);
+    report_store(store_dir.is_some(), &lt);
     lt
 }
 
-/// Prints the warm/cold summary-cache outcome to **stderr** (stdout stays
-/// byte-identical between warm and cold runs, which the differential
-/// tests and the CI warm-run smoke rely on).
-fn report_cache(used_cache: bool, lt: &StrictInequalityAa) {
-    if !used_cache {
-        return;
-    }
-    let s = lt.engine().stats();
-    let outcome = CacheOutcome {
-        hits: s.cache_hits,
-        misses: s.cache_misses,
-        invalidated: s.cache_invalidated,
-    };
-    eprintln!(
-        "# summary-cache: {} hit(s), {} miss(es), {} invalidated ({:.1}% hit rate)",
-        outcome.hits,
-        outcome.misses,
-        outcome.invalidated,
-        outcome.hit_rate() * 100.0
-    );
-}
-
-/// Prints the shared-store outcome to **stderr**, mirroring
-/// [`report_cache`]: stdout must stay byte-identical between a cold run
-/// and a run answered from a populated store.
+/// Prints the shared-store outcome to **stderr**: stdout must stay
+/// byte-identical between a cold run and a run answered from a populated
+/// store.
 fn report_store(used_store: bool, lt: &StrictInequalityAa) {
     if !used_store {
         return;
@@ -324,8 +264,8 @@ fn cmd_compile(args: &[String]) -> i32 {
 
 fn cmd_eval(args: &[String]) -> i32 {
     const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] \
-         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
+         [--interproc] [--shared-store <dir>]";
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -334,15 +274,15 @@ fn cmd_eval(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let lt = analyze(&mut m, cfg, reuse);
+    let lt = analyze(&mut m, cfg, store_dir);
     print!("{}", render_eval(&m, &lt));
     0
 }
 
 fn cmd_lt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] \
-                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
+                         [--interproc] [--shared-store <dir>]";
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -351,7 +291,7 @@ fn cmd_lt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let lt = analyze(&mut m, cfg, reuse);
+    let lt = analyze(&mut m, cfg, store_dir);
     let Some(fid) = m.function_by_name(fname) else {
         eprintln!("no function `{fname}`");
         return 1;
@@ -429,8 +369,8 @@ fn cmd_run(args: &[String]) -> i32 {
 
 fn cmd_pdg(args: &[String]) -> i32 {
     const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] \
-         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, mut cfg, reuse)) = take_engine_flags(args) else { return 2 };
+         [--interproc] [--shared-store <dir>]";
+    let Ok((args, mut cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
@@ -440,7 +380,7 @@ fn cmd_pdg(args: &[String]) -> i32 {
     };
     let Ok(mut m) = load(path) else { return 1 };
     cfg.gen.range_offsets = true; // the Figure 12 experiment's setting
-    let lt = analyze(&mut m, cfg, reuse);
+    let lt = analyze(&mut m, cfg, store_dir);
     let ba = BasicAliasAnalysis::new(&m);
     let both = Combined::new(vec![Box::new(BasicAliasAnalysis::new(&m)), Box::new(lt.clone())]);
     let g_ba = DepGraph::build(&m, &ba);
@@ -455,8 +395,8 @@ fn cmd_pdg(args: &[String]) -> i32 {
 
 fn cmd_opt(args: &[String]) -> i32 {
     const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] \
-                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
+                         [--interproc] [--shared-store <dir>]";
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     let (args, ba_only) = take_flag(&args, "--ba");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -466,7 +406,7 @@ fn cmd_opt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let lt = analyze(&mut m, cfg, reuse);
+    let lt = analyze(&mut m, cfg, store_dir);
     let aa: Box<dyn AliasAnalysis> = if ba_only {
         Box::new(BasicAliasAnalysis::new(&m))
     } else {
@@ -547,8 +487,8 @@ fn install_signal_handlers(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>)
 
 fn cmd_serve(args: &[String]) -> i32 {
     const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) \
-                         [--solver worklist|scc] [--summary-cache <path>] [--shared-store <dir>]";
-    let Ok((args, cfg, reuse)) = take_engine_flags(args) else { return 2 };
+                         [--solver worklist|scc] [--shared-store <dir>]";
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     let (args, endpoint) = match take_endpoint(&args, USAGE) {
         Ok(x) => x,
         Err(code) => return code,
@@ -556,15 +496,10 @@ fn cmd_serve(args: &[String]) -> i32 {
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
     }
-    // `--summary-cache` is the daemon's warm start: read once at boot,
-    // then the cache lives in memory and rolls forward upload-to-upload.
     // `--shared-store` becomes a resident store handle: opened once at
     // boot, refreshed before each upload so concurrent daemons sharing
     // the directory see each other's published segments.
-    let (cache, store) = reuse.open(cfg.gen);
-    if let (Some(path), Some(c)) = (&reuse.cache, &cache) {
-        eprintln!("# serve: warm start from {} ({} summaries)", path.display(), c.len());
-    }
+    let store = store_dir.as_deref().and_then(|dir| open_store(dir, cfg.gen));
     if let Some(s) = &store {
         eprintln!("# serve: shared store at {} ({} summaries)", s.dir().display(), s.len());
     }
@@ -579,10 +514,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             eprintln!("cannot bind: {e}");
             return 1;
         }
-    };
-    let server = match cache {
-        Some(c) => server.with_warm_cache(c),
-        None => server,
     };
     let server = match store {
         Some(s) => server.with_shared_store(s),

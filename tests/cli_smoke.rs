@@ -229,6 +229,9 @@ fn unknown_flags_are_rejected_with_usage() {
         vec!["eval", path, "--lattice", "dense"],
         vec!["lt", path, "main", "--lattice", "arc"],
         vec!["lt", path, "main", "--bogus"],
+        // The summary-cache file is gone: `--shared-store` is the one
+        // persistent summary reuse.
+        vec!["eval", path, "--summary-cache", "sraa.cache"],
         vec!["compile", path, "--interproc"], // not an engine subcommand
         vec!["opt", path, "--ba", "--wat"],
         vec!["pdg", path, "--wat"],
@@ -309,31 +312,35 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A per-test cache path (tests run in parallel; never share one file).
-fn cache_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sraa_cli_cache_{tag}_{}.bin", std::process::id()))
+/// A fresh per-test store directory (tests run in parallel; never share
+/// one).
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sraa_cli_store_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
+/// The summary cache on disk is the `--shared-store` directory: a cold
+/// run publishes, an untouched warm run answers every function from it.
 #[test]
 fn summary_cache_warm_run_is_byte_identical_with_full_hits() {
     let f = calls_file();
     let path = f.to_str().unwrap();
-    let cache = cache_path("warm");
-    std::fs::remove_file(&cache).ok();
-    let cache = cache.to_str().unwrap();
+    let dir = store_dir("warm");
+    let dir_s = dir.to_str().unwrap();
 
     let plain = sraa(&["eval", path, "--interproc"]);
-    let cold = sraa(&["eval", path, "--summary-cache", cache]);
-    let warm = sraa(&["eval", path, "--summary-cache", cache]);
+    let cold = sraa(&["eval", path, "--shared-store", dir_s]);
+    let warm = sraa(&["eval", path, "--shared-store", dir_s]);
     assert!(plain.status.success() && cold.status.success() && warm.status.success());
-    // stdout must not betray the cache in any way.
-    assert_eq!(stdout(&plain), stdout(&cold), "a cold cached run must match --interproc");
+    // stdout must not betray the store in any way.
+    assert_eq!(stdout(&plain), stdout(&cold), "a cold store run must match --interproc");
     assert_eq!(stdout(&cold), stdout(&warm), "warm and cold runs must be byte-identical");
     // The outcome report lives on stderr.
     assert!(stderr_of(&cold).contains("(0.0% hit rate)"), "cold: {}", stderr_of(&cold));
     assert!(stderr_of(&warm).contains("(100.0% hit rate)"), "warm: {}", stderr_of(&warm));
-    assert!(stderr_of(&warm).contains("0 miss(es)"), "warm: {}", stderr_of(&warm));
-    std::fs::remove_file(cache).ok();
+    assert!(stderr_of(&warm).contains("0 miss(es), 0 published"), "warm: {}", stderr_of(&warm));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -343,12 +350,11 @@ fn summary_cache_works_on_every_engine_verb() {
     for verb in
         [vec!["eval", path], vec!["lt", path, "use_helper"], vec!["pdg", path], vec!["opt", path]]
     {
-        let cache = cache_path(&format!("verb_{}", verb[0]));
-        std::fs::remove_file(&cache).ok();
-        let mut warmed = verb.clone();
-        warmed.extend(["--summary-cache", cache.to_str().unwrap()]);
-        let cold = sraa(&warmed);
-        let warm = sraa(&warmed);
+        let dir = store_dir(&format!("verb_{}", verb[0]));
+        let mut stored = verb.clone();
+        stored.extend(["--shared-store", dir.to_str().unwrap()]);
+        let cold = sraa(&stored);
+        let warm = sraa(&stored);
         assert!(cold.status.success() && warm.status.success(), "{verb:?}");
         // Analysis *results* must be byte-identical. The `lt` verb also
         // prints a work-statistics line ("… N solve(s)") that honestly
@@ -361,17 +367,19 @@ fn summary_cache_works_on_every_engine_verb() {
                 .collect()
         };
         assert_eq!(results(&cold), results(&warm), "{verb:?}: warm stdout differs");
-        assert!(stderr_of(&warm).contains("(100.0% hit rate)"), "{verb:?}: {}", stderr_of(&warm));
-        std::fs::remove_file(&cache).ok();
+        assert!(stderr_of(&warm).contains(" 0 miss(es)"), "{verb:?}: {}", stderr_of(&warm));
+        std::fs::remove_dir_all(&dir).ok();
     }
-    // A dangling `--summary-cache` with no value is a usage error.
-    let out = sraa(&["eval", path, "--summary-cache"]);
+    // A dangling `--shared-store` with no value is a usage error.
+    let out = sraa(&["eval", path, "--shared-store"]);
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// Corrupted, truncated, version-mismatched and wrong-module cache files
-/// must all fall back to a cold solve: exit 0, stdout identical to a
-/// cacheless run, a warning on stderr — never a panic or a stale result.
+/// Truncated, corrupted and version-mismatched store segments are
+/// skipped: exit 0, stdout identical to a storeless `--interproc` run,
+/// and a warning on stderr naming the directory and the count — never a
+/// panic or a stale result. The run publishes a good segment next to the
+/// defective one, so the next run is fully warm.
 #[test]
 fn defective_cache_files_fall_back_to_cold_with_a_warning() {
     let f = calls_file();
@@ -379,11 +387,11 @@ fn defective_cache_files_fall_back_to_cold_with_a_warning() {
     let reference = sraa(&["eval", path, "--interproc"]);
     assert!(reference.status.success());
 
-    let seed = cache_path("defect_seed");
-    std::fs::remove_file(&seed).ok();
-    let cold = sraa(&["eval", path, "--summary-cache", seed.to_str().unwrap()]);
+    let seed = store_dir("defect_seed");
+    let cold = sraa(&["eval", path, "--shared-store", seed.to_str().unwrap()]);
     assert!(cold.status.success());
-    let good = std::fs::read(&seed).expect("cache written");
+    let segment = std::fs::read_dir(&seed).unwrap().next().expect("a segment").unwrap();
+    let (name, good) = (segment.file_name(), std::fs::read(segment.path()).unwrap());
 
     let mut corrupted = good.clone();
     corrupted[good.len() / 2] ^= 0x40;
@@ -397,50 +405,31 @@ fn defective_cache_files_fall_back_to_cold_with_a_warning() {
     h.write(&vnext[..payload_len]);
     let checksum = h.finish().to_le_bytes();
     vnext[payload_len..].copy_from_slice(&checksum);
-    // A cache honestly written for a *different* program.
-    let wrong = {
-        let tiny_cache = cache_path("defect_tiny");
-        std::fs::remove_file(&tiny_cache).ok();
-        let out = sraa(&[
-            "eval",
-            tiny_file().to_str().unwrap(),
-            "--summary-cache",
-            tiny_cache.to_str().unwrap(),
-        ]);
-        assert!(out.status.success());
-        let bytes = std::fs::read(&tiny_cache).unwrap();
-        std::fs::remove_file(&tiny_cache).ok();
-        bytes
-    };
 
-    for (tag, bytes) in
-        [("corrupted", corrupted), ("truncated", truncated), ("version", vnext), ("wrong", wrong)]
-    {
-        let cache = cache_path(&format!("defect_{tag}"));
-        std::fs::write(&cache, &bytes).unwrap();
-        let out = sraa(&["eval", path, "--summary-cache", cache.to_str().unwrap()]);
+    for (tag, bytes) in [("corrupted", corrupted), ("truncated", truncated), ("version", vnext)] {
+        let dir = store_dir(&format!("defect_{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(&name), &bytes).unwrap();
+        let dir_s = dir.to_str().unwrap();
+        let out = sraa(&["eval", path, "--shared-store", dir_s]);
         assert_eq!(out.status.code(), Some(0), "{tag}: must fall back, not fail");
         assert_eq!(
             stdout(&out),
             stdout(&reference),
-            "{tag}: fallback output must match a cold run exactly"
+            "{tag}: fallback output must match a storeless run exactly"
         );
-        assert!(
-            stderr_of(&out).contains("summary-cache warning"),
-            "{tag}: no warning on stderr: {}",
-            stderr_of(&out)
-        );
-        // The defective file was healed: the next run is fully warm.
-        let again = sraa(&["eval", path, "--summary-cache", cache.to_str().unwrap()]);
+        let warning = format!("# shared-store warning: {dir_s}: 1 defective segment(s) skipped");
+        assert!(stderr_of(&out).contains(&warning), "{tag}: no warning: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains("(0.0% hit rate)"), "{tag}: {}", stderr_of(&out));
+        // The run published a good segment: the next run is fully warm,
+        // and still names the defective file it skips.
+        let again = sraa(&["eval", path, "--shared-store", dir_s]);
         assert!(again.status.success());
-        assert!(
-            stderr_of(&again).contains("(100.0% hit rate)"),
-            "{tag}: rewrite must heal the cache: {}",
-            stderr_of(&again)
-        );
-        std::fs::remove_file(&cache).ok();
+        assert!(stderr_of(&again).contains("(100.0% hit rate)"), "{tag}: {}", stderr_of(&again));
+        assert!(stderr_of(&again).contains(&warning), "{tag}: {}", stderr_of(&again));
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_file(&seed).ok();
+    std::fs::remove_dir_all(&seed).ok();
 }
 
 #[test]
@@ -565,6 +554,7 @@ fn serve_and_query_validate_flags_before_touching_the_network() {
     // connect, so a dead endpoint doesn't turn a typo into exit 1.
     for argv in [
         vec!["serve", "--socket", "/tmp/x.sock", "--wat"],
+        vec!["serve", "--socket", "/tmp/x.sock", "--summary-cache", "sraa.cache"],
         vec!["query", "--socket", "/tmp/sraa_no_such_daemon.sock", "--wat", "stats"],
     ] {
         let out = sraa(&argv);

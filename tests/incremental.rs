@@ -1,5 +1,6 @@
-//! Differential tests of the incremental engine (`--summary-cache`):
-//! persistent [`ModuleSummaries`] keyed by body-hash ⊕ callee-key.
+//! Differential tests of the incremental engine: reused
+//! [`ModuleSummaries`] keyed by body-hash ⊕ callee-key, from a previous
+//! build's in-memory cache or from the on-disk shared store.
 //!
 //! Caching bugs are *silent-unsoundness* bugs — a stale summary would
 //! quietly hand the optimiser wrong no-alias verdicts — so the contract
@@ -12,14 +13,15 @@
 //! precisely the functions that can *reach* `M` in the call graph
 //! (reverse reachability), and nothing else.
 //!
-//! The committed golden fixture (`tests/fixtures/summary_cache_v1.bin`)
-//! pins the byte format and the fingerprint scheme: if either changes,
-//! the golden test fails and `persist::FORMAT_VERSION` must be bumped.
-//! Regenerate with `SRAA_REGEN_GOLDEN=1 cargo test --test incremental`.
+//! The committed golden fixture (`tests/fixtures/store_segment_v1.bin`)
+//! pins the store's segment layout and the key scheme: if either
+//! changes, the golden test fails and `sraa_core::FORMAT_VERSION` must be
+//! bumped. Regenerate with
+//! `SRAA_REGEN_GOLDEN=1 cargo test --test incremental`.
 
 use sraa_core::{
-    persist, CacheOutcome, EngineConfig, GenConfig, ModuleSummaries, SolverKind, SummaryKeys,
-    VarId, VarIndex,
+    CacheOutcome, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore, SolverKind,
+    SummaryCache, SummaryKeys, VarId, VarIndex,
 };
 use sraa_ir::{BinOp, CallGraph, FuncId, InstKind, Module, Type};
 use sraa_range::RangeAnalysis;
@@ -44,11 +46,9 @@ fn prepare(src: &str) -> Prepared {
     Prepared { module, ranges, index, sums, keys }
 }
 
-/// Serialize `p`'s summaries and load them back — the cache a warm run
-/// would read from disk (exercising the full byte round trip each time).
-fn cache_of(p: &Prepared) -> persist::SummaryCache {
-    let bytes = persist::to_bytes(&p.module, &p.sums, &p.keys, GenConfig::default());
-    persist::from_bytes(&bytes, GenConfig::default()).expect("round trip")
+/// `p`'s summaries as the in-memory cache a re-upload hands the engine.
+fn cache_of(p: &Prepared) -> SummaryCache {
+    SummaryCache::from_parts(&p.module, &p.sums, &p.keys)
 }
 
 /// Functions that can reach any function in `from` (inclusive) — the set
@@ -68,7 +68,7 @@ fn reverse_reachable(m: &Module, from: &BTreeSet<FuncId>) -> BTreeSet<FuncId> {
 }
 
 /// The warm run on `p` against `cache`, plus its outcome.
-fn warm(p: &Prepared, cache: &persist::SummaryCache) -> (ModuleSummaries, CacheOutcome) {
+fn warm(p: &Prepared, cache: &SummaryCache) -> (ModuleSummaries, CacheOutcome) {
     let (sums, keys, outcome, _) = ModuleSummaries::compute_incremental(
         &p.module,
         &p.ranges,
@@ -221,55 +221,62 @@ fn unchanged_module_is_a_complete_hit() {
     assert_eq!(warm_sums.stats.solves, 0, "a 100% warm run must skip every per-SCC solve");
 }
 
+/// Unique temp dir per test (tests run in parallel within one process).
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sraa_incr_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// The engine reuses summaries both ways a caller can hand them over:
+/// through the segment files of a store directory (a fresh handle, as a
+/// second process would open it) and through the previous build's
+/// exported in-memory cache (what the daemon does on a re-upload).
 #[test]
 fn engine_warm_run_through_a_cache_file_matches_the_cold_engine() {
     use sraa_alias::AaEval;
+    use sraa_core::DisambiguationEngine;
     let src = render(4, 0b0101, 0b0010);
-    let path = std::env::temp_dir().join(format!("sraa_incr_engine_{}.bin", std::process::id()));
-    std::fs::remove_file(&path).ok();
-
-    // The caller owns the file: load it (absent on the first run), build
-    // against it, write it back — what `sraa eval --summary-cache` does.
-    let build = |cache: bool| {
+    let dir = temp_dir("engine");
+    let cfg = EngineConfig::default().with_summaries();
+    let build = |cache: Option<&SummaryCache>, store: Option<&SharedSummaryStore>| {
         let mut m = sraa_minic::compile(&src).unwrap();
-        let cfg = EngineConfig::default().with_summaries();
-        if !cache {
-            let engine = sraa_core::DisambiguationEngine::build(&mut m, cfg);
-            return (m, engine);
-        }
-        let prior = persist::load(&path, cfg.gen).ok();
-        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
-            &mut m,
-            cfg,
-            prior.as_ref(),
-            None,
-        );
-        let keys = SummaryKeys::compute(&m);
-        persist::save(&path, &m, engine.summaries().unwrap(), &keys, GenConfig::default())
-            .expect("cache written");
+        let engine = match (cache, store) {
+            (None, None) => DisambiguationEngine::build(&mut m, cfg.clone()),
+            _ => {
+                DisambiguationEngine::build_with_cache_and_store(&mut m, cfg.clone(), cache, store)
+            }
+        };
         (m, engine)
     };
-    let (m_cold, cold) = build(false);
-    let (_, first) = build(true); // cold, writes the cache
-    let (m_warm, warm) = build(true); // warm, all hits
-    assert_eq!(
-        (first.stats().cache_hits, first.stats().cache_misses as usize),
-        (0, m_cold.num_functions())
-    );
-    assert_eq!(warm.stats().cache_hits as usize, m_cold.num_functions());
-    assert_eq!((warm.stats().cache_misses, warm.stats().cache_invalidated), (0, 0));
-    assert_eq!(warm.summaries().map(|s| s.facts()), cold.summaries().map(|s| s.facts()));
+    let open = || SharedSummaryStore::open(&dir, cfg.gen).expect("store opens");
+    let (m_cold, cold) = build(None, None);
+    let n = m_cold.num_functions() as u32;
+    let (m_first, first) = build(None, Some(&open())); // cold, publishes a segment
+    let (m_disk, disk) = build(None, Some(&open())); // warm from the segment file
+    let prior = first.export_summary_cache(&m_first).expect("summaries mode");
+    let (m_mem, mem) = build(Some(&prior), None); // warm from the exported cache
+    let s = first.stats();
+    assert_eq!((s.store_hits, s.store_misses, s.store_published), (0, n, n));
+    let s = disk.stats();
+    assert_eq!((s.store_hits, s.store_misses, s.store_published), (n, 0, 0));
+    let s = mem.stats();
+    assert_eq!((s.cache_hits, s.cache_misses, s.cache_invalidated), (n, 0, 0));
 
     // Every query result — LT sets and batch no-alias verdicts — is
     // identical to the never-cached engine's.
-    for (fid, f) in m_cold.functions() {
-        for v in f.value_ids() {
-            assert_eq!(warm.lt_set(fid, v), cold.lt_set(fid, v), "LT({v}) differs");
+    for (m_warm, warm) in [(&m_disk, &disk), (&m_mem, &mem)] {
+        assert_eq!(warm.summaries().map(|s| s.stats.solves), Some(0), "a warm run solves nothing");
+        assert_eq!(warm.summaries().map(|s| s.facts()), cold.summaries().map(|s| s.facts()));
+        for (fid, f) in m_cold.functions() {
+            for v in f.value_ids() {
+                assert_eq!(warm.lt_set(fid, v), cold.lt_set(fid, v), "LT({v}) differs");
+            }
+            let ptrs = AaEval::pointer_values(m_warm, fid);
+            assert_eq!(warm.no_alias_pairs(f, fid, &ptrs), cold.no_alias_pairs(f, fid, &ptrs));
         }
-        let ptrs = AaEval::pointer_values(&m_warm, fid);
-        assert_eq!(warm.no_alias_pairs(f, fid, &ptrs), cold.no_alias_pairs(f, fid, &ptrs));
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -310,48 +317,65 @@ fn golden_module() -> Module {
     m
 }
 
-fn golden_bytes() -> Vec<u8> {
+/// The golden module's summaries published into an empty store through
+/// the public API: the one segment file that publish writes.
+fn golden_segment() -> Vec<u8> {
     let m = golden_module();
     let ranges = sraa_range::analyze(&m);
     let index = VarIndex::new(&m);
     let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
     assert_eq!(sums.of(m.function_by_name("next").unwrap()).args_lt_ret(), &[0], "i < next(i)");
     let keys = SummaryKeys::compute(&m);
-    persist::to_bytes(&m, &sums, &keys, GenConfig::default())
+    let entries: Vec<_> = m.functions().map(|(f, _)| (keys.of(f), sums.of(f).clone())).collect();
+
+    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir =
+        temp_dir(&format!("golden{}", SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)));
+    let store = SharedSummaryStore::open(&dir, GenConfig::default()).expect("store opens");
+    assert_eq!(store.publish(&entries).expect("publish"), 2);
+    let mut files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1, "one publish writes one segment: {files:?}");
+    let bytes = std::fs::read(files.pop().unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
 }
 
 #[test]
 fn golden_cache_fixture_round_trips_and_serialization_is_stable() {
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/summary_cache_v1.bin");
-    let bytes = golden_bytes();
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/store_segment_v1.bin");
+    let bytes = golden_segment();
     // Byte-identical across *processes* too, not just within one run:
     // nothing about the key or the format may depend on ASLR, hash-map
     // iteration, or pointer identity.
-    assert_eq!(bytes, golden_bytes());
+    assert_eq!(bytes, golden_segment());
 
     if std::env::var_os("SRAA_REGEN_GOLDEN").is_some() {
         std::fs::write(fixture, &bytes).expect("write fixture");
         return;
     }
     let committed = std::fs::read(fixture).expect(
-        "tests/fixtures/summary_cache_v1.bin missing — regenerate with \
+        "tests/fixtures/store_segment_v1.bin missing — regenerate with \
          SRAA_REGEN_GOLDEN=1 cargo test --test incremental",
     );
     assert_eq!(
         bytes, committed,
-        "the serialized cache no longer matches the committed fixture. If the byte \
-         format or the fingerprint scheme changed intentionally, bump \
-         persist::FORMAT_VERSION and regenerate the fixture"
+        "the published segment no longer matches the committed fixture. If the segment \
+         layout or the key scheme changed intentionally, bump \
+         sraa_core::FORMAT_VERSION and regenerate the fixture"
     );
 
-    // The committed artifact round-trips through the parser, keys intact.
-    let cache = persist::from_bytes(&committed, GenConfig::default()).expect("fixture parses");
-    assert_eq!(cache.len(), 2);
+    // The committed artifact loads as a store segment, keys intact.
+    let dir = temp_dir("golden_load");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-0000000000000001-00000000-0000.sraaseg"), &committed).unwrap();
+    let store = SharedSummaryStore::open(&dir, GenConfig::default()).expect("store opens");
+    assert_eq!((store.len(), store.skipped_segments()), (2, 0));
     let m = golden_module();
     let keys = SummaryKeys::compute(&m);
     let next = m.function_by_name("next").unwrap();
-    let summary = cache.lookup("next", keys.of(next)).expect("key matches fixture");
+    let summary = store.get(keys.of(next)).expect("key matches fixture");
     assert_eq!(summary.args_lt_ret(), &[0]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -250,34 +250,39 @@ fn mutated_reupload_invalidates_exactly_the_reverse_reachability_closure() {
     }
 }
 
+/// A daemon handed a store that an earlier one-shot run populated
+/// answers even the *first* upload of a module from it: the warm start
+/// is the shared store, read through a fresh handle as a new process
+/// would.
 #[test]
 fn warm_start_cache_makes_the_first_upload_hit() {
-    use sraa::lt::persist;
-    // Write a cache file the way `sraa eval --summary-cache` would.
-    let path = std::env::temp_dir().join(format!("sraa_serve_warm_{}.bin", std::process::id()));
-    std::fs::remove_file(&path).ok();
+    use sraa::lt::{DisambiguationEngine, SharedSummaryStore};
+    let dir = std::env::temp_dir().join(format!("sraa_serve_warm_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = EngineConfig::default().with_summaries();
     {
+        let store = SharedSummaryStore::open(&dir, cfg.gen).expect("store opens");
         let mut m = sraa::minic::compile(CALLS).unwrap();
         let engine =
-            sraa::lt::DisambiguationEngine::build(&mut m, EngineConfig::default().with_summaries());
-        let keys = sraa::lt::SummaryKeys::compute(&m);
-        persist::save(&path, &m, engine.summaries().unwrap(), &keys, Default::default())
-            .expect("cache written");
+            DisambiguationEngine::build_with_cache_and_store(&mut m, cfg, None, Some(&store));
+        assert_eq!(engine.stats().store_published, 3, "the one-shot run publishes");
     }
-    let cache = persist::load(&path, Default::default()).expect("cache written");
+    let store = SharedSummaryStore::open(&dir, Default::default()).expect("store reopens");
     let server = Box::leak(Box::new(
         Server::bind_tcp("127.0.0.1:0", ServerConfig::default())
             .expect("bind")
-            .with_warm_cache(cache),
+            .with_shared_store(store),
     ));
     let addr = server.tcp_addr().unwrap();
     std::thread::spawn(|| server.run().expect("serve loop"));
     let mut client = Client::connect_tcp(addr).expect("connect");
     let up = client.request(&upload_req("demo", CALLS)).expect("upload");
-    assert_eq!(up.num_field("hits"), Some(3), "warm start: first upload hits fully");
-    assert_eq!((up.num_field("misses"), up.num_field("invalidated")), (Some(0), Some(0)));
+    assert_eq!(up.num_field("store_hits"), Some(3), "warm start: first upload hits fully");
+    assert_eq!((up.num_field("store_misses"), up.num_field("store_published")), (Some(0), Some(0)));
+    // No prior upload of this name, so the in-memory cache had nothing.
+    assert_eq!((up.num_field("hits"), up.num_field("misses")), (Some(0), Some(3)));
     client.request(&obj([("cmd", Json::Str("shutdown".into()))])).expect("shutdown");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite regression: a connection thread that panics — even while

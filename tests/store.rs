@@ -1,7 +1,7 @@
 //! End-to-end tests of the content-addressed shared summary store:
 //! concurrent in-process merges through one [`SharedSummaryStore`],
-//! cross-process sharing between two live daemons, one-shot CLI
-//! composition with `--summary-cache`, and torn-segment robustness.
+//! cross-process sharing between two live daemons, one-shot CLI runs
+//! sharing a directory, and torn-segment robustness.
 //!
 //! The correctness contract throughout: a store-assisted run produces
 //! **byte-identical** solved LT sets (and therefore byte-identical
@@ -207,10 +207,9 @@ fn write_temp(name: &str, contents: &str) -> PathBuf {
     path
 }
 
-/// One-shot composition: `eval --shared-store` twice on overlapping
-/// modules — the second run hits the store, stdout stays byte-identical
-/// to a plain `--interproc` run, and adding `--summary-cache` on top
-/// keeps composing (cache answers first, store catches the rest).
+/// One-shot sharing: `eval --shared-store` twice on overlapping modules —
+/// the second run hits the store and stdout stays byte-identical to a
+/// plain `--interproc` run.
 #[test]
 fn one_shot_runs_share_summaries_across_processes() {
     let dir = temp_dir("oneshot");
@@ -235,21 +234,6 @@ fn one_shot_runs_share_summaries_across_processes() {
     let plain = sraa(&["eval", f1.to_str().unwrap(), "--interproc"]);
     assert_eq!(stdout(&warm), stdout(&plain), "warm stdout must stay byte-identical");
 
-    // Compose with a per-module cache: the cache answers everything on
-    // its warm run, so the store sees neither misses nor new summaries.
-    let cache = std::env::temp_dir().join(format!("sraa_store_cache_{}.bin", std::process::id()));
-    std::fs::remove_file(&cache).ok();
-    let cache_s = cache.to_str().unwrap().to_string();
-    let first =
-        sraa(&["eval", f0.to_str().unwrap(), "--shared-store", dir_s, "--summary-cache", &cache_s]);
-    assert!(first.status.success(), "cache+store: {}", stderr(&first));
-    let second =
-        sraa(&["eval", f0.to_str().unwrap(), "--shared-store", dir_s, "--summary-cache", &cache_s]);
-    let (h, m, p) = parse_store_line(&stderr(&second));
-    assert_eq!((h, m, p), (0, 0, 0), "a fully-warm cache leaves no store work");
-    assert!(stderr(&second).contains("# summary-cache:"), "got: {}", stderr(&second));
-    assert_eq!(stdout(&first), stdout(&second));
-    std::fs::remove_file(&cache).ok();
     std::fs::remove_file(&f0).ok();
     std::fs::remove_file(&f1).ok();
     std::fs::remove_dir_all(&dir).ok();

@@ -16,8 +16,8 @@
 
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
-    persist, DisambiguationEngine, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore,
-    SolverKind, VarIndex,
+    DisambiguationEngine, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore, SolverKind,
+    SummaryCache, VarIndex,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -108,9 +108,9 @@ fn unchanged_modules_hit_a_round_tripped_cache_completely() {
         let index = VarIndex::new(&m);
         let (cold, keys, _, _) =
             ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, solver, None, None);
-        // The exact bytes a warm run reads from disk.
-        let bytes = persist::to_bytes(&m, &cold, &keys, cfg);
-        let cache = persist::from_bytes(&bytes, cfg).expect("cache round-trips");
+        // The cold run's summaries round-tripped into the in-memory cache
+        // a daemon re-upload hands the engine.
+        let cache = SummaryCache::from_parts(&m, &cold, &keys);
         let (warm, _, outcome, _) = ModuleSummaries::compute_incremental(
             &m,
             &ranges,
