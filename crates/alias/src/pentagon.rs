@@ -5,7 +5,10 @@
 //! algorithm, could be used to disambiguate pointers like we do"*. This
 //! adapter does exactly that: it applies the paper's Definition 3.11
 //! criteria with [`sraa_pentagon::PentagonAnalysis`] as the less-than
-//! oracle instead of the sparse constraint solution.
+//! oracle instead of the sparse constraint solution. It asks the oracle
+//! through one [`sraa_pentagon::FactTable`] per function, built once at
+//! construction, so the dense fixpoint is computed once and then served
+//! sparsely.
 //!
 //! Like the sparse analysis, it needs the program in e-SSA form —
 //! without σ-renaming, a branch refinement post-dates the definitions
@@ -17,21 +20,99 @@
 
 use crate::{AliasAnalysis, AliasResult};
 use sraa_core::{derived_pointer, strip_copies};
-use sraa_ir::{FuncId, InstKind, Module, Type, Value};
-use sraa_pentagon::PentagonAnalysis;
+use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
+use sraa_pentagon::{FactTable, PentagonAnalysis};
 
 /// Pentagon-based alias analysis (dense interval × strict-upper-bound
 /// domain behind the paper's disambiguation criteria).
+///
+/// Construction runs the dense fixpoint, then tabulates each function's
+/// facts at the definitions of its query set `R`: its pointer-typed
+/// values and the variable offsets they are derived with. Every
+/// [`alias`](AliasAnalysis::alias) query is then a few array reads.
 #[derive(Debug)]
 pub struct PentagonAa {
     analysis: PentagonAnalysis,
+    funcs: Vec<FuncFacts>,
+}
+
+// The adapter holds no interior mutability, so one instance can serve
+// queries from several threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<PentagonAa>();
+};
+
+/// One function's query-time data.
+#[derive(Debug)]
+struct FuncFacts {
+    /// Pentagon order facts over `R`.
+    table: FactTable,
+    /// Per value: `None` unless pointer-typed.
+    ptrs: Vec<Option<PtrInfo>>,
+}
+
+/// What Definition 3.11 reads about one pointer.
+#[derive(Clone, Copy, Debug)]
+struct PtrInfo {
+    /// `(copy-stripped base, offset)` when the pointer is a `gep` with a
+    /// variable offset — the only shape criterion 2 applies to.
+    derived: Option<(Value, Value)>,
+}
+
+impl FuncFacts {
+    fn new(analysis: &PentagonAnalysis, module: &Module, f: FuncId) -> Self {
+        let func = module.function(f);
+        let mut ptrs = vec![None; func.num_insts()];
+        let mut queries = Vec::new();
+        for v in func.value_ids() {
+            if !func.value_type(v).is_some_and(Type::is_ptr) {
+                continue;
+            }
+            let derived = variable_offset(func, v);
+            queries.push(v);
+            queries.extend(derived.map(|(_, x)| x));
+            ptrs[v.index()] = Some(PtrInfo { derived });
+        }
+        Self { table: analysis.fact_table(module, f, &queries), ptrs }
+    }
+
+    fn ptr(&self, v: Value) -> Option<PtrInfo> {
+        self.ptrs.get(v.index()).copied().flatten()
+    }
+
+    fn ordered(&self, a: Value, b: Value) -> bool {
+        self.table.proves_lt(a, b) || self.table.proves_lt(b, a)
+    }
+
+    /// Definition 3.11 with the Pentagon oracle.
+    fn no_alias(&self, p1: Value, p2: Value) -> bool {
+        let (Some(i1), Some(i2)) = (self.ptr(p1), self.ptr(p2)) else { return false };
+        // Criterion 1: the pointers themselves are ordered.
+        if self.ordered(p1, p2) {
+            return true;
+        }
+        // Criterion 2: same base, strictly ordered variable offsets.
+        match (i1.derived, i2.derived) {
+            (Some((b1, x1)), Some((b2, x2))) => b1 == b2 && self.ordered(x1, x2),
+            _ => false,
+        }
+    }
+}
+
+/// `p`'s copy-stripped base and offset, when `p` is derived by a `gep`
+/// whose offset is not a constant.
+fn variable_offset(func: &Function, p: Value) -> Option<(Value, Value)> {
+    let (base, offset) = derived_pointer(func, p)?;
+    let is_var = !matches!(func.inst(offset).kind, InstKind::Const(_));
+    is_var.then(|| (strip_copies(func, base), offset))
 }
 
 impl PentagonAa {
     /// Converts `module` to e-SSA form and runs the dense fixpoint.
     pub fn new(module: &mut Module) -> Self {
         let _ = sraa_essa::transform_module(module);
-        Self { analysis: PentagonAnalysis::run(module) }
+        Self::on_prepared(module)
     }
 
     /// Runs the dense fixpoint on a module that is *already* in e-SSA
@@ -39,44 +120,14 @@ impl PentagonAa {
     /// [`StrictInequalityAa::new`](crate::StrictInequalityAa::new), so
     /// both analyses answer queries about the same program).
     pub fn on_prepared(module: &Module) -> Self {
-        Self { analysis: PentagonAnalysis::run(module) }
+        let analysis = PentagonAnalysis::run(module);
+        let funcs = module.functions().map(|(f, _)| FuncFacts::new(&analysis, module, f)).collect();
+        Self { analysis, funcs }
     }
 
     /// Access to the underlying Pentagon analysis.
     pub fn analysis(&self) -> &PentagonAnalysis {
         &self.analysis
-    }
-
-    fn proves_lt(&self, module: &Module, f: FuncId, a: Value, b: Value) -> bool {
-        self.analysis.proves_lt(module, f, a, b)
-    }
-
-    /// Definition 3.11 with the Pentagon oracle.
-    fn no_alias(&self, module: &Module, f: FuncId, p1: Value, p2: Value) -> bool {
-        let func = module.function(f);
-        let is_ptr = |v: Value| func.value_type(v).is_some_and(Type::is_ptr);
-        if !is_ptr(p1) || !is_ptr(p2) {
-            return false;
-        }
-        // Criterion 1: the pointers themselves are ordered.
-        if self.proves_lt(module, f, p1, p2) || self.proves_lt(module, f, p2, p1) {
-            return true;
-        }
-        // Criterion 2: same base, strictly ordered variable offsets.
-        if let (Some((b1, x1)), Some((b2, x2))) =
-            (derived_pointer(func, p1), derived_pointer(func, p2))
-        {
-            if strip_copies(func, b1) == strip_copies(func, b2) {
-                let is_var = |x: Value| !matches!(func.inst(x).kind, InstKind::Const(_));
-                if is_var(x1)
-                    && is_var(x2)
-                    && (self.proves_lt(module, f, x1, x2) || self.proves_lt(module, f, x2, x1))
-                {
-                    return true;
-                }
-            }
-        }
-        false
     }
 }
 
@@ -85,14 +136,13 @@ impl AliasAnalysis for PentagonAa {
         "PT".to_string()
     }
 
-    fn alias(&self, module: &Module, func: FuncId, p1: Value, p2: Value) -> AliasResult {
+    fn alias(&self, _module: &Module, func: FuncId, p1: Value, p2: Value) -> AliasResult {
         if p1 == p2 {
             return AliasResult::MustAlias;
         }
-        if self.no_alias(module, func, p1, p2) {
-            AliasResult::NoAlias
-        } else {
-            AliasResult::MayAlias
+        match self.funcs.get(func.index()) {
+            Some(ff) if ff.no_alias(p1, p2) => AliasResult::NoAlias,
+            _ => AliasResult::MayAlias,
         }
     }
 }
@@ -101,6 +151,10 @@ impl AliasAnalysis for PentagonAa {
 mod tests {
     use super::*;
     use crate::StrictInequalityAa;
+
+    /// `PT`'s total `NoAlias` count over [`corpus`], recorded with the
+    /// replay-backed adapter the fact table replaced.
+    const PT_NO_ALIAS_ON_CORPUS: u64 = 26_490;
 
     fn pointer_operands(m: &Module, name: &str) -> (FuncId, Vec<Value>) {
         let fid = m.function_by_name(name).unwrap();
@@ -165,6 +219,68 @@ mod tests {
             }
         }
         assert!(lt_no > 0 && pt_no > 0, "both must disambiguate v[i]/v[j] pairs");
+    }
+
+    /// The differential corpus: the synthetic suite, the call-heavy
+    /// suite and Csmith programs with helpers at every pointer depth.
+    fn corpus() -> Vec<sraa_synth::Workload> {
+        let mut ws = sraa_synth::test_suite(26);
+        ws.extend(sraa_synth::call_suite(10));
+        for depth in 2..=7 {
+            for seed in 1..=4 {
+                ws.push(sraa_synth::csmith_generate(sraa_synth::CsmithConfig {
+                    seed,
+                    max_ptr_depth: depth,
+                    num_stmts: 40,
+                    helpers: 2,
+                }));
+            }
+        }
+        ws
+    }
+
+    /// The fact table answers exactly as the replay reference on every
+    /// ordered pair of the query set `R`, and the `PT` column's total is
+    /// the one the replay-backed adapter produced on this corpus.
+    #[test]
+    fn fact_table_matches_the_replay_on_every_query_pair() {
+        let (mut pairs, mut no_alias) = (0u64, 0u64);
+        for w in corpus() {
+            let mut m = sraa_minic::compile(&w.source).unwrap();
+            let pt = PentagonAa::new(&mut m);
+            for (f, func) in m.functions() {
+                let ff = &pt.funcs[f.index()];
+                let mut r: Vec<Value> = Vec::new();
+                for v in func.value_ids() {
+                    if let Some(info) = ff.ptr(v) {
+                        r.push(v);
+                        r.extend(info.derived.map(|(_, x)| x));
+                    }
+                }
+                r.sort_unstable();
+                r.dedup();
+                // One replay per definition; `proves_lt` would replay
+                // both definitions per pair.
+                let after: Vec<_> =
+                    r.iter().map(|&v| pt.analysis.state_after_def(&m, f, v)).collect();
+                for (&a, sa) in r.iter().zip(&after) {
+                    for (&b, sb) in r.iter().zip(&after) {
+                        let replay = PentagonAnalysis::lt_at_defs(a, sa.as_ref(), b, sb.as_ref());
+                        assert_eq!(
+                            ff.table.proves_lt(a, b),
+                            replay,
+                            "{} {}: table vs replay on {a} < {b}",
+                            w.name,
+                            func.name
+                        );
+                        pairs += 1;
+                    }
+                }
+            }
+            no_alias += crate::AaEval::run(&m, &[&pt])[0].no_alias;
+        }
+        assert_eq!(pairs, 2_991_135, "the query sets changed size");
+        assert_eq!(no_alias, PT_NO_ALIAS_ON_CORPUS, "PT verdicts moved");
     }
 
     #[test]

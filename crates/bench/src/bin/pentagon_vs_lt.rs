@@ -11,6 +11,12 @@
 //!    dense footprint (total variable bindings stored across block-entry
 //!    states) against the sparse pipeline's solve time.
 //!
+//! `lt-ms` covers e-SSA conversion and the sparse solve. `pt-ms` covers
+//! the dense fixpoint plus the per-definition fact table
+//! (`sraa_pentagon::FactTable`), that is, all the work `PT`'s queries
+//! need; the queries themselves are timed by neither column. `pt-bound`
+//! counts the fixpoint's block-entry bindings only, not the table.
+//!
 //! Both analyses run on the *same* e-SSA module, so the only variable is
 //! the analysis machinery. Run with
 //! `cargo run --release -p sraa-bench --bin pentagon_vs_lt`.

@@ -12,17 +12,27 @@
 //! > "the original work on Pentagons describe a dense analysis, whereas
 //! > we use a different program representation to achieve sparsity."
 //!
+//! The fixpoint keeps one state per block entry. A query needs the state
+//! right after a definition, which two paths provide:
+//!
+//! * [`PentagonAnalysis::fact_table`] walks each block once and tabulates
+//!   the facts at the definitions of a chosen query set (the serving path
+//!   of the `PT` alias analysis);
+//! * [`PentagonAnalysis::proves_lt`] and
+//!   [`PentagonAnalysis::interval_at_def`] replay the block prefix up to
+//!   the definition on every call. They answer for any value, and are the
+//!   reference the table is tested against.
+//!
 //! The two formulations prove the same kind of facts — both infer
 //! `x2 > x1` from `x1 = x2 − x3, x3 > 0`, unlike ABCD — and the
 //! comparison harness (`cargo run -p sraa-bench --bin pentagon_vs_lt`)
 //! measures where their answers and costs diverge in practice.
 
+use crate::facts::FactTable;
 use crate::state::PentagonState;
 use sraa_ir::{BinOp, BlockId, Cfg, FuncId, Function, InstData, InstKind, Module, Pred, Value};
 use sraa_range::{Bound, Interval};
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::{BTreeSet, VecDeque};
 
 /// How many joins a retreating-edge target absorbs before switching to
 /// widening (a small delay buys loop-bound precision, as usual).
@@ -35,12 +45,15 @@ struct FuncStates {
     entry: Vec<Option<PentagonState>>,
 }
 
-/// The module-wide Pentagon analysis.
+/// The module-wide Pentagon analysis: the fixpoint's block-entry states.
 ///
-/// Build with [`PentagonAnalysis::run`]; query order facts with
-/// [`proves_lt`](Self::proves_lt) and numeric facts with
-/// [`interval_at_def`](Self::interval_at_def). Queries take the same
-/// module that was analyzed (they replay block transfers on demand).
+/// Build with [`PentagonAnalysis::run`]. Tabulate the order facts of a
+/// function's query set with [`fact_table`](Self::fact_table), or ask
+/// about any value by replay: order facts with
+/// [`proves_lt`](Self::proves_lt), numeric facts with
+/// [`interval_at_def`](Self::interval_at_def). Every query takes the
+/// module that was analyzed, because it re-runs block transfers from a
+/// block-entry state.
 ///
 /// # Example
 ///
@@ -63,15 +76,13 @@ struct FuncStates {
 ///     .unwrap();
 /// let a = func.param_value(0);
 /// assert!(pent.proves_lt(&module, fid, a, b), "a < a + 1");
+///
+/// let table = pent.fact_table(&module, fid, &[a, b]);
+/// assert!(table.proves_lt(a, b) && !table.proves_lt(b, a));
 /// ```
-/// Cache of lazily computed state-after-definition snapshots.
-type AfterDefCache = HashMap<(FuncId, Value), Option<Rc<PentagonState>>>;
-
 #[derive(Debug)]
 pub struct PentagonAnalysis {
     funcs: Vec<FuncStates>,
-    /// Lazily computed, shared state-after-definition snapshots.
-    after_def: RefCell<AfterDefCache>,
 }
 
 impl PentagonAnalysis {
@@ -81,7 +92,41 @@ impl PentagonAnalysis {
     /// **not** mutated: density needs no e-SSA conversion.
     pub fn run(module: &Module) -> Self {
         let funcs = module.functions().map(|(_, func)| analyze_function(func)).collect();
-        Self { funcs, after_def: RefCell::new(HashMap::new()) }
+        Self { funcs }
+    }
+
+    /// Tabulates the facts [`proves_lt`](Self::proves_lt) reads for every
+    /// pair of values in `queries` (the query set `R`) of function `f`.
+    ///
+    /// One forward walk per reachable block that defines a member of `R`,
+    /// from the block-entry state to the last such definition: a φ's
+    /// facts are the entry state's, any other value's are those right
+    /// after its transfer. Each state is kept only as its restriction to
+    /// `R`, so the table's verdicts equal the replay's on `R × R`.
+    /// `queries` must be values of `f`.
+    pub fn fact_table(&self, module: &Module, f: FuncId, queries: &[Value]) -> FactTable {
+        let func = module.function(f);
+        let mut table = FactTable::new(func.num_insts(), queries);
+        let Some(fs) = self.funcs.get(f.index()) else { return table };
+        for b in func.block_ids() {
+            let Some(Some(entry)) = fs.entry.get(b.index()) else { continue };
+            let Some(last) =
+                func.block_insts(b).map(|(v, _)| v).filter(|&v| table.contains(v)).last()
+            else {
+                continue;
+            };
+            let mut st = entry.clone();
+            for (v, data) in func.block_insts(b) {
+                if !data.kind.is_phi() {
+                    transfer(&mut st, v, data);
+                }
+                table.record(v, &st);
+                if v == last {
+                    break;
+                }
+            }
+        }
+        table
     }
 
     /// Does the analysis prove `a < b` wherever the two values are
@@ -95,14 +140,31 @@ impl PentagonAnalysis {
     /// `def(b)` whenever `a` is bound there — with at least one of the
     /// two points providing positive evidence. Validated dynamically by
     /// `tests/soundness.rs` at the workspace root.
+    ///
+    /// Each call replays both definitions' block prefixes; for many
+    /// queries over one function, build a [`fact_table`](Self::fact_table).
     pub fn proves_lt(&self, module: &Module, f: FuncId, a: Value, b: Value) -> bool {
         if a == b {
             return false;
         }
-        let sa = self.state_after_def(module, f, a);
-        let sb = self.state_after_def(module, f, b);
+        let after_a = self.state_after_def(module, f, a);
+        let after_b = self.state_after_def(module, f, b);
+        Self::lt_at_defs(a, after_a.as_ref(), b, after_b.as_ref())
+    }
+
+    /// [`proves_lt`](Self::proves_lt) given the states right after
+    /// `def(a)` and `def(b)` (`None` for an unreachable definition).
+    pub fn lt_at_defs(
+        a: Value,
+        after_a: Option<&PentagonState>,
+        b: Value,
+        after_b: Option<&PentagonState>,
+    ) -> bool {
+        if a == b {
+            return false;
+        }
         let mut evidence = false;
-        for (st, other) in [(&sa, b), (&sb, a)] {
+        for (st, other) in [(after_a, b), (after_b, a)] {
             match st {
                 Some(st) if st.binds(other) => {
                     if st.proves_lt(a, b) {
@@ -120,7 +182,7 @@ impl PentagonAnalysis {
     }
 
     /// The interval of `v` in the state right after its definition
-    /// (`None` when its block is unreachable).
+    /// (`None` when its block is unreachable), by replay.
     pub fn interval_at_def(&self, module: &Module, f: FuncId, v: Value) -> Option<Interval> {
         self.state_after_def(module, f, v).and_then(|st| st.interval(v))
     }
@@ -135,16 +197,10 @@ impl PentagonAnalysis {
             .sum()
     }
 
-    fn state_after_def(&self, module: &Module, f: FuncId, v: Value) -> Option<Rc<PentagonState>> {
-        if let Some(cached) = self.after_def.borrow().get(&(f, v)) {
-            return cached.clone();
-        }
-        let computed = self.compute_after_def(module, f, v).map(Rc::new);
-        self.after_def.borrow_mut().insert((f, v), computed.clone());
-        computed
-    }
-
-    fn compute_after_def(&self, module: &Module, f: FuncId, v: Value) -> Option<PentagonState> {
+    /// The state right after `def(v)`: the block-entry state with the
+    /// block prefix up to `v` replayed (`None` when the block is
+    /// unreachable). Each call replays afresh.
+    pub fn state_after_def(&self, module: &Module, f: FuncId, v: Value) -> Option<PentagonState> {
         let fs = self.funcs.get(f.index())?;
         let func = module.function(f);
         let block = func.inst(v).block?;
@@ -158,7 +214,7 @@ impl PentagonAnalysis {
                 }
                 continue;
             }
-            transfer(&mut st, func, iv, data);
+            transfer(&mut st, iv, data);
             if iv == v {
                 break;
             }
@@ -190,7 +246,7 @@ fn analyze_function(func: &Function) -> FuncStates {
 
         for (v, data) in func.block_insts(b) {
             if !data.kind.is_phi() {
-                transfer(&mut st, func, v, data);
+                transfer(&mut st, v, data);
             }
         }
 
@@ -244,7 +300,7 @@ fn analyze_function(func: &Function) -> FuncStates {
 
 /// The per-instruction abstract transformer (non-φ, value-producing
 /// instructions; everything else is a no-op on the state).
-fn transfer(st: &mut PentagonState, func: &Function, v: Value, data: &InstData) {
+fn transfer(st: &mut PentagonState, v: Value, data: &InstData) {
     if !data.has_result() {
         return; // stores and terminators bind nothing
     }
@@ -306,7 +362,6 @@ fn transfer(st: &mut PentagonState, func: &Function, v: Value, data: &InstData) 
             unreachable!("no result")
         }
     }
-    let _ = func;
 }
 
 /// The ordering a binary instruction `v = lhs op rhs` implies.
@@ -689,12 +744,14 @@ mod tests {
         let (m, p) = compiled("int f(int a) { return a; int b = a + 1; return b; }");
         let fid = m.function_by_name("f").unwrap();
         let func = m.function(fid);
-        if let Some(b) =
-            func.value_ids().find(|&v| matches!(func.inst(v).kind, InstKind::Binary { .. }))
-        {
-            let a = func.param_value(0);
-            assert!(!p.proves_lt(&m, fid, a, b), "no facts in dead code");
-        }
+        let b = func
+            .value_ids()
+            .find(|&v| matches!(func.inst(v).kind, InstKind::Binary { .. }))
+            .expect("the dead increment is still lowered");
+        let a = func.param_value(0);
+        assert_eq!(p.interval_at_def(&m, fid, b), None, "dead code has no state");
+        assert!(!p.proves_lt(&m, fid, a, b), "no facts in dead code");
+        assert!(!p.fact_table(&m, fid, &[a, b]).proves_lt(a, b), "no facts in dead code");
     }
 
     #[test]
@@ -714,16 +771,9 @@ mod tests {
             })
             .unwrap();
         let ret = func.terminator(ret_block).unwrap();
-        if let InstKind::Ret(Some(rv)) = func.inst(ret).kind {
-            let iv = p.interval_at_def(&m, fid, rv).or_else(|| {
-                // rv may be a φ or copy; its def state suffices.
-                p.interval_at_def(&m, fid, rv)
-            });
-            if let Some(iv) = iv {
-                assert!(iv.contains(0));
-                assert!(!iv.contains(1), "infeasible edge leaked: {iv:?}");
-            }
-        }
+        let InstKind::Ret(Some(rv)) = func.inst(ret).kind else { panic!("f returns a value") };
+        let iv = p.interval_at_def(&m, fid, rv).expect("the return value is reachable");
+        assert_eq!(iv, Interval::constant(0), "infeasible edge leaked: {iv:?}");
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //! * [`PentagonState`] — the per-point state (intervals × strict upper
 //!   bounds) with the join/widen/refine/transfer algebra;
 //! * [`PentagonAnalysis`] — the forward Kleene fixpoint with branch
-//!   refinement, infeasible-edge pruning and loop widening.
+//!   refinement, infeasible-edge pruning and loop widening, which keeps
+//!   one state per block entry and answers queries about any value by
+//!   replaying the block prefix up to its definition;
+//! * [`FactTable`] — the same facts tabulated once per function at the
+//!   definitions of a query set, so a query is a few bit tests: the dense
+//!   fixpoint served sparsely.
 //!
 //! Two claims from the paper's Section 5 become measurable with it:
 //!
@@ -34,7 +39,9 @@
 //! (`PentagonAa`), next to the other disambiguation methods.
 
 pub mod analysis;
+pub mod facts;
 pub mod state;
 
 pub use analysis::PentagonAnalysis;
+pub use facts::FactTable;
 pub use state::{PentagonState, ValueSnapshot};

@@ -71,6 +71,17 @@ impl PentagonState {
         self.subs.get(&v).into_iter().flatten().copied()
     }
 
+    /// The bound variables with their intervals, in `Value` order.
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = (Value, Interval)> + '_ {
+        self.intervals.iter().map(|(&v, &iv)| (v, iv))
+    }
+
+    /// Every variable with recorded strict upper bounds, with its `s`
+    /// set, in `Value` order.
+    pub(crate) fn upper_bound_sets(&self) -> impl Iterator<Item = (Value, &BTreeSet<Value>)> + '_ {
+        self.subs.iter().map(|(&v, s)| (v, s))
+    }
+
     /// Number of bound variables (the dense analysis' footprint metric).
     pub fn num_bound(&self) -> usize {
         self.intervals.len()
@@ -88,10 +99,7 @@ impl PentagonState {
             return true;
         }
         match (self.intervals.get(&a), self.intervals.get(&b)) {
-            (Some(ia), Some(ib)) => match (ia.hi(), ib.lo()) {
-                (Bound::Fin(ha), Bound::Fin(lb)) => ha < lb,
-                _ => false,
-            },
+            (Some(&ia), Some(&ib)) => numerically_below(ia, ib),
             _ => false,
         }
     }
@@ -280,6 +288,12 @@ impl PentagonState {
         }
         PentagonState { intervals, subs }
     }
+}
+
+/// `hi(a) < lo(b)` with both bounds finite: the numeric half of
+/// [`PentagonState::proves_lt`].
+pub(crate) fn numerically_below(a: Interval, b: Interval) -> bool {
+    matches!((a.hi(), b.lo()), (Bound::Fin(ha), Bound::Fin(lb)) if ha < lb)
 }
 
 #[cfg(test)]

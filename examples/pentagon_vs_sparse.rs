@@ -6,6 +6,12 @@
 //! facts here — the differences are *where the facts live* (per-point
 //! states vs per-name sets) and what that costs.
 //!
+//! `PentagonAa::on_prepared` runs the dense fixpoint and then tabulates
+//! each function's facts at the definitions of its pointers and offsets
+//! (`sraa_pentagon::FactTable`), so its queries cost as little as the
+//! sparse analysis's. The footprint line counts the fixpoint's
+//! block-entry bindings, the density itself, and not that table.
+//!
 //! Run with `cargo run --example pentagon_vs_sparse`.
 
 use sraa::alias::{AliasAnalysis, AliasResult, PentagonAa, StrictInequalityAa};
