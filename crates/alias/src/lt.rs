@@ -25,18 +25,18 @@ pub struct StrictInequalityAa {
 
 impl StrictInequalityAa {
     /// Runs the pipeline on `module` (converting it to e-SSA form) with
-    /// the default configuration (SCC solver).
+    /// the default (intraprocedural) configuration.
     pub fn new(module: &mut Module) -> Self {
         Self::from_engine(DisambiguationEngine::run(module))
     }
 
     /// Runs the pipeline with explicit constraint-generation options.
     pub fn with_config(module: &mut Module, cfg: GenConfig) -> Self {
-        Self::from_engine(DisambiguationEngine::run_with(module, cfg))
+        Self::from_engine(DisambiguationEngine::build(module, cfg.into()))
     }
 
     /// Runs the pipeline with a full engine configuration (constraint
-    /// options + solver strategy + interprocedural mode).
+    /// options + interprocedural mode).
     pub fn with_engine_config(module: &mut Module, cfg: EngineConfig) -> Self {
         Self::from_engine(DisambiguationEngine::build(module, cfg))
     }
@@ -54,21 +54,10 @@ impl StrictInequalityAa {
         Self { engine: Arc::new(engine) }
     }
 
-    /// Wraps a shared engine (no copy).
-    pub fn from_shared(engine: Arc<DisambiguationEngine>) -> Self {
-        Self { engine }
-    }
-
     /// Access to the underlying engine (solved relation, statistics,
     /// batch queries).
     pub fn engine(&self) -> &DisambiguationEngine {
         &self.engine
-    }
-
-    /// The shared engine handle, for consumers that want to hold it
-    /// directly.
-    pub fn share(&self) -> Arc<DisambiguationEngine> {
-        Arc::clone(&self.engine)
     }
 }
 
@@ -131,7 +120,7 @@ mod tests {
         .unwrap();
         let lt = StrictInequalityAa::new(&mut m);
         let clone = lt.clone();
-        assert!(Arc::ptr_eq(&lt.share(), &clone.share()), "clones must not deep-copy the engine");
+        assert!(std::ptr::eq(lt.engine(), clone.engine()), "clones must not deep-copy the engine");
         // Queries through the clone answer exactly as the original does.
         let fid = m.function_by_name("f").unwrap();
         let f = m.function(fid);
@@ -145,36 +134,5 @@ mod tests {
             })
             .collect();
         assert_eq!(clone.alias(&m, fid, ptrs[0], ptrs[1]), lt.alias(&m, fid, ptrs[0], ptrs[1]));
-    }
-
-    #[test]
-    fn solver_strategy_does_not_change_verdicts() {
-        let src = r#"
-            void f(int* v, int N) {
-                for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
-            }
-        "#;
-        let mut m1 = sraa_minic::compile(src).unwrap();
-        let scc = StrictInequalityAa::new(&mut m1);
-        let mut m2 = sraa_minic::compile(src).unwrap();
-        let wl = StrictInequalityAa::with_engine_config(
-            &mut m2,
-            EngineConfig { solver: sraa_core::SolverKind::Worklist, ..Default::default() },
-        );
-        let fid = m1.function_by_name("f").unwrap();
-        let f = m1.function(fid);
-        for b in f.block_ids() {
-            for (p1, _) in f.block_insts(b) {
-                for b2 in f.block_ids() {
-                    for (p2, _) in f.block_insts(b2) {
-                        assert_eq!(
-                            scc.alias(&m1, fid, p1, p2),
-                            wl.alias(&m2, fid, p1, p2),
-                            "strategies disagree on {p1} vs {p2}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

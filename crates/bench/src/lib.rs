@@ -117,7 +117,7 @@ impl Prepared {
     }
 
     /// [`Prepared::new`] with a full engine configuration (constraint
-    /// options + [`sraa_core::SolverKind`] strategy).
+    /// options + interprocedural mode).
     pub fn with_engine_config(w: &Workload, cfg: EngineConfig) -> Prepared {
         let mut module = sraa_minic::compile(&w.source)
             .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
@@ -183,7 +183,6 @@ pub fn r_squared(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sraa_core::SolverKind;
 
     #[test]
     fn alloc_counter_observes_heap_traffic() {
@@ -236,20 +235,6 @@ mod tests {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let ys: Vec<f64> = (0..100).map(|i| (i * 2654435761u64 % 97) as f64).collect();
         assert!(r_squared(&xs, &ys) < 0.3);
-    }
-
-    #[test]
-    fn prepared_strategies_agree() {
-        let w = Workload {
-            name: "t".into(),
-            source: "int f(int* v, int n) { for (int i = 0; i + 1 < n; i++) v[i] = v[i+1]; return 0; } int main() { int a[8]; return f(a, 8); }".into(),
-        };
-        let scc = Prepared::new(&w);
-        let wl = Prepared::with_engine_config(
-            &w,
-            EngineConfig { solver: SolverKind::Worklist, ..Default::default() },
-        );
-        assert_eq!(scc.eval(&[&scc.lt]), wl.eval(&[&wl.lt]));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!             e-SSA lowering        constraint generation
 //! SSA module ───(sraa-essa)──▶ e-SSA ──(Figure 7, per function)──▶ ConstraintSystem
 //!                                                                        │
-//!                                                      SolverKind::solve │ (DenseStore)
+//!                                     sraa_core::solve (SCC, DenseStore) │
 //!                                                                        ▼
 //!                  queries (point and batch API) ◀────────────────  Solution
 //! ```
@@ -13,88 +13,25 @@
 //! adapter, the optimisation passes, the PDG builder, the CLI — picked a
 //! solver itself and re-plumbed the e-SSA → constraints → solve pipeline.
 //! The engine centralises that: it owns the interned [`VarIndex`] arena,
-//! runs constraint generation, solves through
-//! [`SolverKind::solve`], and answers every disambiguation query from the
-//! solved relation. Consumers hold an engine (usually behind an `Arc`)
-//! and ask questions; none of them constructs solvers anymore. The
-//! engine reads no files and prints nothing: summary reuse goes through
-//! caller-held [`persist::SummaryCache`] and [`SharedSummaryStore`]
-//! handles, and a failed publish to the store comes back as a value
+//! runs constraint generation, solves through [`solve`] (SCC
+//! condensation, the only production schedule), and answers every
+//! disambiguation query from the solved relation. Consumers hold an
+//! engine (usually behind an `Arc`) and ask questions; none of them
+//! constructs solvers anymore. The engine reads no files and prints
+//! nothing: summary reuse goes through caller-held
+//! [`persist::SummaryCache`] and [`SharedSummaryStore`] handles, and a
+//! failed publish to the store comes back as a value
 //! ([`DisambiguationEngine::store_warning`]).
 
 use crate::analysis::{derived_pointer, strip_copies};
 use crate::constraints::{self, Constraint, GenConfig};
-use crate::fast_solver::solve_fast_impl;
-use crate::lattice::DenseStore;
 use crate::persist;
-use crate::solver::{solve_impl, Solution, SolveStats};
+use crate::solver::{solve, Solution, SolveStats};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::summary::{CacheOutcome, FunctionSummary, ModuleSummaries};
 use crate::var_index::VarIndex;
 use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
 use sraa_range::RangeAnalysis;
-
-/// Which fixpoint strategy the engine runs.
-///
-/// * [`SolverKind::Scc`] — Tarjan condensation with topological
-///   scheduling and union-cycle short-circuiting; exactly one evaluation
-///   per constraint on acyclic systems. **The default**, and the path
-///   every consumer that doesn't say otherwise takes.
-/// * [`SolverKind::Worklist`] — the paper's §3.4 FIFO worklist; ≈2 pops
-///   per constraint in practice. Kept as a differential oracle for the
-///   SCC solver and to reproduce the paper's pop counts (Figure 11,
-///   §3.4), not as a performance option.
-///
-/// Both produce identical solutions (differentially tested across the
-/// corpus) through the same lattice store; only the evaluation schedule,
-/// and so the `pops` counter, differs. Exposed as the
-/// `--solver {worklist,scc}` CLI flag.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolverKind {
-    /// The paper-faithful FIFO worklist solver (differential oracle).
-    Worklist,
-    /// The SCC-condensation solver (default).
-    #[default]
-    Scc,
-}
-
-impl SolverKind {
-    /// Every strategy, in presentation order.
-    pub const ALL: [SolverKind; 2] = [SolverKind::Worklist, SolverKind::Scc];
-
-    /// Parses a CLI-style name (`"worklist"` / `"scc"`).
-    pub fn parse(s: &str) -> Option<SolverKind> {
-        match s {
-            "worklist" => Some(SolverKind::Worklist),
-            "scc" => Some(SolverKind::Scc),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverKind::Worklist => "worklist",
-            SolverKind::Scc => "scc",
-        }
-    }
-
-    /// Solves the constraint system over `num_vars` variables with this
-    /// strategy — the one way to run a fixpoint.
-    pub fn solve(self, constraints: &[Constraint], num_vars: usize) -> Solution {
-        let store = DenseStore::new(num_vars);
-        match self {
-            SolverKind::Worklist => solve_impl(constraints, num_vars, store),
-            SolverKind::Scc => solve_fast_impl(constraints, num_vars, store),
-        }
-    }
-}
-
-impl std::fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// How much of the call graph the analysis sees.
 ///
@@ -117,8 +54,9 @@ pub enum Contextuality {
     Summaries,
 }
 
-/// Full engine configuration: constraint-generation options, the fixpoint
-/// strategy and the interprocedural mode.
+/// Full engine configuration: constraint-generation options and the
+/// interprocedural mode. The fixpoint is not configurable: it is always
+/// [`solve`].
 ///
 /// There is no file path in here: the engine never reads or writes a
 /// summary cache or opens a store. Callers that reuse summaries keep a
@@ -129,8 +67,6 @@ pub enum Contextuality {
 pub struct EngineConfig {
     /// Constraint-generation options (paper fidelity knobs).
     pub gen: GenConfig,
-    /// Fixpoint strategy (default: [`SolverKind::Scc`]).
-    pub solver: SolverKind,
     /// Interprocedural mode (default: [`Contextuality::Intra`]).
     pub contextuality: Contextuality,
 }
@@ -172,7 +108,6 @@ pub struct DisambiguationEngine {
     solution: Solution,
     ranges: RangeAnalysis,
     cfg: GenConfig,
-    solver: SolverKind,
     /// Interprocedural summaries, when built with
     /// [`Contextuality::Summaries`].
     summaries: Option<ModuleSummaries>,
@@ -182,17 +117,11 @@ pub struct DisambiguationEngine {
 
 impl DisambiguationEngine {
     /// Runs the full pipeline with default (paper-faithful constraints,
-    /// SCC solver) settings.
+    /// intraprocedural) settings.
     ///
     /// The module is mutated: it is converted to e-SSA form first.
     pub fn run(module: &mut Module) -> Self {
         Self::build(module, EngineConfig::default())
-    }
-
-    /// Runs the full pipeline with explicit constraint-generation options
-    /// and the default solver.
-    pub fn run_with(module: &mut Module, gen: GenConfig) -> Self {
-        Self::build(module, EngineConfig::from(gen))
     }
 
     /// Runs the full pipeline with an explicit configuration.
@@ -217,7 +146,7 @@ impl DisambiguationEngine {
         let summaries = match cfg.contextuality {
             Contextuality::Intra => None,
             Contextuality::Summaries => {
-                Some(ModuleSummaries::compute(module, ranges, cfg.gen, &index, cfg.solver))
+                Some(ModuleSummaries::compute(module, ranges, cfg.gen, &index))
             }
         };
         Self::assemble(module, ranges, cfg, index, summaries, summary_t0, Reused::default())
@@ -292,9 +221,8 @@ impl DisambiguationEngine {
         cache: Option<&persist::SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (ModuleSummaries, Reused) {
-        let (sums, keys, mut outcome, mut store_outcome) = ModuleSummaries::compute_incremental(
-            module, ranges, cfg.gen, index, cfg.solver, cache, store,
-        );
+        let (sums, keys, mut outcome, mut store_outcome) =
+            ModuleSummaries::compute_incremental(module, ranges, cfg.gen, index, cache, store);
         let mut store_warning = None;
         if cache.is_none() {
             // No usable cache at all: every function was a miss, so a
@@ -341,7 +269,7 @@ impl DisambiguationEngine {
             }
         };
         let solve_t0 = std::time::Instant::now();
-        let mut solution = cfg.solver.solve(&sys.constraints, sys.num_vars);
+        let mut solution = solve(&sys.constraints, sys.num_vars);
 
         // Parameter-pair refinement (see `GenConfig::param_pairs`): when
         // every internal call site orders two arguments, the corresponding
@@ -377,7 +305,7 @@ impl DisambiguationEngine {
                 if !added {
                     break;
                 }
-                solution = cfg.solver.solve(&sys.constraints, sys.num_vars);
+                solution = solve(&sys.constraints, sys.num_vars);
             }
         }
 
@@ -398,15 +326,9 @@ impl DisambiguationEngine {
             solution,
             ranges: ranges.clone(),
             cfg: cfg.gen,
-            solver: cfg.solver,
             summaries,
             store_warning: reuse.store_warning,
         }
-    }
-
-    /// The strategy this engine solved with.
-    pub fn solver_kind(&self) -> SolverKind {
-        self.solver
     }
 
     /// The interprocedural mode this engine was built with.
@@ -567,63 +489,15 @@ impl DisambiguationEngine {
 mod tests {
     use super::*;
 
-    fn engines(src: &str) -> (Module, DisambiguationEngine, DisambiguationEngine) {
-        // Compile twice so each engine runs the full deterministic
-        // pipeline on an identical program.
+    fn build_engine(src: &str) -> (Module, DisambiguationEngine) {
         let mut m = sraa_minic::compile(src).unwrap();
-        let scc = DisambiguationEngine::build(
-            &mut m,
-            EngineConfig { solver: SolverKind::Scc, ..Default::default() },
-        );
-        let mut m2 = sraa_minic::compile(src).unwrap();
-        let wl = DisambiguationEngine::build(
-            &mut m2,
-            EngineConfig { solver: SolverKind::Worklist, ..Default::default() },
-        );
-        assert_eq!(m, m2, "the e-SSA pipeline must be deterministic");
-        (m, scc, wl)
-    }
-
-    #[test]
-    fn solver_kind_parses_cli_names() {
-        assert_eq!(SolverKind::parse("scc"), Some(SolverKind::Scc));
-        assert_eq!(SolverKind::parse("worklist"), Some(SolverKind::Worklist));
-        assert_eq!(SolverKind::parse("magic"), None);
-        assert_eq!(SolverKind::default(), SolverKind::Scc, "the fast path is the default");
-        for k in SolverKind::ALL {
-            assert_eq!(SolverKind::parse(k.as_str()), Some(k));
-            assert_eq!(format!("{k}"), k.as_str());
-        }
-    }
-
-    #[test]
-    fn strategies_agree_through_the_engine() {
-        let (m, scc, wl) = engines(
-            r#"
-            void f(int* v, int N) {
-                for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
-            }
-            "#,
-        );
-        for (fid, f) in m.functions() {
-            for a in f.value_ids() {
-                for b in f.value_ids() {
-                    assert_eq!(
-                        scc.less_than(fid, a, b),
-                        wl.less_than(fid, a, b),
-                        "solver strategies disagree on {a} < {b}"
-                    );
-                }
-                assert_eq!(scc.lt_set(fid, a), wl.lt_set(fid, a));
-            }
-        }
-        assert_eq!(scc.solver_kind(), SolverKind::Scc);
-        assert_eq!(wl.solver_kind(), SolverKind::Worklist);
+        let engine = DisambiguationEngine::run(&mut m);
+        (m, engine)
     }
 
     #[test]
     fn no_alias_pairs_equals_the_point_queries_in_input_order() {
-        let (m, scc, _) = engines(
+        let (m, engine) = build_engine(
             r#"
             void f(int* v, int N) {
                 for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
@@ -642,18 +516,18 @@ mod tests {
                 }
             }
         }
-        let pairs = scc.no_alias_pairs(f, fid, &ptrs);
+        let pairs = engine.no_alias_pairs(f, fid, &ptrs);
         assert!(!pairs.is_empty(), "v[i]/v[j] must be disambiguated");
         let mut point = Vec::new();
         for (i, &p1) in ptrs.iter().enumerate() {
             for &p2 in &ptrs[i + 1..] {
-                if scc.no_alias(f, fid, p1, p2) {
+                if engine.no_alias(f, fid, p1, p2) {
                     point.push((p1, p2));
                 }
             }
         }
         assert_eq!(pairs, point);
-        assert_eq!(scc.cached_queries(), 0, "the engine keeps no pair memo");
+        assert_eq!(engine.cached_queries(), 0, "the engine keeps no pair memo");
     }
 
     /// The engine is a plain value: cloneable and shareable across threads.
@@ -774,12 +648,12 @@ mod tests {
 
     #[test]
     fn clone_preserves_results() {
-        let (m, scc, _) = engines("int f(int x) { return x + 1; }");
-        let clone = scc.clone();
+        let (m, engine) = build_engine("int f(int x) { return x + 1; }");
+        let clone = engine.clone();
         let fid = m.function_by_name("f").unwrap();
         for v in m.function(fid).value_ids() {
-            assert_eq!(scc.lt_set(fid, v), clone.lt_set(fid, v));
+            assert_eq!(engine.lt_set(fid, v), clone.lt_set(fid, v));
         }
-        assert_eq!(scc.stats(), clone.stats());
+        assert_eq!(engine.stats(), clone.stats());
     }
 }

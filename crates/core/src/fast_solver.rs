@@ -25,9 +25,10 @@
 //!    the iteration entirely for union-only cycles.
 //! 3. **One lattice store.** Both strategies evaluate constraints through
 //!    the same [`DenseStore`](crate::lattice::DenseStore) arena, with a
-//!    symbolic ⊤. This solver contributes *scheduling only*, so both are
-//!    reached through [`SolverKind::solve`](crate::SolverKind::solve) and
-//!    return the same [`Solution`] type.
+//!    symbolic ⊤. This solver contributes *scheduling only*: it is the
+//!    one production fixpoint, [`solve`](crate::solve), and returns the
+//!    same [`Solution`] type as the worklist reference,
+//!    [`solve_worklist`](crate::solve_worklist).
 //!
 //! The `scalability` binary prints the effect (evaluations and wall clock
 //! per strategy), and `tests/work_counters.rs` pins the evaluation counts.
@@ -40,7 +41,7 @@ use crate::solver::{Solution, SolveStats};
 /// condensation over `store`. Produces the same fixpoint as the worklist
 /// in the same [`Solution`] representation; `stats.pops` counts the
 /// constraint evaluations spent (exactly one per constraint on acyclic
-/// systems). Reached through [`SolverKind::solve`](crate::SolverKind::solve).
+/// systems). Reached through [`solve`](crate::solve).
 pub(crate) fn solve_fast_impl<S: LatticeStore>(
     constraints: &[Constraint],
     num_vars: usize,
@@ -265,16 +266,8 @@ fn tarjan_sccs(deps: &Csr, active: impl Fn(u32) -> bool) -> Csr {
 mod tests {
     use super::*;
     use crate::constraints::Constraint as C;
-    use crate::engine::SolverKind;
+    use crate::solver::{solve, solve_worklist};
     use crate::var_index::VarId;
-
-    fn solve(cs: &[C], num_vars: usize) -> Solution {
-        SolverKind::Worklist.solve(cs, num_vars)
-    }
-
-    fn solve_scc(cs: &[C], num_vars: usize) -> Solution {
-        SolverKind::Scc.solve(cs, num_vars)
-    }
 
     fn v(i: u32) -> VarId {
         VarId::new(i)
@@ -286,8 +279,8 @@ mod tests {
 
     /// Asserts both solvers agree on every variable's `LT` set.
     fn assert_agrees(cs: &[C], num_vars: usize) {
-        let base = solve(cs, num_vars);
-        let fast = solve_scc(cs, num_vars);
+        let base = solve_worklist(cs, num_vars);
+        let fast = solve(cs, num_vars);
         for x in 0..num_vars {
             let x = VarId::from_index(x);
             assert_eq!(base.lt_set(x), fast.lt_set(x), "solvers disagree on LT({x}) over {cs:?}");
@@ -319,7 +312,7 @@ mod tests {
 
     #[test]
     fn papers_fixpoint_reproduced_natively() {
-        let sol = solve_scc(&example_3_4(), 11);
+        let sol = solve(&example_3_4(), 11);
         assert_eq!(sol.lt_set(v(3)), &[0, 2], "LT(x3) = {{x0, x2}}");
         assert_eq!(sol.lt_set(v(7)), &[0, 9], "LT(x1t) = {{x0, x4t}}");
         assert!(sol.less_than(v(0), v(1)) && !sol.less_than(v(1), v(0)));
@@ -334,7 +327,7 @@ mod tests {
         }
         assert_agrees(&cs, n as usize);
         // Acyclic: exactly one eval per constraint.
-        let fast = solve_scc(&cs, n as usize);
+        let fast = solve(&cs, n as usize);
         assert_eq!(fast.stats.pops, n as u64);
         assert_eq!(fast.stats.cyclic_sccs, 0);
     }
@@ -348,7 +341,7 @@ mod tests {
             C::Union { x: v(2), elems: vs(&[1]), sources: vs(&[1]) },
         ];
         assert_agrees(&cs, 3);
-        let fast = solve_scc(&cs, 3);
+        let fast = solve(&cs, 3);
         assert_eq!(fast.stats.cyclic_sccs, 1);
         assert_eq!(fast.stats.union_cycles, 0);
     }
@@ -360,7 +353,7 @@ mod tests {
             C::Union { x: v(1), elems: vs(&[0]), sources: vs(&[0]) },
         ];
         assert_agrees(&cs, 2);
-        let fast = solve_scc(&cs, 2);
+        let fast = solve(&cs, 2);
         assert_eq!(fast.stats.union_cycles, 1);
         assert_eq!(fast.stats.frozen_tops, 2);
         assert_eq!(fast.stats.pops, 0, "no iteration spent on the cycle");
@@ -384,7 +377,7 @@ mod tests {
         // x0 = {1} ∪ LT(x0): a self-loop, degenerate union cycle.
         let cs = vec![C::Union { x: v(0), elems: vs(&[1]), sources: vs(&[0]) }];
         assert_agrees(&cs, 2);
-        let fast = solve_scc(&cs, 2);
+        let fast = solve(&cs, 2);
         assert_eq!(fast.stats.union_cycles, 1);
     }
 
@@ -411,7 +404,7 @@ mod tests {
             C::Union { x: v(3), elems: vs(&[1]), sources: vs(&[1]) },
             C::Inter { x: v(4), sources: vs(&[2, 3]) },
         ];
-        let fast = solve_scc(&cs, 5);
+        let fast = solve(&cs, 5);
         assert_eq!(fast.lt_set(v(4)), &[] as &[u32]);
         assert_agrees(&cs, 5);
     }
@@ -462,14 +455,14 @@ mod tests {
             // Copies, so the closure stays small while the graph is deep.
             cs.push(C::Copy { x: v(i), source: v(i - 1) });
         }
-        let fast = solve_scc(&cs, n as usize);
+        let fast = solve(&cs, n as usize);
         assert_eq!(fast.lt_set(v(n - 1)), &[] as &[u32]);
         assert_eq!(fast.stats.pops, n as u64);
     }
 
     #[test]
     fn empty_system() {
-        let sol = solve_scc(&[], 0);
+        let sol = solve(&[], 0);
         assert_eq!(sol.stats.pops, 0);
         assert_eq!(sol.size_histogram(), Vec::<(usize, usize)>::new());
     }
@@ -484,8 +477,8 @@ mod tests {
             /// paper's worklist solver on arbitrary constraint systems.
             #[test]
             fn fast_solver_agrees_with_baseline((cs, n) in systems()) {
-                let base = solve(&cs, n);
-                let fast = solve_scc(&cs, n);
+                let base = solve_worklist(&cs, n);
+                let fast = solve(&cs, n);
                 for x in 0..n {
                     let x = VarId::from_index(x);
                     prop_assert_eq!(base.lt_set(x), fast.lt_set(x), "LT({})", x);
@@ -498,8 +491,8 @@ mod tests {
             /// property runs on, so keep the solvers honest there too.
             #[test]
             fn fast_solver_agrees_on_grounded_systems((cs, n) in grounded_systems()) {
-                let base = solve(&cs, n);
-                let fast = solve_scc(&cs, n);
+                let base = solve_worklist(&cs, n);
+                let fast = solve(&cs, n);
                 for x in 0..n {
                     let x = VarId::from_index(x);
                     prop_assert_eq!(base.lt_set(x), fast.lt_set(x), "LT({})", x);
@@ -540,8 +533,8 @@ mod tests {
                         }
                     })
                     .collect();
-                let base = solve(&acyclic, n);
-                let fast = solve_scc(&acyclic, n);
+                let base = solve_worklist(&acyclic, n);
+                let fast = solve(&acyclic, n);
                 prop_assert_eq!(fast.stats.pops, acyclic.len() as u64);
                 prop_assert!(fast.stats.pops <= base.stats.pops);
                 for x in 0..n {

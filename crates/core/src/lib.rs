@@ -21,13 +21,10 @@
 //!   │SSA module│───(sraa-essa)─▶│  e-SSA  │─────────────────────────▶│ConstraintSystem│
 //!   └──────────┘                └─────────┘                          └───────┬───────┘
 //!                                                                           │
-//!                                                     SolverKind::solve     │
-//!                                  ┌─────────────────┬──────────────────────┘
-//!                                  ▼                 ▼
-//!                            Scc (default,       Worklist (paper §3.4,
-//!                            §6 answer)          differential oracle)
-//!                                  └────────┬────────┘
-//!                                           ▼  one DenseStore arena
+//!                            solve: SCC condensation (§6 answer),           │
+//!                            one DenseStore arena                           │
+//!                                           ┌───────────────────────────────┘
+//!                                           ▼
 //!                                      ┌──────────┐   point and batch pair queries
 //!                                      │ Solution │──▶ queries: less_than · lt_set ·
 //!                                      └──────────┘            no_alias · histograms
@@ -42,12 +39,13 @@
 //!    `O(|V|)`, one pass per function; variables are interned
 //!    [`VarId`]s.
 //! 4. **Fixpoint solving** over the lattice `⟨V, ∩, ∅, V, ⊆⟩`, descending
-//!    from ⊤, through [`SolverKind::solve`]: the SCC-condensation solver
-//!    ([`SolverKind::Scc`] — the default) or the paper's FIFO worklist
-//!    ([`solver`], [`SolverKind::Worklist`], kept as a differential oracle
-//!    and for the paper's pop counts). Both propagate change-by-change
+//!    from ⊤, through [`solve`]: SCC condensation with topological
+//!    scheduling, the one production schedule. The paper's FIFO worklist,
+//!    [`solve_worklist`], is kept beside it as the reference the
+//!    differential tests compare against and for the paper's pop counts;
+//!    no production path calls it. Both propagate change-by-change
 //!    through one flat CSR/bitset lattice arena and return the same
-//!    [`Solution`]; differential tests prove them interchangeable.
+//!    [`Solution`].
 //! 5. **Disambiguation** (paper Definition 3.11):
 //!    [`no_alias`](DisambiguationEngine::no_alias) — `p1 ∈ LT(p2)` ∨
 //!    `p2 ∈ LT(p1)` (criterion 1), or both derived from one base with
@@ -115,10 +113,10 @@ pub mod var_index;
 
 pub use analysis::{derived_pointer, strip_copies, StrictInequalityAnalysis};
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
-pub use engine::{Contextuality, DisambiguationEngine, EngineConfig, SolverKind};
+pub use engine::{Contextuality, DisambiguationEngine, EngineConfig};
 pub use ondemand::OnDemandProver;
 pub use persist::{SummaryCache, SummaryKeys, FORMAT_VERSION};
-pub use solver::{Solution, SolveStats};
+pub use solver::{solve, solve_worklist, Solution, SolveStats};
 pub use store::{SharedSummaryStore, StoreOutcome};
 pub use summary::{CacheOutcome, FunctionSummary, ModuleSummaries, SummaryStats};
 pub use var_index::{VarId, VarIndex};

@@ -135,7 +135,7 @@ impl<'a> OnDemandProver<'a> {
 mod tests {
     use super::*;
     use crate::constraints::GenConfig;
-    use crate::engine::SolverKind;
+    use crate::solver::solve_worklist;
 
     fn v(i: u32) -> VarId {
         VarId::new(i)
@@ -173,7 +173,7 @@ mod tests {
             C::Inter { x: v(6), sources: vs(&[3, 9, 4]) },
         ];
         let sys = bare_system(constraints, 11);
-        let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+        let solution = solve_worklist(&sys.constraints, sys.num_vars);
         let mut prover = OnDemandProver::new(&sys);
         for x in 0..11 {
             for y in 0..11 {
@@ -198,7 +198,7 @@ mod tests {
             let mut m = sraa_minic::compile(src).unwrap();
             let (ranges, _) = sraa_essa::transform_module(&mut m);
             let sys = crate::constraints::generate(&m, &ranges, GenConfig::default());
-            let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+            let solution = solve_worklist(&sys.constraints, sys.num_vars);
             let mut prover = OnDemandProver::new(&sys);
             let n = sys.num_vars.min(160) as u32;
             for x in 0..n {
@@ -249,7 +249,7 @@ mod tests {
             ],
             2,
         );
-        let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+        let solution = solve_worklist(&sys.constraints, sys.num_vars);
         let mut prover = OnDemandProver::new(&sys);
         // Solver freezes ⊤ → ∅ (conservative); prover reports the raw gfp.
         assert!(!solution.less_than(v(0), v(1)));
@@ -278,7 +278,7 @@ mod tests {
                     param_info: vec![],
                     param_union: Default::default(),
                 };
-                let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+                let solution = solve_worklist(&sys.constraints, sys.num_vars);
                 let mut prover = OnDemandProver::new(&sys);
                 for x in 0..n as u32 {
                     for y in 0..n as u32 {

@@ -164,15 +164,13 @@ impl SummaryCache {
 mod tests {
     use super::*;
     use crate::constraints::GenConfig;
-    use crate::engine::SolverKind;
     use crate::var_index::VarIndex;
 
     fn cold(src: &str) -> (Module, ModuleSummaries, SummaryKeys) {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums =
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
+        let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
         let keys = SummaryKeys::compute(&m);
         (m, sums, keys)
     }

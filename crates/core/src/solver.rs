@@ -1,20 +1,20 @@
-//! The worklist constraint solver — the paper's Section 3.4 — and the
-//! solver-independent [`Solution`] / [`SolveStats`] types both fixpoint
-//! strategies produce.
+//! The fixpoint entry points — [`solve`], the one production solve, and
+//! [`solve_worklist`], the paper's Section 3.4 worklist kept as its
+//! reference — and the [`Solution`] / [`SolveStats`] types both produce.
 //!
 //! Every `LT(x)` starts at ⊤ = `V` (the set of all program variables) and
 //! decreases monotonically until a fixed point — the greatest fixpoint
 //! over the lattice `PV = ⟨V, ∩, ⊥ = ∅, ⊤ = V, ⊆⟩` (paper Theorem 3.7).
 //! Rather than materialising `V` per variable (quadratic memory), ⊤ is
 //! represented symbolically; the sets themselves live in the one lattice
-//! store (`DenseStore`), shared with the SCC solver — the two differ only
-//! in scheduling, and [`SolverKind::solve`](crate::SolverKind::solve)
-//! picks between them.
+//! store (`DenseStore`), shared by both schedules. [`solve`] condenses the
+//! constraint graph into SCCs (see the `fast_solver` module); the worklist
+//! differs only in scheduling, and no production path runs it.
 //!
-//! The solver counts worklist pops: the paper reports that, in practice,
-//! each constraint is visited ≈ 2.12 times before the fixpoint, which is
-//! what makes the cubic worst case behave linearly ([`SolveStats`]
-//! reproduces that measurement).
+//! The worklist counts pops: the paper reports that, in practice, each
+//! constraint is visited ≈ 2.12 times before the fixpoint, which is what
+//! makes the cubic worst case behave linearly ([`SolveStats`] reproduces
+//! that measurement; `scalability` prints it).
 //!
 //! Variables whose set is still ⊤ at the fixpoint can only belong to code
 //! unreachable from any grounded definition (e.g. dead functions); the
@@ -22,8 +22,24 @@
 //! never rely on vacuous facts.
 
 use crate::constraints::Constraint;
-use crate::lattice::LatticeStore;
+use crate::fast_solver::solve_fast_impl;
+use crate::lattice::{DenseStore, LatticeStore};
 use crate::var_index::VarId;
+
+/// Solves the constraint system over `num_vars` variables — the one
+/// production fixpoint: SCC condensation over a `DenseStore`, exactly
+/// one evaluation per constraint on acyclic systems.
+pub fn solve(constraints: &[Constraint], num_vars: usize) -> Solution {
+    solve_fast_impl(constraints, num_vars, DenseStore::new(num_vars))
+}
+
+/// The paper's §3.4 FIFO worklist over the same store: the reference
+/// [`solve`] is tested against and the source of the paper's pop counts
+/// (≈ 2 per constraint). Same [`Solution`], different schedule; only
+/// tests and the `scalability` figure call it.
+pub fn solve_worklist(constraints: &[Constraint], num_vars: usize) -> Solution {
+    solve_impl(constraints, num_vars, DenseStore::new(num_vars))
+}
 
 /// Counters for the scalability study (paper §4.2 and Figure 11), shared
 /// by both solver strategies. The worklist solver leaves the SCC fields
@@ -199,7 +215,7 @@ impl Solution {
 
 /// The paper's FIFO worklist over `store`: seeded with every constraint
 /// in order, re-enqueueing the readers of each variable whose set
-/// changed. Reached through [`SolverKind::solve`](crate::SolverKind::solve).
+/// changed. Reached through [`solve_worklist`].
 pub(crate) fn solve_impl<S: LatticeStore>(
     constraints: &[Constraint],
     num_vars: usize,
@@ -255,11 +271,6 @@ pub(crate) fn solve_impl<S: LatticeStore>(
 mod tests {
     use super::*;
     use crate::constraints::Constraint as C;
-    use crate::engine::SolverKind;
-
-    fn solve(cs: &[C], num_vars: usize) -> Solution {
-        SolverKind::Worklist.solve(cs, num_vars)
-    }
 
     fn v(i: u32) -> VarId {
         VarId::new(i)
@@ -291,7 +302,7 @@ mod tests {
     /// The paper's Example 3.5 expected fixpoint, literally.
     #[test]
     fn example_3_5_fixpoint() {
-        let sol = solve(&example_3_4(), 11);
+        let sol = solve_worklist(&example_3_4(), 11);
         let set = |x: u32| sol.lt_set(v(x)).to_vec();
         assert_eq!(set(0), vec![] as Vec<u32>, "LT(x0) = ∅");
         assert_eq!(set(4), vec![] as Vec<u32>, "LT(x4) = ∅");
@@ -315,7 +326,7 @@ mod tests {
             C::Union { x: v(2), elems: vs(&[1]), sources: vs(&[1]) },
             C::Union { x: v(3), elems: vs(&[2]), sources: vs(&[2]) },
         ];
-        let sol = solve(&cs, 4);
+        let sol = solve_worklist(&cs, 4);
         assert_eq!(sol.lt_set(v(3)), &[0, 1, 2]);
         assert!(sol.less_than(v(0), v(3)), "transitive closure: x0 < x3");
         assert_eq!(sol.lt_vars(v(3)).collect::<Vec<_>>(), vs(&[0, 1, 2]));
@@ -329,7 +340,7 @@ mod tests {
             C::Inter { x: v(1), sources: vs(&[0, 2]) },               // i
             C::Union { x: v(2), elems: vs(&[1]), sources: vs(&[1]) }, // i2
         ];
-        let sol = solve(&cs, 3);
+        let sol = solve_worklist(&cs, 3);
         assert_eq!(sol.lt_set(v(1)), &[] as &[u32]);
         assert_eq!(sol.lt_set(v(2)), &[1]);
         assert!(sol.stats.pops >= cs.len() as u64);
@@ -342,7 +353,7 @@ mod tests {
             C::Union { x: v(0), elems: vs(&[1]), sources: vs(&[1]) },
             C::Union { x: v(1), elems: vs(&[0]), sources: vs(&[0]) },
         ];
-        let sol = solve(&cs, 2);
+        let sol = solve_worklist(&cs, 2);
         assert_eq!(sol.stats.frozen_tops, 2);
         assert!(!sol.less_than(v(0), v(1)), "frozen ⊤ must answer conservatively");
         assert!(!sol.less_than(v(1), v(0)));
@@ -353,7 +364,7 @@ mod tests {
     fn frozen_tracking_distinguishes_grounded_vars() {
         let cs =
             vec![C::Init { x: v(0) }, C::Union { x: v(1), elems: vs(&[0]), sources: vs(&[0]) }];
-        let sol = solve(&cs, 3); // v2 is undefined → stays ⊤ → frozen
+        let sol = solve_worklist(&cs, 3); // v2 is undefined → stays ⊤ → frozen
         assert!(!sol.was_top(v(0)) && !sol.was_top(v(1)));
         assert!(sol.was_top(v(2)));
         assert_eq!(sol.stats.frozen_tops, 1);
@@ -367,7 +378,7 @@ mod tests {
         for i in 1..n {
             cs.push(C::Union { x: v(i), elems: vs(&[i - 1]), sources: vs(&[i - 1]) });
         }
-        let sol = solve(&cs, n as usize);
+        let sol = solve_worklist(&cs, n as usize);
         assert!(
             sol.stats.pops_per_constraint() <= 3.0,
             "chain should be ~1 pop per constraint, got {}",
@@ -383,14 +394,14 @@ mod tests {
             C::Union { x: v(1), elems: vs(&[0]), sources: vs(&[0]) },
             C::Union { x: v(2), elems: vs(&[1]), sources: vs(&[1]) },
         ];
-        let sol = solve(&cs, 3);
+        let sol = solve_worklist(&cs, 3);
         let h = sol.size_histogram();
         assert_eq!(h, vec![(0, 1), (1, 1), (2, 1)]);
     }
 
     #[test]
     fn empty_system() {
-        let sol = solve(&[], 0);
+        let sol = solve_worklist(&[], 0);
         assert_eq!(sol.stats.pops, 0);
         assert_eq!(sol.stats.constraints, 0);
         assert_eq!(sol.num_vars(), 0);

@@ -51,8 +51,8 @@
 //! See ROADMAP "Open items".
 
 use crate::constraints::{self, Constraint, GenConfig};
-use crate::engine::SolverKind;
 use crate::persist::{SummaryCache, SummaryKeys};
+use crate::solver::{solve, Solution};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::var_index::{VarId, VarIndex};
 use sraa_ir::{CallGraph, Condensation, FuncId, InstKind, Module, Value};
@@ -154,10 +154,9 @@ impl ModuleSummaries {
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
-        solver: SolverKind,
     ) -> Self {
         let cond = CallGraph::build(module).condense();
-        Self::walk(module, ranges, cfg, index, solver, &cond, None).0
+        Self::walk(module, ranges, cfg, index, &cond, None).0
     }
 
     /// [`ModuleSummaries::compute`] with a **warm path**: components whose
@@ -186,7 +185,6 @@ impl ModuleSummaries {
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
-        solver: SolverKind,
         cache: Option<&SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (Self, SummaryKeys, CacheOutcome, StoreOutcome) {
@@ -195,7 +193,7 @@ impl ModuleSummaries {
         let keys = SummaryKeys::compute_with(module, &cg, &cond);
         let reuse = Reuse { keys: &keys, cache, store };
         let (sums, outcome, store_outcome) =
-            Self::walk(module, ranges, cfg, index, solver, &cond, Some(reuse));
+            Self::walk(module, ranges, cfg, index, &cond, Some(reuse));
         (sums, keys, outcome, store_outcome)
     }
 
@@ -206,7 +204,6 @@ impl ModuleSummaries {
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
-        solver: SolverKind,
         cond: &Condensation,
         reuse: Option<Reuse<'_>>,
     ) -> (Self, CacheOutcome, StoreOutcome) {
@@ -275,7 +272,6 @@ impl ModuleSummaries {
                 ranges,
                 cfg,
                 index,
-                solver,
                 members,
                 cond.is_recursive(ci),
                 &mut sums.per_func,
@@ -315,13 +311,11 @@ struct Reuse<'a> {
 /// summaries of every component below it, and the members' entries hold
 /// the current iterate, which this function refines until it is stable.
 /// Returns the number of per-SCC solves it took.
-#[allow(clippy::too_many_arguments)]
 fn solve_scc(
     module: &Module,
     ranges: &RangeAnalysis,
     cfg: GenConfig,
     index: &VarIndex,
-    solver: SolverKind,
     members: &[FuncId],
     recursive: bool,
     per_func: &mut [FunctionSummary],
@@ -339,7 +333,7 @@ fn solve_scc(
     loop {
         let raw = constraints::generate_scoped(module, ranges, cfg, index, members, per_func);
         let local_cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
-        let solution = solver.solve(&local_cs, space.len());
+        let solution = solve(&local_cs, space.len());
         solves += 1;
         let mut changed = false;
         for &f in members {
@@ -369,7 +363,7 @@ fn distil(
     module: &Module,
     index: &VarIndex,
     space: &SccSpace,
-    solution: &crate::solver::Solution,
+    solution: &Solution,
     f: FuncId,
 ) -> FunctionSummary {
     let func = module.function(f);
@@ -462,8 +456,7 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums =
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
+        let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
         (m, sums)
     }
 
@@ -600,8 +593,7 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let solver = SolverKind::Scc;
-        let cold = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver);
+        let cold = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
         let keys = SummaryKeys::compute(&m);
         let cache = SummaryCache::from_parts(&m, &cold, &keys);
 
@@ -610,7 +602,6 @@ mod tests {
             &ranges,
             GenConfig::default(),
             &index,
-            solver,
             Some(&cache),
             None,
         );
@@ -629,7 +620,6 @@ mod tests {
             &ranges,
             GenConfig::default(),
             &index,
-            solver,
             None,
             None,
         );
@@ -638,28 +628,85 @@ mod tests {
         assert_eq!(none, StoreOutcome::default());
     }
 
+    /// Walks the condensation the way [`ModuleSummaries::compute`] does,
+    /// but solves every per-SCC system — remapped into its `SccSpace`,
+    /// parameters Init-grounded, each iterate of a recursive descent — with
+    /// both [`solve`] and its reference [`solve_worklist`]: the sets, the
+    /// frozen ⊤s and the distilled summaries must agree at every step, and
+    /// the walk must end where the production one does.
+    fn assert_schedules_agree_per_scc(src: &str) {
+        use crate::solver::solve_worklist;
+        let mut m = sraa_minic::compile(src).unwrap();
+        let (ranges, _) = sraa_essa::transform_module(&mut m);
+        let (cfg, index) = (GenConfig::default(), VarIndex::new(&m));
+        let cond = CallGraph::build(&m).condense();
+        let mut per_func = vec![FunctionSummary::default(); m.num_functions()];
+        let mut solves = 0u64;
+        for (ci, members) in cond.bottom_up() {
+            let recursive = cond.is_recursive(ci);
+            if recursive {
+                for &f in members {
+                    let n = m.function(f).params.len() as u32;
+                    per_func[f.index()] = FunctionSummary { args_lt_ret: (0..n).collect() };
+                }
+            }
+            let space = SccSpace::new(&m, &index, members);
+            loop {
+                let raw =
+                    constraints::generate_scoped(&m, &ranges, cfg, &index, members, &per_func);
+                let cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
+                let (a, b) = (solve(&cs, space.len()), solve_worklist(&cs, space.len()));
+                solves += 1;
+                for v in (0..space.len()).map(VarId::from_index) {
+                    assert_eq!(a.lt_set(v), b.lt_set(v), "component {ci}: LT({v})");
+                    assert_eq!(a.was_top(v), b.was_top(v), "component {ci}: frozen {v}");
+                }
+                let mut changed = false;
+                for &f in members {
+                    let new = distil(&m, &index, &space, &a, f);
+                    assert_eq!(new, distil(&m, &index, &space, &b, f), "component {ci}: {f}");
+                    changed |= new != per_func[f.index()];
+                    per_func[f.index()] = new;
+                }
+                if !recursive || !changed {
+                    break;
+                }
+            }
+        }
+        let sums = ModuleSummaries::compute(&m, &ranges, cfg, &index);
+        assert_eq!(per_func, sums.per_func, "the walk must distil the production summaries");
+        assert_eq!(solves, sums.stats.solves, "and take as many per-SCC solves");
+    }
+
     #[test]
-    fn solver_strategies_distil_identical_summaries() {
-        let src = r#"
+    fn both_schedules_agree_on_every_per_scc_system() {
+        for src in [
+            r#"
             int next(int i) { return i + 1; }
+            int twice(int i) { return next(next(i)); }
             int* skipr(int* p, int n) {
                 if (n <= 0) { return p + 1; }
                 return skipr(p + 1, n - 1);
             }
-            int main() { int a[8]; int* q = skipr(a, next(1)); return *q; }
-        "#;
-        let mut m = sraa_minic::compile(src).unwrap();
-        let (ranges, _) = sraa_essa::transform_module(&mut m);
-        let index = VarIndex::new(&m);
-        let a =
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
-        let b = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Worklist,
-        );
-        assert_eq!(a, b);
+            int main() { int a[8]; int* q = skipr(a, twice(1)); return *q; }
+            "#,
+            r#"
+            int ping(int i, int n) { if (n <= 0) { return i + 1; } return pong(i + 1, n - 1); }
+            int pong(int i, int n) { if (n <= 0) { return i + 2; } return ping(i, n - 1); }
+            int* walk(int* p, int n) {
+                if (n <= 0) { return p; }
+                return walk(p + 1, n - 1);
+            }
+            int main() { int a[8]; int* q = walk(a, ping(0, 4)); return *q; }
+            "#,
+            r#"
+            int both(int i, int k) { if (k > 0) { return i + k; } return i + 1; }
+            int one_side(int i, int k) { if (k > 0) { return i + k; } return i; }
+            void sink(int* v, int i) { v[i] = 0; }
+            int main() { int a[4]; sink(a, 1); return both(1, 2) + one_side(1, 2); }
+            "#,
+        ] {
+            assert_schedules_agree_per_scc(src);
+        }
     }
 }

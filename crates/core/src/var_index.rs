@@ -7,8 +7,9 @@
 //! [`Value`]s — [`VarIndex`] is the arena that mints them and maps back.
 //!
 //! Every layer of the engine speaks `VarId`: constraint generation
-//! ([`crate::constraints`]), both fixpoint solvers
-//! ([`SolverKind::solve`](crate::SolverKind::solve)), the on-demand prover
+//! ([`crate::constraints`]), both fixpoint schedules
+//! ([`solve`](crate::solve) and its reference,
+//! [`solve_worklist`](crate::solve_worklist)), the on-demand prover
 //! ([`crate::ondemand`]) and
 //! the query layer ([`crate::DisambiguationEngine`]). No layer passes raw
 //! integers or ad-hoc ids across an API boundary.

@@ -41,15 +41,14 @@ const TICK: Duration = Duration::from_millis(25);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tuning knobs for one daemon.
+///
+/// Uploads always build with [`EngineConfig::default`] in
+/// `Contextuality::Summaries` mode (the incremental re-upload path needs
+/// summaries), so nothing about the engine is configurable here. The
+/// configuration names no files either: the caller opens any shared store
+/// and hands it over with [`Server::with_shared_store`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Engine configuration for uploads. `Contextuality::Summaries`
-    /// is forced — the daemon's incremental re-upload path needs
-    /// summaries; the solver choice and constraint options are honoured.
-    /// The configuration names no files: the caller opens any shared
-    /// store and hands it over with [`Server::with_shared_store`]; the
-    /// engine does no IO of its own.
-    pub engine: EngineConfig,
     /// Per-connection idle timeout: a connection that sends no byte for
     /// this long is closed.
     pub read_timeout: Duration,
@@ -59,11 +58,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            engine: EngineConfig::default(),
-            read_timeout: Duration::from_secs(10),
-            max_frame: protocol::MAX_FRAME,
-        }
+        ServerConfig { read_timeout: Duration::from_secs(10), max_frame: protocol::MAX_FRAME }
     }
 }
 
@@ -523,7 +518,7 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
     }
     let engine = DisambiguationEngine::build_with_cache_and_store(
         &mut module,
-        daemon.cfg.engine.clone(),
+        EngineConfig::default(),
         prior.as_ref().map(|entry| &entry.cache),
         daemon.store.as_ref(),
     );

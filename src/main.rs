@@ -14,20 +14,18 @@
 //! ```
 //!
 //! The analysis-driven subcommands (`eval`, `lt`, `pdg`, `opt`) accept
-//! `--solver {worklist,scc}` (default `scc`) to pick the engine's fixpoint
-//! strategy; both produce the same sets (only `lt`'s pop count differs),
-//! so the flag is a differential-testing hook and reproduces the paper's
-//! worklist pop counts. They also accept `--interproc`,
-//! which switches the engine to bottom-up interprocedural summaries
-//! ([`Contextuality::Summaries`]) so strict-inequality facts cross call
-//! boundaries — strictly more `no-alias` verdicts, never fewer — and
-//! `--shared-store <dir>` (implies `--interproc`), a content-addressed
-//! summary directory shared across runs, modules and processes:
-//! functions whose summaries a previous run published skip their per-SCC
-//! solves. Store outcomes (`N hit(s), M miss(es), …`) go to stderr so
-//! stdout stays byte-identical between warm and cold runs; an unusable
-//! directory or a defective segment costs speed with a warning, never a
-//! panic or a stale result. The CLI, not the engine, opens the store
+//! `--interproc`, which switches the engine to bottom-up interprocedural
+//! summaries ([`Contextuality::Summaries`]) so strict-inequality facts
+//! cross call boundaries — strictly more `no-alias` verdicts, never fewer
+//! — and `--shared-store <dir>` (implies `--interproc`), a
+//! content-addressed summary directory shared across runs, modules and
+//! processes: functions whose summaries a previous run published skip
+//! their per-SCC solves. `serve` takes `--shared-store` too (its uploads
+//! are always interprocedural) and nothing else but its endpoint. Store
+//! outcomes (`N hit(s), M miss(es), …`) go to stderr so stdout stays
+//! byte-identical between warm and cold runs; an unusable directory or a
+//! defective segment costs speed with a warning, never a panic or a stale
+//! result. The CLI, not the engine, opens the store
 //! ([`open_store`]); the engine only sees the handle.
 //!
 //! Unrecognised `--flags` are rejected with exit code 2 (they used to be
@@ -36,8 +34,8 @@
 use sraa::alias::{render_eval, AliasAnalysis, BasicAliasAnalysis, Combined, StrictInequalityAa};
 use sraa::ir::{InstKind, Interpreter};
 use sraa::lt::{
-    CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, SharedSummaryStore,
-    SolverKind, StoreOutcome,
+    CacheOutcome, Contextuality, DisambiguationEngine, EngineConfig, GenConfig, SharedSummaryStore,
+    StoreOutcome,
 };
 use sraa::pdg::DepGraph;
 use std::path::{Path, PathBuf};
@@ -69,8 +67,6 @@ fn main() {
                  \n          or --addr <h:p>     (always interprocedural)\
                  \n  query   --socket|--addr …   query a running daemon\
                  \n\
-                 \n  --solver {{worklist,scc}}     fixpoint strategy for\
-                 \n                              eval/lt/pdg/opt (default scc)\
                  \n  --interproc                 bottom-up call summaries for\
                  \n                              eval/lt/pdg/opt (default intra)\
                  \n  --shared-store <dir>        content-addressed summary store\
@@ -85,23 +81,14 @@ fn main() {
     exit(code);
 }
 
-/// Extracts `--solver <kind>`, `--interproc` and `--shared-store <dir>`
-/// from `args`, returning the remaining arguments, the chosen
-/// [`EngineConfig`] knobs (defaults: [`SolverKind::Scc`],
-/// [`Contextuality::Intra`]) and the store directory (default none).
-/// `--shared-store` implies `--interproc`: it persists interprocedural
-/// summaries.
+/// Extracts `--interproc` and `--shared-store <dir>` from `args`,
+/// returning the remaining arguments, the chosen [`EngineConfig`]
+/// (default [`Contextuality::Intra`]) and the store directory (default
+/// none). `--shared-store` implies `--interproc`: it persists
+/// interprocedural summaries.
 fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Option<PathBuf>), i32> {
     let mut cfg = EngineConfig::default();
-    let (rest, solver) = take_value_flag(args, "--solver")?;
-    if let Some(value) = solver {
-        let Some(k) = SolverKind::parse(&value) else {
-            eprintln!("unknown solver `{value}` (expected worklist or scc)");
-            return Err(2);
-        };
-        cfg.solver = k;
-    }
-    let (rest, interproc) = take_flag(&rest, "--interproc");
+    let (rest, interproc) = take_flag(args, "--interproc");
     let (rest, store) = take_value_flag(&rest, "--shared-store")?;
     if interproc || store.is_some() {
         cfg.contextuality = Contextuality::Summaries;
@@ -113,7 +100,7 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Opti
 /// and `serve`. A defective store can cost speed, never correctness: a
 /// directory that cannot be opened degrades to running without a store,
 /// and defective segments are skipped; both warn on stderr.
-fn open_store(dir: &Path, gen: sraa::lt::GenConfig) -> Option<SharedSummaryStore> {
+fn open_store(dir: &Path, gen: GenConfig) -> Option<SharedSummaryStore> {
     match SharedSummaryStore::open(dir, gen) {
         Ok(store) => {
             let skipped = store.skipped_segments();
@@ -263,8 +250,7 @@ fn cmd_compile(args: &[String]) -> i32 {
 }
 
 fn cmd_eval(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] \
-         [--interproc] [--shared-store <dir>]";
+    const USAGE: &str = "sraa eval <file.c> [--interproc] [--shared-store <dir>]";
     let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -280,8 +266,7 @@ fn cmd_eval(args: &[String]) -> i32 {
 }
 
 fn cmd_lt(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] \
-                         [--interproc] [--shared-store <dir>]";
+    const USAGE: &str = "sraa lt <file.c> <function> [--interproc] [--shared-store <dir>]";
     let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -322,11 +307,10 @@ fn cmd_lt(args: &[String]) -> i32 {
     }
     let s = lt.engine().stats();
     println!(
-        "\n{} constraints, {} pops ({:.2}/constraint) [{} solver]",
+        "\n{} constraints, {} pops ({:.2}/constraint)",
         s.constraints,
         s.pops,
-        s.pops_per_constraint(),
-        lt.engine().solver_kind()
+        s.pops_per_constraint()
     );
     if let Some(sums) = lt.engine().summaries() {
         println!(
@@ -368,8 +352,7 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_pdg(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] \
-         [--interproc] [--shared-store <dir>]";
+    const USAGE: &str = "sraa pdg <file.c> [--interproc] [--shared-store <dir>]";
     let Ok((args, mut cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
         return code;
@@ -394,8 +377,7 @@ fn cmd_pdg(args: &[String]) -> i32 {
 }
 
 fn cmd_opt(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] \
-                         [--interproc] [--shared-store <dir>]";
+    const USAGE: &str = "sraa opt <file.c> [--ba] [--interproc] [--shared-store <dir>]";
     let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
     let (args, ba_only) = take_flag(&args, "--ba");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
@@ -486,9 +468,8 @@ fn install_signal_handlers(flag: std::sync::Arc<std::sync::atomic::AtomicBool>) 
 fn install_signal_handlers(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 
 fn cmd_serve(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) \
-                         [--solver worklist|scc] [--shared-store <dir>]";
-    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
+    const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) [--shared-store <dir>]";
+    let Ok((args, store_dir)) = take_value_flag(args, "--shared-store") else { return 2 };
     let (args, endpoint) = match take_endpoint(&args, USAGE) {
         Ok(x) => x,
         Err(code) => return code,
@@ -499,11 +480,11 @@ fn cmd_serve(args: &[String]) -> i32 {
     // `--shared-store` becomes a resident store handle: opened once at
     // boot, refreshed before each upload so concurrent daemons sharing
     // the directory see each other's published segments.
-    let store = store_dir.as_deref().and_then(|dir| open_store(dir, cfg.gen));
+    let store = store_dir.and_then(|dir| open_store(Path::new(&dir), GenConfig::default()));
     if let Some(s) = &store {
         eprintln!("# serve: shared store at {} ({} summaries)", s.dir().display(), s.len());
     }
-    let scfg = sraa::serve::ServerConfig { engine: cfg, ..Default::default() };
+    let scfg = sraa::serve::ServerConfig::default();
     let server = match &endpoint {
         Endpoint::Unix(path) => sraa::serve::Server::bind_unix(path, scfg),
         Endpoint::Tcp(addr) => sraa::serve::Server::bind_tcp(addr.as_str(), scfg),

@@ -112,52 +112,38 @@ fn lt_prints_strict_inequality_sets() {
     let text = stdout(&out);
     assert!(text.contains("LT sets of @main"), "got:\n{text}");
     assert!(text.contains("constraints"), "missing solver stats in:\n{text}");
+    assert!(!text.contains("solver]"), "the footer names no strategy:\n{text}");
 }
 
+/// The engine has one fixpoint schedule, so there is no `--solver` flag:
+/// on every engine verb and on `serve` it is an unknown flag (exit 2,
+/// usage on stderr, nothing on stdout). `serve` takes only its endpoint
+/// and `--shared-store`, so `--interproc` is unknown there too.
 #[test]
-fn lt_solver_flag_selects_strategy_without_changing_sets() {
+fn solver_flag_is_an_unknown_flag_on_every_verb() {
     let f = tiny_file();
     let path = f.to_str().unwrap();
-    let scc = sraa(&["lt", path, "main", "--solver", "scc"]);
-    let wl = sraa(&["lt", path, "main", "--solver", "worklist"]);
-    assert!(scc.status.success() && wl.status.success());
-    let (scc, wl) = (stdout(&scc), stdout(&wl));
-    assert!(scc.contains("[scc solver]"), "got:\n{scc}");
-    assert!(wl.contains("[worklist solver]"), "got:\n{wl}");
-    // Identical LT sets: only the stats line (strategy name + work
-    // counter) may differ.
-    fn sets(s: &str) -> Vec<String> {
-        s.lines().filter(|l| l.contains("LT(")).map(str::to_owned).collect()
+    let sock = std::env::temp_dir().join(format!("sraa_cli_nosolver_{}.sock", std::process::id()));
+    let sock = sock.to_str().unwrap();
+    for args in [
+        vec!["eval", path, "--solver", "scc"],
+        vec!["eval", path, "--solver", "worklist"],
+        vec!["eval", path, "--solver", "magic"],
+        vec!["eval", path, "--solver"],
+        vec!["lt", path, "main", "--solver", "scc"],
+        vec!["pdg", path, "--solver", "scc"],
+        vec!["opt", path, "--solver", "scc"],
+        vec!["serve", "--socket", sock, "--solver", "scc"],
+        vec!["serve", "--socket", sock, "--interproc"],
+    ] {
+        let out = sraa(&args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
+        let err = stderr_of(&out);
+        assert!(err.contains("unknown flag"), "args {args:?}: {err}");
+        assert!(err.contains("usage:"), "args {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "args {args:?} printed: {}", stdout(&out));
     }
-    assert_eq!(sets(&scc), sets(&wl), "solver strategies must print identical LT sets");
-}
-
-#[test]
-fn solver_flag_defaults_to_scc() {
-    let f = tiny_file();
-    let out = sraa(&["lt", f.to_str().unwrap(), "main"]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("[scc solver]"), "got: {}", stdout(&out));
-}
-
-#[test]
-fn solver_flag_rejects_unknown_strategies() {
-    let f = tiny_file();
-    let out = sraa(&["eval", f.to_str().unwrap(), "--solver", "magic"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown solver"));
-    let out = sraa(&["eval", f.to_str().unwrap(), "--solver"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn eval_accepts_solver_flag_with_identical_summary() {
-    let f = tiny_file();
-    let path = f.to_str().unwrap();
-    let scc = sraa(&["eval", path, "--solver", "scc"]);
-    let wl = sraa(&["eval", path, "--solver", "worklist"]);
-    assert!(scc.status.success() && wl.status.success());
-    assert_eq!(stdout(&scc), stdout(&wl), "verdict tallies must not depend on the strategy");
+    assert!(!std::path::Path::new(sock).exists(), "serve must reject before binding");
 }
 
 #[test]
@@ -220,11 +206,12 @@ fn lt_row(summary: &str) -> (u64, u64, u64) {
 fn unknown_flags_are_rejected_with_usage() {
     let f = tiny_file();
     let path = f.to_str().unwrap();
-    // Pre-fix regression: anything left after `--solver` was stripped
-    // used to be silently ignored, hiding typos like `--interporc`.
+    // Pre-fix regression: anything left after the known flags were
+    // stripped used to be silently ignored, hiding typos like
+    // `--interporc`.
     for args in [
         vec!["eval", path, "--frobnicate"],
-        vec!["eval", path, "--solver", "scc", "--interporc"],
+        vec!["eval", path, "--interproc", "--interporc"],
         // There is no lattice-store flag: the engine has one store.
         vec!["eval", path, "--lattice", "dense"],
         vec!["lt", path, "main", "--lattice", "arc"],
@@ -283,15 +270,13 @@ fn eval_interproc_gains_no_alias_verdicts() {
 }
 
 #[test]
-fn interproc_output_is_deterministic_and_solver_independent() {
+fn interproc_output_is_deterministic() {
     let f = calls_file();
     let path = f.to_str().unwrap();
     let first = sraa(&["eval", path, "--interproc"]);
     assert!(first.status.success());
     let again = sraa(&["eval", path, "--interproc"]);
     assert_eq!(stdout(&first), stdout(&again), "interproc eval must be deterministic");
-    let wl = sraa(&["eval", path, "--interproc", "--solver", "worklist"]);
-    assert_eq!(stdout(&first), stdout(&wl), "verdicts must not depend on the solver strategy");
 }
 
 #[test]

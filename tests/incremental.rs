@@ -20,7 +20,7 @@
 //! `SRAA_REGEN_GOLDEN=1 cargo test --test incremental`.
 
 use sraa_core::{
-    CacheOutcome, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore, SolverKind,
+    solve, CacheOutcome, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore,
     SummaryCache, SummaryKeys, VarId, VarIndex,
 };
 use sraa_ir::{BinOp, CallGraph, FuncId, InstKind, Module, Type};
@@ -40,8 +40,7 @@ fn prepare(src: &str) -> Prepared {
     let mut module = sraa_minic::compile(src).expect("generated source compiles");
     let (ranges, _) = sraa_essa::transform_module(&mut module);
     let index = VarIndex::new(&module);
-    let sums =
-        ModuleSummaries::compute(&module, &ranges, GenConfig::default(), &index, SolverKind::Scc);
+    let sums = ModuleSummaries::compute(&module, &ranges, GenConfig::default(), &index);
     let keys = SummaryKeys::compute(&module);
     Prepared { module, ranges, index, sums, keys }
 }
@@ -74,7 +73,6 @@ fn warm(p: &Prepared, cache: &SummaryCache) -> (ModuleSummaries, CacheOutcome) {
         &p.ranges,
         GenConfig::default(),
         &p.index,
-        SolverKind::Scc,
         Some(cache),
         None,
     );
@@ -106,10 +104,8 @@ fn assert_warm_equals_cold(p: &Prepared, warm_sums: &ModuleSummaries, name: &str
     let (sys_w, sys_c) = (gen(warm_sums), gen(&p.sums));
     assert_eq!(sys_w.constraints, sys_c.constraints, "{name}: constraint streams differ");
     assert_eq!(sys_w.num_vars, sys_c.num_vars);
-    let (sol_w, sol_c) = (
-        SolverKind::Scc.solve(&sys_w.constraints, sys_w.num_vars),
-        SolverKind::Scc.solve(&sys_c.constraints, sys_c.num_vars),
-    );
+    let (sol_w, sol_c) =
+        (solve(&sys_w.constraints, sys_w.num_vars), solve(&sys_c.constraints, sys_c.num_vars));
     for v in 0..sys_c.num_vars {
         let v = VarId::from_index(v);
         assert_eq!(sol_w.lt_set(v), sol_c.lt_set(v), "{name}: LT({v}) differs warm vs cold");
@@ -323,7 +319,7 @@ fn golden_segment() -> Vec<u8> {
     let m = golden_module();
     let ranges = sraa_range::analyze(&m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
+    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
     assert_eq!(sums.of(m.function_by_name("next").unwrap()).args_lt_ret(), &[0], "i < next(i)");
     let keys = SummaryKeys::compute(&m);
     let entries: Vec<_> = m.functions().map(|(f, _)| (keys.of(f), sums.of(f).clone())).collect();

@@ -7,13 +7,15 @@
 //! call-heavy workload family it genuinely does add them. Dynamic
 //! soundness of the added facts (no-alias pairs never carry equal
 //! values while simultaneously alive) is covered by `tests/soundness.rs`,
-//! which runs both engines' claims against the interpreter. The SCC
-//! solver and the worklist oracle must also agree on every summary.
+//! which runs both engines' claims against the interpreter. The module-
+//! wide system built on the summaries must solve to the same `LT` sets
+//! under [`solve`] and its worklist reference (the per-component systems
+//! are checked the same way by `sraa-core`'s summary unit tests).
 
 use sraa_alias::{AaEval, StrictInequalityAa};
 use sraa_core::{
-    Contextuality, DisambiguationEngine, EngineConfig, GenConfig, ModuleSummaries, OnDemandProver,
-    SolverKind, VarId, VarIndex,
+    solve, solve_worklist, Contextuality, DisambiguationEngine, EngineConfig, GenConfig,
+    ModuleSummaries, OnDemandProver, VarId, VarIndex,
 };
 use sraa_ir::Module;
 use sraa_synth::{call_suite, csmith_generate, CsmithConfig};
@@ -61,39 +63,6 @@ fn call_suite_gains_verdicts_and_never_loses_any() {
     assert!(total_gain > 0, "summaries must add no-alias verdicts on the call-heavy suite");
 }
 
-#[test]
-fn solver_strategies_agree_in_summaries_mode() {
-    for w in call_suite(6) {
-        let mut m1 = sraa_minic::compile(&w.source).unwrap();
-        let scc = DisambiguationEngine::build(
-            &mut m1,
-            EngineConfig { solver: SolverKind::Scc, ..EngineConfig::default().with_summaries() },
-        );
-        let mut m2 = sraa_minic::compile(&w.source).unwrap();
-        let wl = DisambiguationEngine::build(
-            &mut m2,
-            EngineConfig {
-                solver: SolverKind::Worklist,
-                ..EngineConfig::default().with_summaries()
-            },
-        );
-        assert_eq!(scc.summaries(), wl.summaries(), "{}: summaries differ by solver", w.name);
-        for (fid, f) in m1.functions() {
-            let ptrs = AaEval::pointer_values(&m1, fid);
-            for (i, &a) in ptrs.iter().enumerate() {
-                for &b in ptrs.iter().skip(i + 1) {
-                    assert_eq!(
-                        scc.no_alias(f, fid, a, b),
-                        wl.no_alias(f, fid, a, b),
-                        "{}: {fid} {a} vs {b}",
-                        w.name
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// A wide call graph: `width` independent straight-line helpers of
 /// ~`depth` additions each, one recursive helper calling the first of
 /// them, and a `main` calling all of them.
@@ -121,25 +90,22 @@ fn wide_source(width: usize, depth: usize) -> String {
     s
 }
 
-/// The SCC solver and the worklist oracle must distil the same summaries
-/// with the same statistics, and solve the module-wide system built on
-/// them to the same `LT` sets. Returns the number of summary facts.
+/// [`solve`] and the worklist reference must solve the module-wide
+/// system built on the summaries to the same `LT` sets. Returns the
+/// number of summary facts.
 fn assert_solvers_agree_on_summaries(source: &str, name: &str) -> usize {
     let mut m = sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: {e}"));
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let compute =
-        |solver| ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver);
-    let scc = compute(SolverKind::Scc);
-    assert_eq!(scc, compute(SolverKind::Worklist), "{name}: summaries or stats differ by solver");
-    let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &scc);
-    let a = SolverKind::Scc.solve(&sys.constraints, sys.num_vars);
-    let b = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
+    let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
+    let a = solve(&sys.constraints, sys.num_vars);
+    let b = solve_worklist(&sys.constraints, sys.num_vars);
     for v in (0..sys.num_vars).map(VarId::from_index) {
         assert_eq!(a.lt_set(v), b.lt_set(v), "{name}: LT({v}) differs by solver");
         assert_eq!(a.was_top(v), b.was_top(v), "{name}: frozen sets differ on {v}");
     }
-    scc.facts()
+    sums.facts()
 }
 
 #[test]
@@ -182,9 +148,9 @@ fn ondemand_prover_agrees_on_summary_systems() {
     let mut m = sraa_minic::compile(&w.source).unwrap();
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, SolverKind::Scc);
+    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
     let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
-    let solution = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
+    let solution = solve_worklist(&sys.constraints, sys.num_vars);
     let mut prover = OnDemandProver::new(&sys);
     for (fid, _) in m.functions() {
         let ptrs = AaEval::pointer_values(&m, fid);
@@ -225,8 +191,8 @@ mod proptests {
             assert_refines(&m, &intra, &inter);
         }
 
-        /// `scc ≡ worklist` on the summaries and on the module-wide solve
-        /// that applies them, over random csmith programs with helpers.
+        /// `solve ≡ solve_worklist` on the module-wide system that applies
+        /// the summaries, over random csmith programs with helpers.
         #[test]
         fn csmith_solver_strategies_agree_on_summaries(seed in 0u64..12) {
             let w = csmith_generate(CsmithConfig {

@@ -367,11 +367,7 @@ mod hostile {
             let server = Box::leak(Box::new(
                 Server::bind_tcp(
                     "127.0.0.1:0",
-                    ServerConfig {
-                        read_timeout: Duration::from_millis(400),
-                        max_frame: 1024,
-                        ..Default::default()
-                    },
+                    ServerConfig { read_timeout: Duration::from_millis(400), max_frame: 1024 },
                 )
                 .expect("bind fuzz server"),
             ));

@@ -1,19 +1,16 @@
-//! End-to-end differential test of the two fixpoint strategies, raw and
-//! through the `DisambiguationEngine`.
+//! End-to-end differential test of the engine's fixpoint, [`solve`]
+//! (SCC condensation, see the `fast_solver` module docs), against the
+//! paper's §3.4 worklist, [`solve_worklist`], kept as its reference.
 //!
-//! The paper's §6 leaves solver speed as an open problem;
-//! `SolverKind::Scc` (SCC condensation, see the `fast_solver` module
-//! docs) answers it. Here both solvers run on the *real* constraint
-//! systems of the evaluation corpus — all 16 calibrated SPEC workloads
-//! plus a population of Csmith-style random programs — and must produce
-//! identical less-than sets for every variable. The engine-level tests
-//! then prove the property that makes `SolverKind` a pure performance
-//! knob: swapping the strategy changes no query answer anywhere in the
-//! stack, and repeated runs are byte-identical (no hash-iteration
+//! The paper's §6 leaves solver speed as an open problem; SCC
+//! condensation answers it. Here both schedules run on the *real*
+//! constraint systems of the evaluation corpus — all 16 calibrated SPEC
+//! workloads plus a population of Csmith-style random programs — and
+//! must produce identical less-than sets for every variable. Repeated
+//! engine runs must also be byte-identical (no hash-iteration
 //! nondeterminism).
 
-use sraa_alias::{AaEval, AliasAnalysis, StrictInequalityAa};
-use sraa_core::{generate, DisambiguationEngine, EngineConfig, GenConfig, SolverKind, VarId};
+use sraa_core::{generate, solve, solve_worklist, DisambiguationEngine, GenConfig, VarId};
 use sraa_synth::{csmith_generate, spec_all, CsmithConfig};
 
 fn assert_solvers_agree(source: &str, name: &str) {
@@ -22,8 +19,8 @@ fn assert_solvers_agree(source: &str, name: &str) {
     let (ranges, _) = sraa_essa::transform_module(&mut module);
     let sys = generate(&module, &ranges, GenConfig::default());
 
-    let base = SolverKind::Worklist.solve(&sys.constraints, sys.num_vars);
-    let fast = SolverKind::Scc.solve(&sys.constraints, sys.num_vars);
+    let base = solve_worklist(&sys.constraints, sys.num_vars);
+    let fast = solve(&sys.constraints, sys.num_vars);
 
     for x in 0..sys.num_vars {
         let x = VarId::from_index(x);
@@ -37,43 +34,6 @@ fn assert_solvers_agree(source: &str, name: &str) {
         fast.stats.pops,
         base.stats.pops
     );
-}
-
-/// Both strategies, end to end through the engine: identical alias
-/// verdicts on every pointer pair of every function.
-fn assert_engine_strategies_agree(source: &str, name: &str) {
-    let build = |kind: SolverKind| {
-        let mut m =
-            sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-        let engine = DisambiguationEngine::build(
-            &mut m,
-            EngineConfig { solver: kind, ..Default::default() },
-        );
-        (m, engine)
-    };
-    let (m_scc, scc) = build(SolverKind::Scc);
-    let (m_wl, wl) = build(SolverKind::Worklist);
-    assert_eq!(m_scc, m_wl, "{name}: the e-SSA pipeline must be deterministic");
-
-    for (fid, f) in m_scc.functions() {
-        let ptrs = AaEval::pointer_values(&m_scc, fid);
-        assert_eq!(
-            scc.no_alias_pairs(f, fid, &ptrs),
-            wl.no_alias_pairs(f, fid, &ptrs),
-            "{name}: strategies disagree on the no-alias pairs of {}",
-            f.name
-        );
-        for v in f.value_ids() {
-            assert_eq!(scc.lt_set(fid, v), wl.lt_set(fid, v), "{name}: LT({v}) differs");
-        }
-    }
-    // Identical precision through the AliasAnalysis adapter too.
-    let scc_aa = StrictInequalityAa::from_engine(scc);
-    let wl_aa = StrictInequalityAa::from_engine(wl);
-    let out = AaEval::run(&m_scc, &[&scc_aa as &dyn AliasAnalysis, &wl_aa]);
-    assert_eq!(out[0].no_alias, out[1].no_alias, "{name}: aa-eval tallies differ");
-    assert_eq!(out[0].may_alias, out[1].may_alias);
-    assert_eq!(out[0].must_alias, out[1].must_alias);
 }
 
 #[test]
@@ -94,26 +54,6 @@ fn solvers_agree_on_csmith_population() {
         };
         let w = csmith_generate(cfg);
         assert_solvers_agree(&w.source, &w.name);
-    }
-}
-
-#[test]
-fn engine_strategies_agree_on_spec_corpus() {
-    for w in spec_all().into_iter().take(6) {
-        assert_engine_strategies_agree(&w.source, &w.name);
-    }
-}
-
-#[test]
-fn engine_strategies_agree_on_csmith_population() {
-    for seed in 0..8 {
-        let w = csmith_generate(CsmithConfig {
-            seed: 17_000 + seed,
-            max_ptr_depth: (2 + seed % 4) as u8,
-            num_stmts: 40,
-            helpers: 0,
-        });
-        assert_engine_strategies_agree(&w.source, &w.name);
     }
 }
 
@@ -148,8 +88,6 @@ fn solvers_agree_on_figure_1_programs() {
     "#;
     assert_solvers_agree(ins_sort, "fig1a-ins_sort");
     assert_solvers_agree(partition, "fig1b-partition");
-    assert_engine_strategies_agree(ins_sort, "fig1a-ins_sort");
-    assert_engine_strategies_agree(partition, "fig1b-partition");
 }
 
 /// Repeated runs of the full pipeline must be byte-identical: the solved
@@ -158,12 +96,9 @@ fn solvers_agree_on_figure_1_programs() {
 #[test]
 fn repeated_runs_are_deterministic() {
     let w = spec_all().into_iter().next().expect("spec corpus is non-empty");
-    let run = |kind: SolverKind| {
+    let run = || {
         let mut m = sraa_minic::compile(&w.source).unwrap();
-        let engine = DisambiguationEngine::build(
-            &mut m,
-            EngineConfig { solver: kind, ..Default::default() },
-        );
+        let engine = DisambiguationEngine::run(&mut m);
         let mut rendered = String::new();
         for (fid, f) in m.functions() {
             for v in f.value_ids() {
@@ -193,10 +128,8 @@ fn repeated_runs_are_deterministic() {
         ));
         rendered
     };
-    for kind in SolverKind::ALL {
-        let first = run(kind);
-        for _ in 0..2 {
-            assert_eq!(first, run(kind), "{kind} run is nondeterministic");
-        }
+    let first = run();
+    for _ in 0..2 {
+        assert_eq!(first, run(), "engine run is nondeterministic");
     }
 }

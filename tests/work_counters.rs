@@ -10,14 +10,14 @@
 //! Two corpora:
 //!
 //! * `scalability`'s at `SRAA_SUITE_N=10`: `test_suite(10)` plus the SPEC
-//!   profiles, solved by both strategies;
+//!   profiles, solved by the engine's `solve` and the worklist reference;
 //! * the call-heavy `call_suite(10)`, where the interprocedural summary
 //!   layer, the summary cache and the shared store do their work.
 
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
-    DisambiguationEngine, EngineConfig, GenConfig, ModuleSummaries, SharedSummaryStore, SolverKind,
-    SummaryCache, VarIndex,
+    solve, solve_worklist, Constraint, DisambiguationEngine, EngineConfig, GenConfig,
+    ModuleSummaries, SharedSummaryStore, Solution, SummaryCache, VarIndex,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -29,7 +29,7 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Total constraint evaluations and heap allocations of one strategy
+/// Total constraint evaluations and heap allocations of one schedule
 /// over the scalability corpus.
 #[derive(Debug, Default)]
 struct Work {
@@ -55,20 +55,20 @@ fn solver_work_on_the_scalability_corpus_stays_within_its_pins() {
     let constraints: usize = systems.iter().map(|s| s.constraints.len()).sum();
     assert_eq!(constraints, 316_460, "corpus: total constraints");
 
-    let work = |kind: SolverKind| {
+    let work = |solve: fn(&[Constraint], usize) -> Solution| {
         let mut w = Work::default();
         for sys in &systems {
             let a0 = alloc_count();
-            let sol = kind.solve(&sys.constraints, sys.num_vars);
+            let sol = solve(&sys.constraints, sys.num_vars);
             w.allocs += alloc_count() - a0;
             w.evals += sol.stats.pops;
         }
         w
     };
-    let (worklist, scc) = (work(SolverKind::Worklist), work(SolverKind::Scc));
+    let (worklist, scc) = (work(solve_worklist), work(solve));
     assert!(worklist.evals <= 346_694, "worklist evals: {worklist:?}");
     assert!(scc.evals <= 320_597, "scc evals: {scc:?}");
-    // The SCC strategy is the engine default because it does less work.
+    // The engine solves with SCC condensation because it does less work.
     assert!(scc.evals <= worklist.evals, "scc {scc:?} vs worklist {worklist:?}");
     // Allocation counts keep a 25% margin: the standard library's own
     // allocation pattern may differ between toolchains (stable vs MSRV).
@@ -100,26 +100,19 @@ fn summaries_gain_precision_within_their_solve_budget() {
 #[test]
 fn unchanged_modules_hit_a_round_tripped_cache_completely() {
     let _serial = serial();
-    let (cfg, solver) = (GenConfig::default(), SolverKind::Scc);
+    let cfg = GenConfig::default();
     let (mut functions, mut hits) = (0, 0);
     for w in &sraa_synth::call_suite(10) {
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
         let (cold, keys, _, _) =
-            ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, solver, None, None);
+            ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, None, None);
         // The cold run's summaries round-tripped into the in-memory cache
         // a daemon re-upload hands the engine.
         let cache = SummaryCache::from_parts(&m, &cold, &keys);
-        let (warm, _, outcome, _) = ModuleSummaries::compute_incremental(
-            &m,
-            &ranges,
-            cfg,
-            &index,
-            solver,
-            Some(&cache),
-            None,
-        );
+        let (warm, _, outcome, _) =
+            ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, Some(&cache), None);
         assert_eq!((outcome.misses, outcome.invalidated), (0, 0), "{}: keys churned", w.name);
         assert_eq!(warm.stats.solves, 0, "{}: a warm run solves nothing", w.name);
         for (f, s) in cold.iter() {
