@@ -15,7 +15,7 @@
 //! `perfbench/`, not here.
 
 use sraa_bench::{r_squared, suite_n};
-use sraa_core::{Constraint, Solution};
+use sraa_core::{Constraint, ConstraintSystem, Solution};
 use std::time::Instant;
 
 /// A fixpoint schedule: [`sraa_core::solve`] or its worklist reference.
@@ -30,25 +30,40 @@ struct SolverTotals {
     ys: Vec<f64>, // best-of-three solve time (µs)
 }
 
+impl SolverTotals {
+    fn new(name: &'static str, solve: Solve) -> Self {
+        SolverTotals { name, solve, total_us: 0.0, total_evals: 0, xs: Vec::new(), ys: Vec::new() }
+    }
+
+    /// Solves `sys` best-of-three (to suppress timer noise on tiny
+    /// systems), adds the time and evaluations to the totals, and returns
+    /// the solution.
+    fn run(&mut self, sys: &ConstraintSystem) -> Solution {
+        let mut dt = f64::INFINITY;
+        let mut solution = None;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let sol = (self.solve)(&sys.constraints, sys.num_vars);
+            dt = dt.min(t0.elapsed().as_secs_f64() * 1e6);
+            solution = Some(sol);
+        }
+        let solution = solution.expect("ran at least once");
+        self.total_us += dt;
+        self.total_evals += solution.stats.pops;
+        self.xs.push(solution.stats.constraints as f64);
+        self.ys.push(dt);
+        solution
+    }
+}
+
 fn main() {
     let mut ws = sraa_synth::test_suite(suite_n());
     ws.extend(sraa_synth::spec_all());
 
     let mut total_constraints = 0u64;
     let mut size_hist: std::collections::BTreeMap<usize, usize> = Default::default();
-    let schedules: [(&str, Solve); 2] =
-        [("worklist", sraa_core::solve_worklist), ("scc", sraa_core::solve)];
-    let mut totals: Vec<SolverTotals> = schedules
-        .into_iter()
-        .map(|(name, solve)| SolverTotals {
-            name,
-            solve,
-            total_us: 0.0,
-            total_evals: 0,
-            xs: Vec::new(),
-            ys: Vec::new(),
-        })
-        .collect();
+    let mut worklist = SolverTotals::new("worklist", sraa_core::solve_worklist);
+    let mut scc = SolverTotals::new("scc", sraa_core::solve);
 
     for w in &ws {
         // The paper's §4.2 question is specifically about *constraint
@@ -59,32 +74,15 @@ fn main() {
         let sys = sraa_core::generate(&m, &ranges, Default::default());
         total_constraints += sys.constraints.len() as u64;
 
-        for t in &mut totals {
-            // Best of three runs to suppress timer noise on tiny systems.
-            let mut dt = f64::INFINITY;
-            let mut solution = None;
-            for _ in 0..3 {
-                let t0 = Instant::now();
-                let sol = (t.solve)(&sys.constraints, sys.num_vars);
-                dt = dt.min(t0.elapsed().as_secs_f64() * 1e6);
-                solution = Some(sol);
-            }
-            let solution = solution.expect("ran at least once");
-            t.total_us += dt;
-            t.total_evals += solution.stats.pops;
-            t.xs.push(solution.stats.constraints as f64);
-            t.ys.push(dt);
-            if t.name == "scc" {
-                for (sz, n) in solution.size_histogram() {
-                    *size_hist.entry(sz).or_default() += n;
-                }
-            }
+        worklist.run(&sys);
+        for (sz, n) in scc.run(&sys).size_histogram() {
+            *size_hist.entry(sz).or_default() += n;
         }
     }
 
     println!("benchmarks analysed      : {}", ws.len());
     println!("total constraints        : {total_constraints}");
-    for t in &totals {
+    for t in [&worklist, &scc] {
         println!(
             "{:<9} evals/constraint : {:.2}   total {:.0}µs   R²(time, #constraints) {:.4}",
             t.name,
@@ -95,7 +93,6 @@ fn main() {
     }
     println!("(paper: 2.12 pops/constraint, R² = 0.988 for the worklist)");
 
-    let (worklist, scc) = (&totals[0], &totals[1]);
     println!(
         "scc vs worklist          : {:.2}x wall-clock, {:.2}x evals (the engine runs scc)",
         worklist.total_us / scc.total_us.max(1e-9),

@@ -634,9 +634,9 @@ mod tests {
     /// both [`solve`] and its reference [`solve_worklist`]: the sets, the
     /// frozen ⊤s and the distilled summaries must agree at every step, and
     /// the walk must end where the production one does.
-    fn assert_schedules_agree_per_scc(src: &str) {
+    fn assert_schedules_agree_per_scc(src: &str, name: &str) {
         use crate::solver::solve_worklist;
-        let mut m = sraa_minic::compile(src).unwrap();
+        let mut m = sraa_minic::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let (cfg, index) = (GenConfig::default(), VarIndex::new(&m));
         let cond = CallGraph::build(&m).condense();
@@ -658,13 +658,17 @@ mod tests {
                 let (a, b) = (solve(&cs, space.len()), solve_worklist(&cs, space.len()));
                 solves += 1;
                 for v in (0..space.len()).map(VarId::from_index) {
-                    assert_eq!(a.lt_set(v), b.lt_set(v), "component {ci}: LT({v})");
-                    assert_eq!(a.was_top(v), b.was_top(v), "component {ci}: frozen {v}");
+                    assert_eq!(a.lt_set(v), b.lt_set(v), "{name}: component {ci}: LT({v})");
+                    assert_eq!(a.was_top(v), b.was_top(v), "{name}: component {ci}: frozen {v}");
                 }
                 let mut changed = false;
                 for &f in members {
                     let new = distil(&m, &index, &space, &a, f);
-                    assert_eq!(new, distil(&m, &index, &space, &b, f), "component {ci}: {f}");
+                    assert_eq!(
+                        new,
+                        distil(&m, &index, &space, &b, f),
+                        "{name}: component {ci}: {f}"
+                    );
                     changed |= new != per_func[f.index()];
                     per_func[f.index()] = new;
                 }
@@ -674,13 +678,16 @@ mod tests {
             }
         }
         let sums = ModuleSummaries::compute(&m, &ranges, cfg, &index);
-        assert_eq!(per_func, sums.per_func, "the walk must distil the production summaries");
-        assert_eq!(solves, sums.stats.solves, "and take as many per-SCC solves");
+        assert_eq!(
+            per_func, sums.per_func,
+            "{name}: the walk must distil the production summaries"
+        );
+        assert_eq!(solves, sums.stats.solves, "{name}: and take as many per-SCC solves");
     }
 
     #[test]
     fn both_schedules_agree_on_every_per_scc_system() {
-        for src in [
+        for (i, src) in [
             r#"
             int next(int i) { return i + 1; }
             int twice(int i) { return next(next(i)); }
@@ -705,8 +712,25 @@ mod tests {
             void sink(int* v, int i) { v[i] = 0; }
             int main() { int a[4]; sink(a, 1); return both(1, 2) + one_side(1, 2); }
             "#,
-        ] {
-            assert_schedules_agree_per_scc(src);
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_schedules_agree_per_scc(src, &format!("hand-written program {i}"));
+        }
+    }
+
+    /// The same per-component check on the synthetic corpora the summary
+    /// layer is measured on: the call-heavy suite, a wide call graph and
+    /// Csmith-style programs with helper calls.
+    #[test]
+    fn both_schedules_agree_per_scc_on_the_synthetic_corpora() {
+        use sraa_synth::{call_suite, csmith_generate, wide_module, CsmithConfig};
+        let csmith = (0u64..12).map(|seed| {
+            csmith_generate(CsmithConfig { seed, max_ptr_depth: 3, num_stmts: 18, helpers: 2 })
+        });
+        for w in call_suite(6).into_iter().chain([wide_module(24, 80)]).chain(csmith) {
+            assert_schedules_agree_per_scc(&w.source, &w.name);
         }
     }
 }

@@ -162,6 +162,35 @@ fn finish(mut out: String, callers: &[String], name: String) -> Workload {
     Workload { name, source: out }
 }
 
+/// A wide call graph: `width` independent straight-line helpers of
+/// ~`depth` additions each, one recursive helper calling the first of
+/// them, and a `main` calling all of them — many small components plus
+/// one recursive one, the shape the per-component summary solve sees on
+/// large modules.
+pub fn wide_module(width: usize, depth: usize) -> Workload {
+    let mut s = String::new();
+    for i in 0..width {
+        let _ = writeln!(s, "int wf{i}(int a, int b) {{");
+        let _ = writeln!(s, "    int x0 = a + 1;");
+        let _ = writeln!(s, "    int x1 = x0 + b;");
+        for j in 2..depth {
+            let _ = writeln!(s, "    int x{j} = x{} + {};", j - 1, (i + j + 3) % 9 + 1);
+        }
+        let _ = writeln!(s, "    return x{} + 1;", depth - 1);
+        let _ = writeln!(s, "}}");
+    }
+    let _ = writeln!(s, "int rec(int i, int n) {{");
+    let _ = writeln!(s, "    if (n <= 0) {{ return i + 1; }}");
+    let _ = writeln!(s, "    return rec(wf0(i, 1), n - 1);");
+    let _ = writeln!(s, "}}");
+    s.push_str("int main() {\n    int s = 0;\n");
+    for i in 0..width {
+        let _ = writeln!(s, "    s = s + wf{i}({}, {});", i % 5, i % 3 + 1);
+    }
+    s.push_str("    s = s + rec(1, 3);\n    return s;\n}\n");
+    Workload { name: format!("wide_{width}x{depth}"), source: s }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

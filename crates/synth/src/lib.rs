@@ -35,7 +35,7 @@ pub struct Workload {
     pub source: String,
 }
 
-pub use calls::call_suite;
+pub use calls::{call_suite, wide_module};
 pub use csmith::{generate as csmith_generate, CsmithConfig};
 pub use optk::{all as optk_all, generate as optk_generate};
 pub use spec::{

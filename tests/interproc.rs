@@ -18,8 +18,7 @@ use sraa_core::{
     ModuleSummaries, OnDemandProver, VarId, VarIndex,
 };
 use sraa_ir::Module;
-use sraa_synth::{call_suite, csmith_generate, CsmithConfig};
-use std::fmt::Write as _;
+use sraa_synth::{call_suite, csmith_generate, wide_module, CsmithConfig};
 
 /// Builds both engines on identical copies of `source`.
 fn both_engines(source: &str, name: &str) -> (Module, DisambiguationEngine, DisambiguationEngine) {
@@ -63,33 +62,6 @@ fn call_suite_gains_verdicts_and_never_loses_any() {
     assert!(total_gain > 0, "summaries must add no-alias verdicts on the call-heavy suite");
 }
 
-/// A wide call graph: `width` independent straight-line helpers of
-/// ~`depth` additions each, one recursive helper calling the first of
-/// them, and a `main` calling all of them.
-fn wide_source(width: usize, depth: usize) -> String {
-    let mut s = String::new();
-    for i in 0..width {
-        let _ = writeln!(s, "int wf{i}(int a, int b) {{");
-        let _ = writeln!(s, "    int x0 = a + 1;");
-        let _ = writeln!(s, "    int x1 = x0 + b;");
-        for j in 2..depth {
-            let _ = writeln!(s, "    int x{j} = x{} + {};", j - 1, (i + j + 3) % 9 + 1);
-        }
-        let _ = writeln!(s, "    return x{} + 1;", depth - 1);
-        let _ = writeln!(s, "}}");
-    }
-    let _ = writeln!(s, "int rec(int i, int n) {{");
-    let _ = writeln!(s, "    if (n <= 0) {{ return i + 1; }}");
-    let _ = writeln!(s, "    return rec(wf0(i, 1), n - 1);");
-    let _ = writeln!(s, "}}");
-    s.push_str("int main() {\n    int s = 0;\n");
-    for i in 0..width {
-        let _ = writeln!(s, "    s = s + wf{i}({}, {});", i % 5, i % 3 + 1);
-    }
-    s.push_str("    s = s + rec(1, 3);\n    return s;\n}\n");
-    s
-}
-
 /// [`solve`] and the worklist reference must solve the module-wide
 /// system built on the summaries to the same `LT` sets. Returns the
 /// number of summary facts.
@@ -110,8 +82,16 @@ fn assert_solvers_agree_on_summaries(source: &str, name: &str) -> usize {
 
 #[test]
 fn solver_strategies_agree_on_a_wide_module() {
-    let facts = assert_solvers_agree_on_summaries(&wide_source(24, 80), "wide module");
+    let w = wide_module(24, 80);
+    let facts = assert_solvers_agree_on_summaries(&w.source, &w.name);
     assert!(facts > 0, "the wide module must produce interprocedural facts");
+}
+
+#[test]
+fn solver_strategies_agree_on_the_call_suite() {
+    let facts: usize =
+        call_suite(6).iter().map(|w| assert_solvers_agree_on_summaries(&w.source, &w.name)).sum();
+    assert!(facts > 0, "the call suite must produce interprocedural facts");
 }
 
 #[test]
