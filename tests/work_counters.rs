@@ -13,12 +13,19 @@
 //!   profiles, solved by the engine's `solve` and the worklist reference;
 //! * the call-heavy `call_suite(10)`, where the interprocedural summary
 //!   layer, the summary cache and the shared store do their work.
+//!
+//! A third, the Pentagon differential corpus (`test_suite(26)`,
+//! `call_suite(10)` and 24 Csmith programs, all in e-SSA form), pins the
+//! dense Pentagon fixpoint's full facts: its footprint, every ordered-pair
+//! verdict of its fact table and every definition's interval.
 
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
     solve, solve_worklist, Constraint, DisambiguationEngine, EngineConfig, GenConfig,
     ModuleSummaries, SharedSummaryStore, Solution, SummaryCache, VarIndex,
 };
+use sraa_pentagon::PentagonAnalysis;
+use sraa_range::Bound;
 use std::sync::{Mutex, MutexGuard};
 
 /// The allocation counter is process-wide, so the tests in this file run
@@ -156,4 +163,69 @@ fn unchanged_modules_hit_a_populated_store_completely() {
         assert_eq!(s.store_hits as usize, functions, "{}: every function hits", w.name);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A 64-bit mix of one proven pair, summed into an order-independent
+/// checksum (splitmix64's finaliser).
+fn pair_hash(workload: usize, func: usize, a: usize, b: usize) -> u64 {
+    let mut z = (workload as u64) << 48 ^ (func as u64) << 40 ^ (a as u64) << 20 ^ b as u64;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The dense Pentagon fixpoint's facts, all of them, on the differential
+/// corpus of `sraa-alias`'s table-vs-replay test: the block-entry
+/// footprint, the fact table's verdict on every ordered pair of every
+/// function's values (R = all values), and the definitions whose interval
+/// has a finite bound. A change to the state's representation must keep
+/// every one of these exactly.
+#[test]
+fn pentagon_facts_on_the_differential_corpus_are_pinned() {
+    let _serial = serial();
+    let mut ws = sraa_synth::test_suite(26);
+    ws.extend(sraa_synth::call_suite(10));
+    for depth in 2..=7 {
+        for seed in 1..=4 {
+            ws.push(sraa_synth::csmith_generate(sraa_synth::CsmithConfig {
+                seed,
+                max_ptr_depth: depth,
+                num_stmts: 40,
+                helpers: 2,
+            }));
+        }
+    }
+    let (mut bindings, mut pairs, mut proven, mut checksum, mut finite) = (0, 0u64, 0u64, 0u64, 0);
+    for (wi, w) in ws.iter().enumerate() {
+        let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
+        let _ = sraa_essa::transform_module(&mut m);
+        let pent = PentagonAnalysis::run(&m);
+        bindings += pent.total_bindings();
+        for (f, func) in m.functions() {
+            let r: Vec<_> = func.value_ids().collect();
+            let table = pent.fact_table(&m, f, &r);
+            for &a in &r {
+                for &b in &r {
+                    pairs += 1;
+                    if table.proves_lt(a, b) {
+                        proven += 1;
+                        checksum =
+                            checksum.wrapping_add(pair_hash(wi, f.index(), a.index(), b.index()));
+                    }
+                }
+                let iv = pent.interval_at_def(&m, f, a);
+                if iv.is_some_and(|iv| {
+                    matches!(iv.lo(), Bound::Fin(_)) || matches!(iv.hi(), Bound::Fin(_))
+                }) {
+                    finite += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(ws.len(), 60, "corpus: workloads");
+    assert_eq!(bindings, 93_594, "Pentagon block-entry bindings");
+    assert_eq!(pairs, 12_087_679, "corpus: ordered pairs");
+    assert_eq!(proven, 277_164, "pairs the fact table proves ordered");
+    assert_eq!(checksum, 0xb46a_6ddb_bcf1_e75e, "checksum of the proven pairs");
+    assert_eq!(finite, 15_412, "definitions with a finite interval bound");
 }
