@@ -32,7 +32,7 @@ use crate::facts::FactTable;
 use crate::state::PentagonState;
 use sraa_ir::{BinOp, BlockId, Cfg, FuncId, Function, InstData, InstKind, Module, Pred, Value};
 use sraa_range::{Bound, Interval};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How many joins a retreating-edge target absorbs before switching to
 /// widening (a small delay buys loop-bound precision, as usual).
@@ -250,17 +250,20 @@ fn analyze_function(func: &Function) -> FuncStates {
             }
         }
 
-        let edges: Vec<(BlockId, Option<(Value, bool)>)> =
-            match func.terminator(b).map(|t| &func.inst(t).kind) {
-                Some(InstKind::Br { cond, then_bb, else_bb }) => {
-                    vec![(*then_bb, Some((*cond, true))), (*else_bb, Some((*cond, false)))]
-                }
-                Some(InstKind::Jump(t)) => vec![(*t, None)],
-                _ => vec![],
-            };
+        // At most two outgoing edges, each with the branch refinement
+        // (condition, taken) it learns.
+        let edges = match func.terminator(b).map(|t| &func.inst(t).kind) {
+            Some(InstKind::Br { cond, then_bb, else_bb }) => {
+                [Some((*then_bb, Some((*cond, true)))), Some((*else_bb, Some((*cond, false))))]
+            }
+            Some(InstKind::Jump(t)) => [Some((*t, None)), None],
+            _ => [None, None],
+        };
+        let last = edges.iter().flatten().count();
 
-        for (succ, refinement) in edges {
-            let mut es = st.clone();
+        for (i, (succ, refinement)) in edges.into_iter().flatten().enumerate() {
+            // The last edge takes the out-state itself; earlier ones copy it.
+            let mut es = if i + 1 == last { std::mem::take(&mut st) } else { st.clone() };
             if let Some((cond, taken)) = refinement {
                 if !refine_edge(&mut es, func, cond, taken) {
                     continue; // provably infeasible edge
@@ -485,7 +488,8 @@ fn bind_phis(st: &mut PentagonState, func: &Function, pred: BlockId, succ: Block
     if batch.is_empty() {
         return;
     }
-    let stale: BTreeSet<Value> = batch.iter().map(|&(v, _)| v).collect();
+    let mut stale: Vec<Value> = batch.iter().map(|&(v, _)| v).collect();
+    stale.sort_unstable();
     let snaps: Vec<_> = batch.iter().map(|&(v, u)| (v, st.snapshot(u))).collect();
     for &(v, _) in &batch {
         st.purge(v);

@@ -111,7 +111,7 @@ impl FactTable {
         }
         for (x, s) in st.upper_bound_sets() {
             match self.slot(x) {
-                Some(col) if self.bound.contains(row, col) && s.contains(&v) => {
+                Some(col) if self.bound.contains(row, col) && s.binary_search(&v).is_ok() => {
                     self.below.insert(row, col);
                 }
                 _ => {}

@@ -13,7 +13,8 @@
 //! workspace IR:
 //!
 //! * [`PentagonState`] — the per-point state (intervals × strict upper
-//!   bounds) with the join/widen/refine/transfer algebra;
+//!   bounds) with the join/widen/refine/transfer algebra, stored as flat
+//!   vectors sorted by value, so joins and widenings are linear merges;
 //! * [`PentagonAnalysis`] — the forward Kleene fixpoint with branch
 //!   refinement, infeasible-edge pruning and loop widening, which keeps
 //!   one state per block entry and answers queries about any value by
@@ -44,4 +45,4 @@ pub mod state;
 
 pub use analysis::PentagonAnalysis;
 pub use facts::FactTable;
-pub use state::{PentagonState, ValueSnapshot};
+pub use state::PentagonState;

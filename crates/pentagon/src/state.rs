@@ -19,33 +19,42 @@
 //! the paper gets this for free from live-range splitting; paying for it
 //! explicitly on every transfer is precisely the engineering cost the
 //! paper's Section 5 attributes to Pentagons.
+//!
+//! Both maps are flat vectors sorted by value, and each `s(x)` is a sorted
+//! vector too, so a state costs memory in proportion to the facts it holds
+//! and [`join`](PentagonState::join)/[`widen`](PentagonState::widen) are
+//! linear merges of their inputs.
 
 use sraa_ir::Value;
 use sraa_range::{Bound, Interval};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A value's facts captured by [`PentagonState::snapshot`], applied with
 /// [`PentagonState::bind_snapshot`].
 #[derive(Clone, Debug)]
-pub struct ValueSnapshot {
+pub(crate) struct ValueSnapshot {
     /// The value's interval (`None` if it was unbound).
     interval: Option<Interval>,
-    /// Names strictly above the value.
-    above: BTreeSet<Value>,
-    /// Names strictly below the value (those whose `s` sets held it).
-    below: BTreeSet<Value>,
+    /// Names strictly above the value, sorted.
+    above: Vec<Value>,
+    /// Names strictly below the value (those whose `s` sets held it),
+    /// sorted.
+    below: Vec<Value>,
 }
 
 /// One program-point abstract state of the Pentagon analysis.
 ///
-/// `BTreeMap`s keep iteration deterministic, which makes fixpoints (and
-/// test failures) reproducible.
+/// `b` is a vector of `(x, b(x))` sorted by `x`; `s` is a vector of
+/// `(x, s(x))` sorted by `x`, holding only non-empty sets, each a sorted
+/// vector. The layout is canonical, so derived equality is equality of
+/// the abstract states, and iteration is in `Value` order, which makes
+/// fixpoints (and test failures) reproducible.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PentagonState {
     /// `b(x)`: an interval containing the run-time value of `x`.
-    intervals: BTreeMap<Value, Interval>,
-    /// `s(x)`: variables strictly greater than `x`.
-    subs: BTreeMap<Value, BTreeSet<Value>>,
+    intervals: Vec<(Value, Interval)>,
+    /// `s(x)`: variables strictly greater than `x` (never empty, never
+    /// holding `x` itself).
+    subs: Vec<(Value, Vec<Value>)>,
 }
 
 impl PentagonState {
@@ -54,32 +63,81 @@ impl PentagonState {
         Self::default()
     }
 
+    /// Where `v` is, or would go, in `intervals`.
+    fn interval_slot(&self, v: Value) -> Result<usize, usize> {
+        self.intervals.binary_search_by_key(&v, |&(x, _)| x)
+    }
+
+    /// Where `v`'s row is, or would go, in `subs`.
+    fn row_slot(&self, v: Value) -> Result<usize, usize> {
+        self.subs.binary_search_by_key(&v, |(x, _)| *x)
+    }
+
+    /// `s(v)`, sorted (empty if none recorded).
+    fn row(&self, v: Value) -> &[Value] {
+        match self.row_slot(v) {
+            Ok(i) => &self.subs[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// `s(v)` for update, inserted empty if absent: the caller must leave
+    /// it non-empty.
+    fn row_mut(&mut self, v: Value) -> &mut Vec<Value> {
+        let i = match self.row_slot(v) {
+            Ok(i) => i,
+            Err(i) => {
+                self.subs.insert(i, (v, Vec::new()));
+                i
+            }
+        };
+        &mut self.subs[i].1
+    }
+
+    /// Sets `b(v)`, replacing any previous interval.
+    fn set_interval(&mut self, v: Value, interval: Interval) {
+        match self.interval_slot(v) {
+            Ok(i) => self.intervals[i].1 = interval,
+            Err(i) => self.intervals.insert(i, (v, interval)),
+        }
+    }
+
+    /// Sets `s(v)` to the non-empty sorted `row`, replacing any previous
+    /// one.
+    fn set_row(&mut self, v: Value, row: Vec<Value>) {
+        match self.row_slot(v) {
+            Ok(i) => self.subs[i].1 = row,
+            Err(i) => self.subs.insert(i, (v, row)),
+        }
+    }
+
     /// Whether `v` is bound (defined on every path reaching this point).
     pub fn binds(&self, v: Value) -> bool {
-        self.intervals.contains_key(&v)
+        self.interval_slot(v).is_ok()
     }
 
     /// The interval of `v`; ⊤ if bound without range facts.
     ///
     /// Returns `None` when `v` is not bound at this point.
     pub fn interval(&self, v: Value) -> Option<Interval> {
-        self.intervals.get(&v).copied()
+        self.interval_slot(v).ok().map(|i| self.intervals[i].1)
     }
 
-    /// The strict upper bounds of `v` (empty if none recorded).
+    /// The strict upper bounds of `v` in `Value` order (empty if none
+    /// recorded).
     pub fn upper_bounds(&self, v: Value) -> impl Iterator<Item = Value> + '_ {
-        self.subs.get(&v).into_iter().flatten().copied()
+        self.row(v).iter().copied()
     }
 
     /// The bound variables with their intervals, in `Value` order.
     pub(crate) fn bindings(&self) -> impl Iterator<Item = (Value, Interval)> + '_ {
-        self.intervals.iter().map(|(&v, &iv)| (v, iv))
+        self.intervals.iter().copied()
     }
 
-    /// Every variable with recorded strict upper bounds, with its `s`
-    /// set, in `Value` order.
-    pub(crate) fn upper_bound_sets(&self) -> impl Iterator<Item = (Value, &BTreeSet<Value>)> + '_ {
-        self.subs.iter().map(|(&v, s)| (v, s))
+    /// Every variable with recorded strict upper bounds, with its sorted
+    /// `s` set, in `Value` order.
+    pub(crate) fn upper_bound_sets(&self) -> impl Iterator<Item = (Value, &[Value])> + '_ {
+        self.subs.iter().map(|(v, s)| (*v, s.as_slice()))
     }
 
     /// Number of bound variables (the dense analysis' footprint metric).
@@ -95,11 +153,11 @@ impl PentagonState {
         if a == b {
             return false;
         }
-        if self.subs.get(&a).is_some_and(|s| s.contains(&b)) {
+        if self.row(a).binary_search(&b).is_ok() {
             return true;
         }
-        match (self.intervals.get(&a), self.intervals.get(&b)) {
-            (Some(&ia), Some(&ib)) => numerically_below(ia, ib),
+        match (self.interval(a), self.interval(b)) {
+            (Some(ia), Some(ib)) => numerically_below(ia, ib),
             _ => false,
         }
     }
@@ -108,7 +166,7 @@ impl PentagonState {
     /// about the name first (see the module docs on redefinition).
     pub fn bind(&mut self, v: Value, interval: Interval) {
         self.purge(v);
-        self.intervals.insert(v, interval);
+        self.set_interval(v, interval);
     }
 
     /// Binds `v` as a fresh name equal to `src`: same interval, same
@@ -116,15 +174,15 @@ impl PentagonState {
     pub fn bind_equal(&mut self, v: Value, src: Value) {
         self.purge(v);
         let interval = self.interval(src).unwrap_or(Interval::TOP);
-        let bounds = self.subs.get(&src).cloned().unwrap_or_default();
-        self.intervals.insert(v, interval);
+        let bounds = self.row(src).to_vec();
+        self.set_interval(v, interval);
         if !bounds.is_empty() {
-            self.subs.insert(v, bounds);
+            self.set_row(v, bounds);
         }
         // w < src ⇒ w < v.
-        for s in self.subs.values_mut() {
-            if s.contains(&src) {
-                s.insert(v);
+        for (_, s) in &mut self.subs {
+            if s.binary_search(&src).is_ok() {
+                insert_sorted(s, v);
             }
         }
     }
@@ -135,16 +193,17 @@ impl PentagonState {
         if a == b {
             return;
         }
-        let mut gained: BTreeSet<Value> = self.subs.get(&b).cloned().unwrap_or_default();
-        gained.insert(b);
-        gained.remove(&a); // never record a < a
-        for (&w, s) in self.subs.iter_mut() {
-            if s.contains(&a) && w != b {
-                s.extend(gained.iter().copied().filter(|&g| g != w));
+        let mut gained = self.row(b).to_vec();
+        insert_sorted(&mut gained, b);
+        if let Ok(i) = gained.binary_search(&a) {
+            gained.remove(i); // never record a < a
+        }
+        for (w, s) in &mut self.subs {
+            if *w != b && s.binary_search(&a).is_ok() {
+                union_into(s, &gained, *w);
             }
         }
-        let sa = self.subs.entry(a).or_default();
-        sa.extend(gained);
+        union_into(self.row_mut(a), &gained, a);
     }
 
     /// Records `a ≤ b`: everything above `b` is above `a`, and everything
@@ -153,23 +212,18 @@ impl PentagonState {
         if a == b {
             return;
         }
-        let above_b: BTreeSet<Value> = self.subs.get(&b).cloned().unwrap_or_default();
-        let mut gained = above_b;
-        gained.insert(b);
-        for (&w, s) in self.subs.iter_mut() {
-            if s.contains(&a) && w != b {
+        let above_b = self.row(b).to_vec();
+        let mut gained = above_b.clone();
+        insert_sorted(&mut gained, b);
+        for (w, s) in &mut self.subs {
+            if *w != b && s.binary_search(&a).is_ok() {
                 // w < a ≤ b ⇒ w < b (and w < anything above b).
-                s.extend(gained.iter().copied().filter(|&g| g != w));
+                union_into(s, &gained, *w);
             }
         }
         // a ≤ b < u ⇒ a < u (but NOT a < b).
-        let above_b_only: Vec<Value> = self
-            .subs
-            .get(&b)
-            .map(|s| s.iter().copied().filter(|&u| u != a).collect())
-            .unwrap_or_default();
-        if !above_b_only.is_empty() {
-            self.subs.entry(a).or_default().extend(above_b_only);
+        if above_b.iter().any(|&u| u != a) {
+            union_into(self.row_mut(a), &above_b, a);
         }
     }
 
@@ -178,12 +232,13 @@ impl PentagonState {
     /// refinement (an infeasible branch edge).
     #[must_use]
     pub fn refine_interval(&mut self, v: Value, bound: Interval) -> bool {
-        match self.intervals.get_mut(&v) {
-            Some(iv) => {
+        match self.interval_slot(v) {
+            Ok(i) => {
+                let iv = &mut self.intervals[i].1;
                 *iv = iv.meet(&bound);
                 !iv.is_bottom()
             }
-            None => true, // unbound: nothing to refine
+            Err(_) => true, // unbound: nothing to refine
         }
     }
 
@@ -191,36 +246,38 @@ impl PentagonState {
     /// [`bind_snapshot`](Self::bind_snapshot). Used to give φ-functions
     /// their *parallel* copy semantics: all incoming values are read in
     /// the pre-edge state before any φ is rebound.
-    pub fn snapshot(&self, u: Value) -> ValueSnapshot {
+    pub(crate) fn snapshot(&self, u: Value) -> ValueSnapshot {
         ValueSnapshot {
             interval: self.interval(u),
-            above: self.subs.get(&u).cloned().unwrap_or_default(),
-            below: self.subs.iter().filter(|(_, s)| s.contains(&u)).map(|(&w, _)| w).collect(),
+            above: self.row(u).to_vec(),
+            below: self
+                .subs
+                .iter()
+                .filter(|(_, s)| s.binary_search(&u).is_ok())
+                .map(|(w, _)| *w)
+                .collect(),
         }
     }
 
     /// Binds `v` as a fresh name equal to the snapshotted value, skipping
-    /// any names in `stale` (φs of the same block that were rebound in
-    /// parallel — their snapshot-time values no longer exist).
-    pub fn bind_snapshot(&mut self, v: Value, snap: &ValueSnapshot, stale: &BTreeSet<Value>) {
+    /// any names in the sorted slice `stale` (φs of the same block that
+    /// were rebound in parallel — their snapshot-time values no longer
+    /// exist).
+    pub(crate) fn bind_snapshot(&mut self, v: Value, snap: &ValueSnapshot, stale: &[Value]) {
         let Some(interval) = snap.interval else {
             // The source was unbound (unreachable/partial path): v stays
             // unbound rather than inheriting vacuous facts.
             return;
         };
-        self.intervals.insert(v, interval);
-        let above: BTreeSet<Value> = snap
-            .above
-            .iter()
-            .copied()
-            .filter(|u| !stale.contains(u) && *u != v && self.binds(*u))
-            .collect();
+        self.set_interval(v, interval);
+        let live = |st: &Self, u: Value| u != v && stale.binary_search(&u).is_err() && st.binds(u);
+        let above: Vec<Value> = snap.above.iter().copied().filter(|&u| live(self, u)).collect();
         if !above.is_empty() {
-            self.subs.insert(v, above);
+            self.set_row(v, above);
         }
         for &w in &snap.below {
-            if !stale.contains(&w) && w != v && self.binds(w) {
-                self.subs.entry(w).or_default().insert(v);
+            if live(self, w) {
+                insert_sorted(self.row_mut(w), v);
             }
         }
     }
@@ -228,10 +285,16 @@ impl PentagonState {
     /// Erases every fact about `v`: its own bindings and its occurrences
     /// in other variables' upper-bound sets.
     pub fn purge(&mut self, v: Value) {
-        self.intervals.remove(&v);
-        self.subs.remove(&v);
-        self.subs.retain(|_, s| {
-            s.remove(&v);
+        if let Ok(i) = self.interval_slot(v) {
+            self.intervals.remove(i);
+        }
+        self.subs.retain_mut(|(w, s)| {
+            if *w == v {
+                return false;
+            }
+            if let Ok(i) = s.binary_search(&v) {
+                s.remove(i);
+            }
             !s.is_empty()
         });
     }
@@ -256,37 +319,114 @@ impl PentagonState {
         self.merge(other, Interval::widen)
     }
 
+    /// The join or widening, as two linear merges. The intervals: a
+    /// two-pointer walk keeps the values bound on both sides. Each `s(v)`:
+    /// a walk over both sides' rows, where a candidate on both rows is
+    /// proven relationally by each side, and a candidate on one row only
+    /// must be proven numerically by the other side's intervals. Either
+    /// way the candidate must be bound on both sides. Facts both sides
+    /// prove only numerically survive in the joined *intervals* when they
+    /// stay disjoint, so they need no row entry.
     fn merge(
         &self,
         other: &PentagonState,
         combine: impl Fn(&Interval, &Interval) -> Interval,
     ) -> PentagonState {
-        let mut intervals = BTreeMap::new();
-        for (&v, ia) in &self.intervals {
-            if let Some(ib) = other.intervals.get(&v) {
-                intervals.insert(v, combine(ia, ib));
+        let cap = self.intervals.len().min(other.intervals.len());
+        let mut intervals = Vec::with_capacity(cap);
+        // `sides[k]`: the two inputs' intervals of `intervals[k]`.
+        let mut sides = Vec::with_capacity(cap);
+        let (a, b) = (&self.intervals, &other.intervals);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((va, ia), (vb, ib)) = (a[i], b[j]);
+            if va < vb {
+                i += 1;
+            } else if vb < va {
+                j += 1;
+            } else {
+                intervals.push((va, combine(&ia, &ib)));
+                sides.push((ia, ib));
+                i += 1;
+                j += 1;
             }
         }
-        let mut subs = BTreeMap::new();
-        for &v in intervals.keys() {
-            // Candidates: anything either side relates to `v`. Facts both
-            // sides prove only numerically survive in the joined
-            // *intervals* when they stay disjoint, so they need no entry.
-            let kept: BTreeSet<Value> = self
-                .subs
-                .get(&v)
-                .into_iter()
-                .chain(other.subs.get(&v))
-                .flatten()
-                .copied()
-                .filter(|u| intervals.contains_key(u))
-                .filter(|&u| self.proves_lt(v, u) && other.proves_lt(v, u))
-                .collect();
-            if !kept.is_empty() {
-                subs.insert(v, kept);
+
+        let mut subs = Vec::new();
+        let mut row = Vec::new();
+        let (mut ra, mut rb) = (0, 0);
+        for (k, &(v, _)) in intervals.iter().enumerate() {
+            let (sa, sb) = (row_at(&self.subs, &mut ra, v), row_at(&other.subs, &mut rb, v));
+            if sa.is_empty() && sb.is_empty() {
+                continue;
+            }
+            let (va_iv, vb_iv) = sides[k];
+            row.clear();
+            // Candidates come in `Value` order, so each lookup in the
+            // joined intervals resumes where the previous one stopped.
+            let mut from = 0;
+            let mut seek = |u: Value| {
+                from += intervals[from..].partition_point(|&(x, _)| x < u);
+                (intervals.get(from).is_some_and(|&(x, _)| x == u)).then_some(from)
+            };
+            let (mut x, mut y) = (0, 0);
+            loop {
+                let (on_a, on_b) = (sa.get(x).copied(), sb.get(y).copied());
+                let u = match (on_a, on_b) {
+                    (Some(p), Some(q)) => p.min(q),
+                    (Some(p), None) | (None, Some(p)) => p,
+                    (None, None) => break,
+                };
+                let (on_a, on_b) = (on_a == Some(u), on_b == Some(u));
+                x += usize::from(on_a);
+                y += usize::from(on_b);
+                // Each side proves v < u relationally (u on its row) or
+                // numerically (its own intervals).
+                let keep = seek(u).is_some_and(|ku| {
+                    (on_a || numerically_below(va_iv, sides[ku].0))
+                        && (on_b || numerically_below(vb_iv, sides[ku].1))
+                });
+                if keep {
+                    row.push(u);
+                }
+            }
+            if !row.is_empty() {
+                subs.push((v, row.clone()));
             }
         }
         PentagonState { intervals, subs }
+    }
+}
+
+/// `s(v)` in the sorted rows `subs`, scanning forward from `*at` (empty
+/// if `v` has no row). Successive calls must ask for increasing `v`.
+fn row_at<'s>(subs: &'s [(Value, Vec<Value>)], at: &mut usize, v: Value) -> &'s [Value] {
+    while subs.get(*at).is_some_and(|(x, _)| *x < v) {
+        *at += 1;
+    }
+    match subs.get(*at) {
+        Some((x, s)) if *x == v => s,
+        _ => &[],
+    }
+}
+
+/// Inserts `v` into the sorted `row` unless it is already there.
+fn insert_sorted(row: &mut Vec<Value>, v: Value) {
+    if let Err(i) = row.binary_search(&v) {
+        row.insert(i, v);
+    }
+}
+
+/// `row ∪= add ∖ {skip}`, with `row` and `add` sorted.
+fn union_into(row: &mut Vec<Value>, add: &[Value], skip: Value) {
+    let old = row.len();
+    for &u in add {
+        if u != skip && row[..old].binary_search(&u).is_err() {
+            row.push(u);
+        }
+    }
+    if row.len() > old {
+        row.sort_unstable();
     }
 }
 
@@ -459,7 +599,69 @@ mod tests {
             })
         }
 
+        /// A random state with unbound, ⊤ and finite variables, and a
+        /// handful of recorded `<` and `≤` facts (possibly about unbound
+        /// names), so every case of the join's rule occurs.
+        fn partial_states(n: usize) -> impl Strategy<Value = PentagonState> {
+            let intervals = proptest::collection::vec((0u8..4, -20i64..20, 0i64..10), n);
+            let facts = proptest::collection::vec((0..n, 0..n, any::<bool>()), 0..8);
+            (intervals, facts).prop_map(move |(ivs, facts)| {
+                let mut st = PentagonState::new();
+                for (i, (kind, lo, width)) in ivs.into_iter().enumerate() {
+                    match kind {
+                        0 => {}
+                        1 => st.bind(v(i), Interval::TOP),
+                        _ => st.bind(v(i), Interval::finite(lo, lo + width)),
+                    }
+                }
+                for (a, b, strict) in facts {
+                    if strict {
+                        st.record_lt(v(a), v(b));
+                    } else {
+                        st.record_le(v(a), v(b));
+                    }
+                }
+                st
+            })
+        }
+
+        /// `m` (the join or the widening of `a` and `b`) proves `x < y`
+        /// exactly when its own intervals do, or when `y` is on either
+        /// input's `s(x)`, both inputs bind `x` and `y`, and each input
+        /// proves `x < y` by its own means.
+        fn assert_merge_is_exact(
+            a: &PentagonState,
+            b: &PentagonState,
+            m: &PentagonState,
+            n: usize,
+        ) {
+            for x in (0..n).map(v) {
+                for y in (0..n).map(v) {
+                    let numeric = matches!(
+                        (m.interval(x), m.interval(y)),
+                        (Some(ix), Some(iy)) if numerically_below(ix, iy)
+                    );
+                    let on_a_row = a.upper_bounds(x).any(|u| u == y);
+                    let relational = (on_a_row || b.upper_bounds(x).any(|u| u == y))
+                        && [a, b].iter().all(|s| s.binds(x) && s.binds(y) && s.proves_lt(x, y));
+                    assert_eq!(m.proves_lt(x, y), numeric || relational, "{x} < {y}");
+                }
+            }
+        }
+
         proptest! {
+            /// The join proves exactly the refined pentagon join's facts.
+            #[test]
+            fn join_is_exact(a in partial_states(6), b in partial_states(6)) {
+                assert_merge_is_exact(&a, &b, &a.join(&b), 6);
+            }
+
+            /// So does the widening, with its own intervals.
+            #[test]
+            fn widen_is_exact(a in partial_states(6), b in partial_states(6)) {
+                assert_merge_is_exact(&a, &b, &a.widen(&b), 6);
+            }
+
             /// The join is sound: it proves a fact only if *both* inputs
             /// prove it (each by its own means) — the pentagon lub.
             #[test]

@@ -7,17 +7,16 @@
 //! its bound here. Wall-clock time is the benchmark's job (`perfbench/`,
 //! declared in `BENCHMARK.json`); `scalability` prints the §4.2 figures.
 //!
-//! Two corpora:
+//! Three corpora:
 //!
 //! * `scalability`'s at `SRAA_SUITE_N=10`: `test_suite(10)` plus the SPEC
 //!   profiles, solved by the engine's `solve` and the worklist reference;
 //! * the call-heavy `call_suite(10)`, where the interprocedural summary
-//!   layer, the summary cache and the shared store do their work.
-//!
-//! A third, the Pentagon differential corpus (`test_suite(26)`,
-//! `call_suite(10)` and 24 Csmith programs, all in e-SSA form), pins the
-//! dense Pentagon fixpoint's full facts: its footprint, every ordered-pair
-//! verdict of its fact table and every definition's interval.
+//!   layer, the summary cache and the shared store do their work;
+//! * the Pentagon differential corpus (`test_suite(26)`, `call_suite(10)`
+//!   and 24 Csmith programs, all in e-SSA form), where the dense Pentagon
+//!   fixpoint's full facts are pinned: its footprint, every ordered-pair
+//!   verdict of its fact table and its finite intervals at definitions.
 
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
