@@ -71,7 +71,7 @@ fn main() {
         // schedule alone.
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
         let (ranges, _) = sraa_essa::transform_module(&mut m);
-        let sys = sraa_core::generate(&m, &ranges, Default::default());
+        let sys = sraa_core::generate(&m, &ranges);
         total_constraints += sys.constraints.len() as u64;
 
         worklist.run(&sys);

@@ -10,7 +10,7 @@
 //! | `fig11`       | Figure 11      | #instructions vs #constraints + R²         |
 //! | `fig12`       | Figure 12      | PDG memory nodes: static/BA/BA+LT          |
 //! | `scalability` | §4.2           | evals/constraint, time-vs-size R², set sizes|
-//! | `ablation`    | design choices | faithful vs extended rules, param pairs    |
+//! | `ablation`    | design choices | param pairs, range criterion               |
 //! | `pentagon_vs_lt` | §5 prose    | LT vs dense Pentagons: divergence + cost   |
 //! | `applicability_opt` | §2 prose | loads/stores removed per alias oracle      |
 //! | `calibrate`   | synth tuning   | alias-query profile per archetype          |

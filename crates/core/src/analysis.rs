@@ -5,20 +5,14 @@
 //!            ──Figure 7──▶ constraints ──fixpoint──▶ LT sets
 //! ```
 //!
-//! The pipeline itself lives in the
-//! [`DisambiguationEngine`] — this
-//! module keeps the paper's name for it ([`StrictInequalityAnalysis`])
-//! plus the two IR-walking helpers Definition 3.11 needs
-//! ([`derived_pointer`], [`strip_copies`]).
+//! The pipeline itself lives in the [`DisambiguationEngine`]; this
+//! module keeps the two IR-walking helpers Definition 3.11 needs
+//! ([`derived_pointer`], [`strip_copies`]) and the paper's examples as
+//! tests.
+//!
+//! [`DisambiguationEngine`]: crate::DisambiguationEngine
 
-use crate::engine::DisambiguationEngine;
 use sraa_ir::{Function, InstKind, Value};
-
-/// The paper's name for the solved analysis — an alias for the
-/// [`DisambiguationEngine`], which owns the pipeline and the query layer.
-/// `StrictInequalityAnalysis::run(&mut module)` remains the canonical
-/// entry point for paper-faithful use.
-pub type StrictInequalityAnalysis = DisambiguationEngine;
 
 /// If `p` is a derived pointer `base + offset`, returns `(base, offset)`.
 /// Copies around the `gep` are looked through.
@@ -43,11 +37,12 @@ pub fn strip_copies(func: &Function, mut v: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DisambiguationEngine;
     use sraa_ir::{FuncId, Module};
 
-    fn analyzed(src: &str) -> (Module, StrictInequalityAnalysis) {
+    fn analyzed(src: &str) -> (Module, DisambiguationEngine) {
         let mut m = sraa_minic::compile(src).unwrap();
-        let lt = StrictInequalityAnalysis::run(&mut m);
+        let lt = DisambiguationEngine::run(&mut m);
         sraa_ir::verify(&m).unwrap();
         (m, lt)
     }

@@ -88,15 +88,13 @@ impl Constraint {
     }
 }
 
-/// Options controlling constraint generation.
+/// The analysis's two switches beyond the paper's Figure 7. Constraint
+/// generation itself takes no options: the engine applies
+/// `param_pairs` to the generated system and `range_offsets` when it
+/// answers a query. The default is the configuration of the `aa-eval`
+/// figures; the `ablation` benchmark measures each switch against it.
 #[derive(Clone, Copy, Debug)]
 pub struct GenConfig {
-    /// Enables sound extensions beyond the paper's Figure 7:
-    /// non-*strict* increments propagate the source's set
-    /// (`x1 = x2 + n, n ≥ 0 ⇒ LT(x1) ⊇ LT(x2)`), and likewise for
-    /// non-negative `gep` offsets. Off by default for paper fidelity;
-    /// the ablation benchmark measures its effect.
-    pub extended: bool,
     /// Parameter-pair refinement: if at *every* internal call site of `g`
     /// the argument for formal `xi` is provably less than the argument
     /// for formal `xj`, then `xi ∈ LT(xj)` (parameters are immutable for
@@ -118,7 +116,7 @@ pub struct GenConfig {
 
 impl Default for GenConfig {
     fn default() -> Self {
-        Self { extended: false, param_pairs: true, range_offsets: false }
+        Self { param_pairs: true, range_offsets: false }
     }
 }
 
@@ -154,33 +152,31 @@ pub struct ParamInfo {
 type CallRecord = (FuncId, Vec<Option<VarId>>);
 
 /// Generates the constraint system for a module in e-SSA form.
-pub fn generate(module: &Module, ranges: &RangeAnalysis, cfg: GenConfig) -> ConstraintSystem {
+pub fn generate(module: &Module, ranges: &RangeAnalysis) -> ConstraintSystem {
     let index = VarIndex::new(module);
-    generate_with_index(module, ranges, cfg, &index)
+    generate_with_index(module, ranges, &index)
 }
 
 /// [`generate`] with a caller-provided [`VarIndex`].
-pub fn generate_with_index(
+pub(crate) fn generate_with_index(
     module: &Module,
     ranges: &RangeAnalysis,
-    cfg: GenConfig,
     index: &VarIndex,
 ) -> ConstraintSystem {
-    generate_module(module, ranges, cfg, index, None)
+    generate_module(module, ranges, index, None)
 }
 
-/// [`generate_with_index`] with interprocedural summaries applied at call
-/// sites: a call result `r = g(a₁, …)` whose callee summary proves
-/// `param_j < ret` contributes `LT(r) ⊇ {a_j} ∪ LT(a_j)` instead of the
-/// intraprocedural `LT(r) = ∅`.
+/// [`generate`] with a caller-provided [`VarIndex`] and interprocedural
+/// summaries applied at call sites: a call result `r = g(a₁, …)` whose
+/// callee summary proves `param_j < ret` contributes
+/// `LT(r) ⊇ {a_j} ∪ LT(a_j)` instead of the intraprocedural `LT(r) = ∅`.
 pub fn generate_with_summaries(
     module: &Module,
     ranges: &RangeAnalysis,
-    cfg: GenConfig,
     index: &VarIndex,
     summaries: &ModuleSummaries,
 ) -> ConstraintSystem {
-    generate_module(module, ranges, cfg, index, Some(&summaries.per_func))
+    generate_module(module, ranges, index, Some(&summaries.per_func))
 }
 
 /// Constraints for a *subset* of functions only — the per-SCC systems the
@@ -192,7 +188,6 @@ pub fn generate_with_summaries(
 pub(crate) fn generate_scoped(
     module: &Module,
     ranges: &RangeAnalysis,
-    cfg: GenConfig,
     index: &VarIndex,
     funcs: &[FuncId],
     summaries: &[FunctionSummary],
@@ -202,7 +197,7 @@ pub(crate) fn generate_scoped(
     let summaries = Some(summaries);
     for &fid in funcs {
         let f = module.function(fid);
-        FuncGen { f, fid, ranges, cfg, index, summaries, out: &mut out, calls: &mut calls }.run();
+        FuncGen { f, fid, ranges, index, summaries, out: &mut out, calls: &mut calls }.run();
     }
     for &fid in funcs {
         let f = module.function(fid);
@@ -218,7 +213,6 @@ pub(crate) fn generate_scoped(
 fn generate_module(
     module: &Module,
     ranges: &RangeAnalysis,
-    cfg: GenConfig,
     index: &VarIndex,
     summaries: Option<&[FunctionSummary]>,
 ) -> ConstraintSystem {
@@ -226,7 +220,7 @@ fn generate_module(
     let mut out = Vec::new();
     let mut calls = Vec::new();
     for (fid, f) in module.functions() {
-        FuncGen { f, fid, ranges, cfg, index, summaries, out: &mut out, calls: &mut calls }.run();
+        FuncGen { f, fid, ranges, index, summaries, out: &mut out, calls: &mut calls }.run();
     }
     let mut call_sites: Vec<Vec<Vec<Option<VarId>>>> = vec![Vec::new(); num_funcs];
     for (callee, site) in calls {
@@ -272,7 +266,6 @@ struct FuncGen<'a> {
     f: &'a Function,
     fid: FuncId,
     ranges: &'a RangeAnalysis,
-    cfg: GenConfig,
     index: &'a VarIndex,
     /// Interprocedural summaries, indexed by [`FuncId`], to apply at call
     /// sites; `None` runs the paper's intraprocedural rules (calls are
@@ -303,13 +296,6 @@ impl FuncGen<'_> {
         match self.f.inst(v).kind {
             InstKind::Const(c) => c < 0,
             _ => self.ranges.range(self.fid, v).is_strictly_negative(),
-        }
-    }
-
-    fn non_negative(&self, v: Value) -> bool {
-        match self.f.inst(v).kind {
-            InstKind::Const(c) => c >= 0,
-            _ => self.ranges.range(self.fid, v).is_non_negative(),
         }
     }
 
@@ -426,11 +412,6 @@ impl FuncGen<'_> {
             self.union_from(v, a); // rule 2: a < v
         } else if self.strictly_positive(a) && !self.is_const(b) {
             self.union_from(v, b);
-        } else if self.cfg.extended && self.non_negative(b) && !self.is_const(a) {
-            // Extension: v = a + n, n ≥ 0 ⇒ anything < a is < v.
-            self.out.push(Constraint::Copy { x: self.id(v), source: self.id(a) });
-        } else if self.cfg.extended && self.non_negative(a) && !self.is_const(b) {
-            self.out.push(Constraint::Copy { x: self.id(v), source: self.id(b) });
         } else {
             // Subtraction (handled via the SubSplit copy) or unknown.
             self.out.push(Constraint::Init { x: self.id(v) });
@@ -583,7 +564,7 @@ mod tests {
             int main() { int a[4]; return f(a, 4); }
             "#,
         );
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let mut value_count = 0usize;
         let mut param_count = 0usize;
         for (_, f) in m.functions() {
@@ -611,7 +592,7 @@ mod tests {
     #[test]
     fn increment_generates_union_rule2() {
         let (m, ranges) = prepare("int f(int x) { return x + 1; }");
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let ix = VarIndex::new(&m);
         let fid = m.function_by_name("f").unwrap();
         let f = m.function(fid);
@@ -630,7 +611,7 @@ mod tests {
     #[test]
     fn subtraction_generates_rule3_pair() {
         let (m, ranges) = prepare("int f(int x) { int y = x - 1; return y + x; }");
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let ix = VarIndex::new(&m);
         // The SubSplit copy must carry {sub_result} ∪ LT(x).
         let mut found = false;
@@ -659,7 +640,7 @@ mod tests {
             int main() { int x = input(); int y = x + 1; return g(y); }
             "#,
         );
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let ix = VarIndex::new(&m);
         let g = m.function_by_name("g").unwrap();
         let a = ix.id(g, m.function(g).param_value(0));
@@ -676,29 +657,12 @@ mod tests {
     #[test]
     fn uncalled_function_params_are_init() {
         let (m, ranges) = prepare("int g(int a) { return a; }");
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let ix = VarIndex::new(&m);
         let g = m.function_by_name("g").unwrap();
         let a = ix.id(g, m.function(g).param_value(0));
         assert!(sys.constraints.iter().any(|c| matches!(c, Constraint::Init { x } if *x == a)));
         assert!(!sys.param_union.contains_key(&a));
-    }
-
-    #[test]
-    fn extended_mode_adds_nonstrict_copies() {
-        let src = "int f(int x, int n) { if (n >= 0) { return x + n; } return 0; }";
-        let (m, ranges) = prepare(src);
-        let base = generate(&m, &ranges, GenConfig::default());
-        let ext = generate(&m, &ranges, GenConfig { extended: true, ..Default::default() });
-        let copies = |sys: &ConstraintSystem| {
-            sys.constraints.iter().filter(|c| matches!(c, Constraint::Copy { .. })).count()
-        };
-        assert!(
-            copies(&ext) > copies(&base),
-            "extended mode must turn x+n (n≥0) into a copy: {} vs {}",
-            copies(&ext),
-            copies(&base)
-        );
     }
 
     #[test]
@@ -709,7 +673,7 @@ mod tests {
             int main() { int x = input(); return g(x, 3); }
             "#,
         );
-        let sys = generate(&m, &ranges, GenConfig::default());
+        let sys = generate(&m, &ranges);
         let g = m.function_by_name("g").unwrap();
         let info = &sys.param_info[g.index()];
         assert_eq!(info.sites.len(), 1);

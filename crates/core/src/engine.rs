@@ -145,9 +145,7 @@ impl DisambiguationEngine {
         let summary_t0 = std::time::Instant::now();
         let summaries = match cfg.contextuality {
             Contextuality::Intra => None,
-            Contextuality::Summaries => {
-                Some(ModuleSummaries::compute(module, ranges, cfg.gen, &index))
-            }
+            Contextuality::Summaries => Some(ModuleSummaries::compute(module, ranges, &index)),
         };
         Self::assemble(module, ranges, cfg, index, summaries, summary_t0, Reused::default())
     }
@@ -193,7 +191,7 @@ impl DisambiguationEngine {
         cfg.contextuality = Contextuality::Summaries;
         let index = VarIndex::new(module);
         let summary_t0 = std::time::Instant::now();
-        let (sums, reuse) = Self::reuse_summaries(module, ranges, &cfg, &index, cache, store);
+        let (sums, reuse) = Self::reuse_summaries(module, ranges, &index, cache, store);
         Self::assemble(module, ranges, cfg, index, Some(sums), summary_t0, reuse)
     }
 
@@ -216,13 +214,12 @@ impl DisambiguationEngine {
     fn reuse_summaries(
         module: &Module,
         ranges: &RangeAnalysis,
-        cfg: &EngineConfig,
         index: &VarIndex,
         cache: Option<&persist::SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (ModuleSummaries, Reused) {
         let (sums, keys, mut outcome, mut store_outcome) =
-            ModuleSummaries::compute_incremental(module, ranges, cfg.gen, index, cache, store);
+            ModuleSummaries::compute_incremental(module, ranges, index, cache, store);
         let mut store_warning = None;
         if cache.is_none() {
             // No usable cache at all: every function was a miss, so a
@@ -263,10 +260,8 @@ impl DisambiguationEngine {
         let summary_build_ns =
             if summaries.is_some() { summary_t0.elapsed().as_nanos() as u64 } else { 0 };
         let mut sys = match &summaries {
-            None => constraints::generate_with_index(module, ranges, cfg.gen, &index),
-            Some(sums) => {
-                constraints::generate_with_summaries(module, ranges, cfg.gen, &index, sums)
-            }
+            None => constraints::generate_with_index(module, ranges, &index),
+            Some(sums) => constraints::generate_with_summaries(module, ranges, &index, sums),
         };
         let solve_t0 = std::time::Instant::now();
         let mut solution = solve(&sys.constraints, sys.num_vars);

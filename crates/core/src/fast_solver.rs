@@ -487,8 +487,8 @@ mod tests {
             }
 
             /// Fully-grounded random systems (every variable defined)
-            /// also agree — this is the population the on-demand prover
-            /// property runs on, so keep the solvers honest there too.
+            /// also agree, so the schedules are checked on cycles that no
+            /// undefined variable breaks.
             #[test]
             fn fast_solver_agrees_on_grounded_systems((cs, n) in grounded_systems()) {
                 let base = solve_worklist(&cs, n);

@@ -67,14 +67,14 @@
 //! # Example — the paper's motivating loop
 //!
 //! ```
-//! use sraa_core::StrictInequalityAnalysis;
+//! use sraa_core::DisambiguationEngine;
 //!
 //! let mut module = sraa_minic::compile(r#"
 //!     void f(int* v, int N) {
 //!         for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
 //!     }
 //! "#).unwrap();
-//! let lt = StrictInequalityAnalysis::run(&mut module);
+//! let lt = DisambiguationEngine::run(&mut module);
 //!
 //! // find the store (v[i]) and load (v[j]) addresses:
 //! let fid = module.function_by_name("f").unwrap();
@@ -101,7 +101,6 @@ pub(crate) mod fast_solver;
 pub(crate) mod lattice;
 #[cfg(test)]
 pub(crate) mod lt_set;
-pub mod ondemand;
 pub mod persist;
 pub(crate) mod setops;
 pub mod solver;
@@ -111,10 +110,9 @@ pub mod summary;
 pub(crate) mod test_systems;
 pub mod var_index;
 
-pub use analysis::{derived_pointer, strip_copies, StrictInequalityAnalysis};
+pub use analysis::{derived_pointer, strip_copies};
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
 pub use engine::{Contextuality, DisambiguationEngine, EngineConfig};
-pub use ondemand::OnDemandProver;
 pub use persist::{SummaryCache, SummaryKeys, FORMAT_VERSION};
 pub use solver::{solve, solve_worklist, Solution, SolveStats};
 pub use store::{SharedSummaryStore, StoreOutcome};

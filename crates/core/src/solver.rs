@@ -186,7 +186,7 @@ impl Solution {
     }
 
     /// The `LT` set of `x` in ascending [`VarId`] order.
-    pub fn lt_vars(&self, x: VarId) -> impl Iterator<Item = VarId> + '_ {
+    pub(crate) fn lt_vars(&self, x: VarId) -> impl Iterator<Item = VarId> + '_ {
         self.lt_set(x).iter().map(|&i| VarId::new(i))
     }
 

@@ -56,8 +56,8 @@
 //! offset  size  field
 //!      0     8  magic  b"SRAASTOR"
 //!      8     2  format version (u16, FORMAT_VERSION)
-//!     10     1  GenConfig encoding (bit0 extended, bit1 param_pairs,
-//!               bit2 range_offsets)
+//!     10     1  GenConfig encoding (bit0 reserved, always 0 (was
+//!               `extended`); bit1 param_pairs, bit2 range_offsets)
 //!     11     1  reserved (0)
 //!     12     4  entry count (u32)
 //!     16     …  entries: key u64, fact count u32, fact indices u32×n
@@ -225,7 +225,7 @@ impl SharedSummaryStore {
     /// is the durable variant). Returns whether the entry was new. In
     /// debug builds an existing entry is asserted equal to the incoming
     /// one: identical keys must mean identical summaries.
-    pub fn insert_if_absent(&self, key: u64, summary: &FunctionSummary) -> bool {
+    pub(crate) fn insert_if_absent(&self, key: u64, summary: &FunctionSummary) -> bool {
         let shard = &self.shards[shard_of(key)];
         if let Some(existing) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
             debug_assert_eq!(
@@ -344,7 +344,7 @@ fn parse_generation(name: &str) -> Option<u64> {
 }
 
 fn encode_gen_config(cfg: GenConfig) -> u8 {
-    (cfg.extended as u8) | (cfg.param_pairs as u8) << 1 | (cfg.range_offsets as u8) << 2
+    (cfg.param_pairs as u8) << 1 | (cfg.range_offsets as u8) << 2
 }
 
 /// Why a segment could not be folded in. Every variant means "skip and
@@ -587,6 +587,15 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), before);
         assert_eq!(a.skipped_segments(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gen_config_byte_keeps_its_bit_positions() {
+        assert_eq!(encode_gen_config(GenConfig::default()), 0b010);
+        assert_eq!(
+            encode_gen_config(GenConfig { range_offsets: true, ..Default::default() }),
+            0b110
+        );
     }
 
     #[test]

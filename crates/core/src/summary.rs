@@ -50,7 +50,7 @@
 //! (context-sensitive) facts and indirect calls are also out of scope.
 //! See ROADMAP "Open items".
 
-use crate::constraints::{self, Constraint, GenConfig};
+use crate::constraints::{self, Constraint};
 use crate::persist::{SummaryCache, SummaryKeys};
 use crate::solver::{solve, Solution};
 use crate::store::{SharedSummaryStore, StoreOutcome};
@@ -149,14 +149,9 @@ impl ModuleSummaries {
     /// Components are solved one at a time in [`Condensation`] order,
     /// callees first, so every call leaving a component reads its
     /// callee's final summary.
-    pub fn compute(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: GenConfig,
-        index: &VarIndex,
-    ) -> Self {
+    pub fn compute(module: &Module, ranges: &RangeAnalysis, index: &VarIndex) -> Self {
         let cond = CallGraph::build(module).condense();
-        Self::walk(module, ranges, cfg, index, &cond, None).0
+        Self::walk(module, ranges, index, &cond, None).0
     }
 
     /// [`ModuleSummaries::compute`] with a **warm path**: components whose
@@ -183,7 +178,6 @@ impl ModuleSummaries {
     pub fn compute_incremental(
         module: &Module,
         ranges: &RangeAnalysis,
-        cfg: GenConfig,
         index: &VarIndex,
         cache: Option<&SummaryCache>,
         store: Option<&SharedSummaryStore>,
@@ -192,8 +186,7 @@ impl ModuleSummaries {
         let cond = cg.condense();
         let keys = SummaryKeys::compute_with(module, &cg, &cond);
         let reuse = Reuse { keys: &keys, cache, store };
-        let (sums, outcome, store_outcome) =
-            Self::walk(module, ranges, cfg, index, &cond, Some(reuse));
+        let (sums, outcome, store_outcome) = Self::walk(module, ranges, index, &cond, Some(reuse));
         (sums, keys, outcome, store_outcome)
     }
 
@@ -202,7 +195,6 @@ impl ModuleSummaries {
     fn walk(
         module: &Module,
         ranges: &RangeAnalysis,
-        cfg: GenConfig,
         index: &VarIndex,
         cond: &Condensation,
         reuse: Option<Reuse<'_>>,
@@ -270,7 +262,6 @@ impl ModuleSummaries {
             sums.stats.solves += solve_scc(
                 module,
                 ranges,
-                cfg,
                 index,
                 members,
                 cond.is_recursive(ci),
@@ -314,7 +305,6 @@ struct Reuse<'a> {
 fn solve_scc(
     module: &Module,
     ranges: &RangeAnalysis,
-    cfg: GenConfig,
     index: &VarIndex,
     members: &[FuncId],
     recursive: bool,
@@ -331,7 +321,7 @@ fn solve_scc(
     let mut solves = 0u64;
     let space = SccSpace::new(module, index, members);
     loop {
-        let raw = constraints::generate_scoped(module, ranges, cfg, index, members, per_func);
+        let raw = constraints::generate_scoped(module, ranges, index, members, per_func);
         let local_cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
         let solution = solve(&local_cs, space.len());
         solves += 1;
@@ -456,7 +446,7 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
+        let sums = ModuleSummaries::compute(&m, &ranges, &index);
         (m, sums)
     }
 
@@ -593,18 +583,12 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let cold = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
+        let cold = ModuleSummaries::compute(&m, &ranges, &index);
         let keys = SummaryKeys::compute(&m);
         let cache = SummaryCache::from_parts(&m, &cold, &keys);
 
-        let (warm, warm_keys, outcome, _) = ModuleSummaries::compute_incremental(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            Some(&cache),
-            None,
-        );
+        let (warm, warm_keys, outcome, _) =
+            ModuleSummaries::compute_incremental(&m, &ranges, &index, Some(&cache), None);
         assert_eq!(warm_keys, keys, "keys must not depend on who builds the condensation");
         assert_eq!((outcome.hits, outcome.misses, outcome.invalidated), (3, 0, 0));
         assert_eq!(outcome.hit_rate(), 1.0);
@@ -615,14 +599,8 @@ mod tests {
         assert_eq!(warm.facts(), cold.facts());
 
         // Without a cache, the incremental entry point is exactly `compute`.
-        let (cold2, _, zero, none) = ModuleSummaries::compute_incremental(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            None,
-            None,
-        );
+        let (cold2, _, zero, none) =
+            ModuleSummaries::compute_incremental(&m, &ranges, &index, None, None);
         assert_eq!(cold2, cold);
         assert_eq!(zero, CacheOutcome::default());
         assert_eq!(none, StoreOutcome::default());
@@ -638,7 +616,7 @@ mod tests {
         use crate::solver::solve_worklist;
         let mut m = sraa_minic::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let (ranges, _) = sraa_essa::transform_module(&mut m);
-        let (cfg, index) = (GenConfig::default(), VarIndex::new(&m));
+        let index = VarIndex::new(&m);
         let cond = CallGraph::build(&m).condense();
         let mut per_func = vec![FunctionSummary::default(); m.num_functions()];
         let mut solves = 0u64;
@@ -652,8 +630,7 @@ mod tests {
             }
             let space = SccSpace::new(&m, &index, members);
             loop {
-                let raw =
-                    constraints::generate_scoped(&m, &ranges, cfg, &index, members, &per_func);
+                let raw = constraints::generate_scoped(&m, &ranges, &index, members, &per_func);
                 let cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
                 let (a, b) = (solve(&cs, space.len()), solve_worklist(&cs, space.len()));
                 solves += 1;
@@ -677,7 +654,7 @@ mod tests {
                 }
             }
         }
-        let sums = ModuleSummaries::compute(&m, &ranges, cfg, &index);
+        let sums = ModuleSummaries::compute(&m, &ranges, &index);
         assert_eq!(
             per_func, sums.per_func,
             "{name}: the walk must distil the production summaries"

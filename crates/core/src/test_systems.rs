@@ -1,5 +1,5 @@
 //! Random constraint-system generators shared by the property tests of
-//! the two fixpoint solvers and of the on-demand prover.
+//! the two fixpoint schedules and of the lattice store.
 
 use crate::constraints::Constraint as C;
 use crate::var_index::VarId;
@@ -40,10 +40,8 @@ pub(crate) fn systems() -> impl Strategy<Value = (Vec<C>, usize)> {
 }
 
 /// Systems where every variable `0..n` has exactly one defining
-/// constraint. The on-demand prover property runs on this population:
-/// for undefined variables the prover's conservative `false` diverges
-/// from the raw greatest fixpoint by design, so groundedness isolates
-/// the coinduction (cycle) semantics under test.
+/// constraint, so no variable stays ⊤ for want of a definition and only
+/// cycles decide what the greatest fixpoint keeps.
 pub(crate) fn grounded_systems() -> impl Strategy<Value = (Vec<C>, usize)> {
     systems_with(false)
 }

@@ -9,9 +9,7 @@
 //! Every layer of the engine speaks `VarId`: constraint generation
 //! ([`crate::constraints`]), both fixpoint schedules
 //! ([`solve`](crate::solve) and its reference,
-//! [`solve_worklist`](crate::solve_worklist)), the on-demand prover
-//! ([`crate::ondemand`]) and
-//! the query layer ([`crate::DisambiguationEngine`]). No layer passes raw
+//! [`solve_worklist`](crate::solve_worklist)) and the query layer ([`crate::DisambiguationEngine`]). No layer passes raw
 //! integers or ad-hoc ids across an API boundary.
 
 use sraa_ir::{FuncId, Module, Value};
@@ -94,7 +92,7 @@ impl VarIndex {
     }
 
     /// Inverse mapping: which function does `id` belong to?
-    pub fn func_of(&self, id: VarId) -> (FuncId, Value) {
+    pub(crate) fn func_of(&self, id: VarId) -> (FuncId, Value) {
         let id = id.index();
         let fi = match self.offsets.binary_search(&id) {
             Ok(i) => i,

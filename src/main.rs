@@ -38,21 +38,24 @@ use sraa::lt::{
     StoreOutcome,
 };
 use sraa::pdg::DepGraph;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("eval") => cmd_eval(&args[1..]),
-        Some("lt") => cmd_lt(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("pdg") => cmd_pdg(&args[1..]),
-        Some("opt") => cmd_opt(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
+    let stdout = io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let result = match args.first().map(String::as_str) {
+        Some("compile") => cmd_compile(&args[1..], &mut out),
+        Some("eval") => cmd_eval(&args[1..], &mut out),
+        Some("lt") => cmd_lt(&args[1..], &mut out),
+        Some("run") => cmd_run(&args[1..], &mut out),
+        Some("pdg") => cmd_pdg(&args[1..], &mut out),
+        Some("opt") => cmd_opt(&args[1..], &mut out),
+        Some("gen") => cmd_gen(&args[1..], &mut out),
+        Some("serve") => Ok(cmd_serve(&args[1..])),
+        Some("query") => cmd_query(&args[1..], &mut out),
         _ => {
             eprintln!(
                 "usage: sraa <compile|eval|lt|run|pdg|opt|gen|serve|query> ...\n\
@@ -75,10 +78,26 @@ fn main() {
                  \n                              functions skip their solves\
                  \n                              (implies --interproc)"
             );
-            2
+            Ok(2)
         }
     };
-    exit(code);
+    exit(exit_code(result.and_then(|code| out.flush().map(|()| code))));
+}
+
+/// The exit code of a command, given what its stdout writes returned. A
+/// reader that stops early (`sraa compile f.c | head -1`) closes the
+/// pipe; the command then stops writing and exits 0, as `head` asked.
+/// The `SIGPIPE` disposition stays ignored, because `serve` relies on
+/// `EPIPE` from its sockets instead of being killed.
+fn exit_code(result: io::Result<i32>) -> i32 {
+    match result {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            1
+        }
+    }
 }
 
 /// Extracts `--interproc` and `--shared-store <dir>` from `args`,
@@ -227,17 +246,17 @@ fn load(path: &str) -> Result<sraa::ir::Module, i32> {
     })
 }
 
-fn cmd_compile(args: &[String]) -> i32 {
+fn cmd_compile(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa compile <file.c> [--essa]";
     let (args, essa) = take_flag(args, "--essa");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
-    let Ok(mut m) = load(path) else { return 1 };
+    let Ok(mut m) = load(path) else { return Ok(1) };
     if essa {
         let (_, stats) = sraa::essa::transform_module(&mut m);
         eprintln!(
@@ -245,44 +264,44 @@ fn cmd_compile(args: &[String]) -> i32 {
             stats.sigma_copies, stats.sub_splits, stats.edges_split
         );
     }
-    print!("{}", sraa::ir::printer::print_module(&m));
-    0
+    write!(out, "{}", sraa::ir::printer::print_module(&m))?;
+    Ok(0)
 }
 
-fn cmd_eval(args: &[String]) -> i32 {
+fn cmd_eval(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa eval <file.c> [--interproc] [--shared-store <dir>]";
-    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return Ok(2) };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
-    let Ok(mut m) = load(path) else { return 1 };
+    let Ok(mut m) = load(path) else { return Ok(1) };
     let lt = analyze(&mut m, cfg, store_dir);
-    print!("{}", render_eval(&m, &lt));
-    0
+    write!(out, "{}", render_eval(&m, &lt))?;
+    Ok(0)
 }
 
-fn cmd_lt(args: &[String]) -> i32 {
+fn cmd_lt(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa lt <file.c> <function> [--interproc] [--shared-store <dir>]";
-    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return Ok(2) };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let (Some(path), Some(fname)) = (args.first(), args.get(1)) else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
-    let Ok(mut m) = load(path) else { return 1 };
+    let Ok(mut m) = load(path) else { return Ok(1) };
     let lt = analyze(&mut m, cfg, store_dir);
     let Some(fid) = m.function_by_name(fname) else {
         eprintln!("no function `{fname}`");
-        return 1;
+        return Ok(1);
     };
     let f = m.function(fid);
-    println!("LT sets of @{fname} (e-SSA form):");
+    writeln!(out, "LT sets of @{fname} (e-SSA form):")?;
     for b in f.block_ids() {
         for (v, data) in f.block_insts(b) {
             if !data.has_result() || matches!(data.kind, InstKind::Const(_)) {
@@ -302,92 +321,94 @@ fn cmd_lt(args: &[String]) -> i32 {
                     }
                 })
                 .collect();
-            println!("  LT({v}) = {{{}}}", members.join(", "));
+            writeln!(out, "  LT({v}) = {{{}}}", members.join(", "))?;
         }
     }
     let s = lt.engine().stats();
-    println!(
+    writeln!(
+        out,
         "\n{} constraints, {} pops ({:.2}/constraint)",
         s.constraints,
         s.pops,
         s.pops_per_constraint()
-    );
+    )?;
     if let Some(sums) = lt.engine().summaries() {
-        println!(
+        writeln!(
+            out,
             "interproc: {} summary fact(s) over {} SCC(s) ({} recursive, {} solves)",
             sums.facts(),
             sums.stats.sccs,
             sums.stats.recursive_sccs,
             sums.stats.solves
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
-fn cmd_run(args: &[String]) -> i32 {
+fn cmd_run(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa run <file.c> [ints...]";
     if let Err(code) = reject_unknown_flags(args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
     let Ok(main_args) =
         args[1..].iter().map(|a| parse_number(a, USAGE)).collect::<Result<Vec<i64>, _>>()
     else {
-        return 2;
+        return Ok(2);
     };
-    let Ok(m) = load(path) else { return 1 };
+    let Ok(m) = load(path) else { return Ok(1) };
     match Interpreter::new(&m).with_step_limit(100_000_000).run("main", &main_args) {
         Ok(t) => {
-            println!("result: {:?} ({} steps)", t.result, t.steps);
-            0
+            writeln!(out, "result: {:?} ({} steps)", t.result, t.steps)?;
+            Ok(0)
         }
         Err(e) => {
             eprintln!("trap: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn cmd_pdg(args: &[String]) -> i32 {
+fn cmd_pdg(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa pdg <file.c> [--interproc] [--shared-store <dir>]";
-    let Ok((args, mut cfg, store_dir)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, mut cfg, store_dir)) = take_engine_flags(args) else { return Ok(2) };
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
-    let Ok(mut m) = load(path) else { return 1 };
+    let Ok(mut m) = load(path) else { return Ok(1) };
     cfg.gen.range_offsets = true; // the Figure 12 experiment's setting
     let lt = analyze(&mut m, cfg, store_dir);
     let ba = BasicAliasAnalysis::new(&m);
     let both = Combined::new(vec![Box::new(BasicAliasAnalysis::new(&m)), Box::new(lt.clone())]);
     let g_ba = DepGraph::build(&m, &ba);
     let g_both = DepGraph::build(&m, &both);
-    println!("static accesses : {}", g_ba.static_accesses);
-    println!("memory nodes BA : {}", g_ba.memory_nodes);
-    println!("memory nodes +LT: {}", g_both.memory_nodes);
-    println!("data edges      : {}", g_ba.edges.len());
-    println!("control edges   : {}", g_ba.control_edges.len());
-    0
+    writeln!(out, "static accesses : {}", g_ba.static_accesses)?;
+    writeln!(out, "memory nodes BA : {}", g_ba.memory_nodes)?;
+    writeln!(out, "memory nodes +LT: {}", g_both.memory_nodes)?;
+    writeln!(out, "data edges      : {}", g_ba.edges.len())?;
+    writeln!(out, "control edges   : {}", g_ba.control_edges.len())?;
+    Ok(0)
 }
 
-fn cmd_opt(args: &[String]) -> i32 {
+fn cmd_opt(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa opt <file.c> [--ba] [--interproc] [--shared-store <dir>]";
-    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return 2 };
+    let Ok((args, cfg, store_dir)) = take_engine_flags(args) else { return Ok(2) };
     let (args, ba_only) = take_flag(&args, "--ba");
     if let Err(code) = reject_unknown_flags(&args, USAGE) {
-        return code;
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         eprintln!("usage: {USAGE}");
-        return 2;
+        return Ok(2);
     };
-    let Ok(mut m) = load(path) else { return 1 };
+    let Ok(mut m) = load(path) else { return Ok(1) };
     let lt = analyze(&mut m, cfg, store_dir);
     let aa: Box<dyn AliasAnalysis> = if ba_only {
         Box::new(BasicAliasAnalysis::new(&m))
@@ -399,7 +420,7 @@ fn cmd_opt(args: &[String]) -> i32 {
     stats += sraa::opt::hoist_invariant_loads(&mut m, aa.as_ref());
     if let Err(e) = sraa::ir::verify(&m) {
         eprintln!("internal error: optimised module fails verification: {e}");
-        return 1;
+        return Ok(1);
     }
     eprintln!(
         "# {}: forwarded {} loads, killed {} stores, hoisted {} loads",
@@ -408,8 +429,8 @@ fn cmd_opt(args: &[String]) -> i32 {
         stats.stores_eliminated,
         stats.loads_hoisted
     );
-    print!("{}", sraa::ir::printer::print_module(&m));
-    0
+    write!(out, "{}", sraa::ir::printer::print_module(&m))?;
+    Ok(0)
 }
 
 /// Which socket family a `serve`/`query` invocation targets. `--socket`
@@ -527,17 +548,17 @@ const QUERY_USAGE: &str = "sraa query (--socket <path> | --addr <host:port>) <re
                            \n  stats                           daemon counters\
                            \n  shutdown                        graceful drain";
 
-fn cmd_query(args: &[String]) -> i32 {
+fn cmd_query(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     let (args, endpoint) = match take_endpoint(args, QUERY_USAGE) {
         Ok(x) => x,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     if let Err(code) = reject_unknown_flags(&args, QUERY_USAGE) {
-        return code;
+        return Ok(code);
     }
     if args.is_empty() {
         eprintln!("usage: {QUERY_USAGE}");
-        return 2;
+        return Ok(2);
     }
     let client = match &endpoint {
         Endpoint::Unix(path) => sraa::serve::Client::connect_unix(path),
@@ -547,37 +568,41 @@ fn cmd_query(args: &[String]) -> i32 {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot connect: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     if args[0] == "batch" {
         let Some(path) = args.get(1) else {
             eprintln!("usage: {QUERY_USAGE}");
-            return 2;
+            return Ok(2);
         };
         let Ok(batch) = std::fs::read_to_string(path) else {
             eprintln!("cannot read {path}");
-            return 1;
+            return Ok(1);
         };
         for line in batch.lines() {
             let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
             if words.is_empty() || words[0].starts_with('#') {
                 continue;
             }
-            let code = run_query(&mut client, &words);
+            let code = run_query(&mut client, &words, out)?;
             if code != 0 {
-                return code;
+                return Ok(code);
             }
         }
-        return 0;
+        return Ok(0);
     }
-    run_query(&mut client, &args)
+    run_query(&mut client, &args, out)
 }
 
 /// Executes one `sraa query` request over an open connection, printing
 /// its result. Query outputs go to stdout (deterministic, diffable
 /// against one-shot commands); progress and counters go to stderr.
-fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
+fn run_query(
+    client: &mut sraa::serve::Client,
+    words: &[String],
+    out: &mut dyn Write,
+) -> io::Result<i32> {
     use sraa::serve::{obj, Json};
     let reply = |client: &mut sraa::serve::Client, req: &Json| match client.request(req) {
         Ok(r) => Ok(r),
@@ -590,11 +615,11 @@ fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
         "upload" => {
             let (Some(name), Some(path)) = (words.get(1), words.get(2)) else {
                 eprintln!("usage: {QUERY_USAGE}");
-                return 2;
+                return Ok(2);
             };
             let Ok(source) = std::fs::read_to_string(path) else {
                 eprintln!("cannot read {path}");
-                return 1;
+                return Ok(1);
             };
             let req = obj([
                 ("cmd", Json::Str("upload".into())),
@@ -603,10 +628,10 @@ fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
             ]);
             let r = match reply(client, &req) {
                 Ok(r) => r,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             if !r.is_ok() {
-                return fail_reply(&r);
+                return Ok(fail_reply(&r));
             }
             let outcome = CacheOutcome {
                 hits: r.num_field("hits").unwrap_or(0) as u32,
@@ -637,20 +662,21 @@ fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
                     store.hit_rate() * 100.0
                 );
             }
-            println!(
+            writeln!(
+                out,
                 "uploaded {}: {} function(s), {} queries",
                 name,
                 r.num_field("functions").unwrap_or(0),
                 r.num_field("queries").unwrap_or(0)
-            );
-            0
+            )?;
+            Ok(0)
         }
         verb @ ("no-alias" | "lt") => {
             let (Some(m), Some(f), Some(p1), Some(p2)) =
                 (words.get(1), words.get(2), words.get(3), words.get(4))
             else {
                 eprintln!("usage: {QUERY_USAGE}");
-                return 2;
+                return Ok(2);
             };
             let req = obj([
                 ("cmd", Json::Str(verb.into())),
@@ -661,95 +687,99 @@ fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
             ]);
             let r = match reply(client, &req) {
                 Ok(r) => r,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             if !r.is_ok() {
-                return fail_reply(&r);
+                return Ok(fail_reply(&r));
             }
             if verb == "no-alias" {
                 let v = r.get("no_alias").and_then(Json::as_bool).unwrap_or(false);
-                println!("{}", if v { "no-alias" } else { "may-alias" });
+                writeln!(out, "{}", if v { "no-alias" } else { "may-alias" })?;
             } else {
                 let v = r.get("lt").and_then(Json::as_bool).unwrap_or(false);
-                println!("{v}");
+                writeln!(out, "{v}")?;
             }
-            0
+            Ok(0)
         }
         "eval" => {
             let Some(m) = words.get(1) else {
                 eprintln!("usage: {QUERY_USAGE}");
-                return 2;
+                return Ok(2);
             };
             let req = obj([("cmd", Json::Str("eval".into())), ("module", Json::Str(m.clone()))]);
             let r = match reply(client, &req) {
                 Ok(r) => r,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             if !r.is_ok() {
-                return fail_reply(&r);
+                return Ok(fail_reply(&r));
             }
-            print!("{}", r.str_field("text").unwrap_or(""));
-            0
+            write!(out, "{}", r.str_field("text").unwrap_or(""))?;
+            Ok(0)
         }
         "pairs" => {
             let (Some(m), Some(f)) = (words.get(1), words.get(2)) else {
                 eprintln!("usage: {QUERY_USAGE}");
-                return 2;
+                return Ok(2);
             };
             let req = obj([
                 ("cmd", Json::Str("pairs".into())),
                 ("module", Json::Str(m.clone())),
                 ("func", Json::Str(f.clone())),
             ]);
+            // The stream is read to its end either way; the first failed
+            // write is reported after it.
+            let mut written = Ok(());
             let last = client.request_streamed(&req, |frame| {
-                if let Some(Json::Arr(pair)) = frame.get("pair") {
+                if let (Ok(()), Some(Json::Arr(pair))) = (&written, frame.get("pair")) {
                     let names: Vec<&str> = pair.iter().filter_map(Json::as_str).collect();
-                    println!("{}", names.join(" "));
+                    written = writeln!(out, "{}", names.join(" "));
                 }
             });
+            written?;
             match last {
                 Ok(done) if done.is_ok() => {
                     eprintln!("# {} pair(s)", done.num_field("done").unwrap_or(0));
-                    0
+                    Ok(0)
                 }
-                Ok(err) => fail_reply(&err),
+                Ok(err) => Ok(fail_reply(&err)),
                 Err(e) => {
                     eprintln!("{e}");
-                    1
+                    Ok(1)
                 }
             }
         }
         "stats" => {
             let r = match reply(client, &obj([("cmd", Json::Str("stats".into()))])) {
                 Ok(r) => r,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             if !r.is_ok() {
-                return fail_reply(&r);
+                return Ok(fail_reply(&r));
             }
             if let Json::Obj(pairs) = &r {
                 for (k, v) in pairs {
                     if k != "ok" {
-                        println!("{k}: {}", v.render());
+                        writeln!(out, "{k}: {}", v.render())?;
                     }
                 }
             }
-            0
+            Ok(0)
         }
         "shutdown" => {
             let r = match reply(client, &obj([("cmd", Json::Str("shutdown".into()))])) {
                 Ok(r) => r,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             if !r.is_ok() {
-                return fail_reply(&r);
+                return Ok(fail_reply(&r));
             }
             eprintln!("# shutdown requested");
-            0
+            Ok(0)
         }
         other => {
             eprintln!("unknown query `{other}`\nusage: {QUERY_USAGE}");
-            2
+            Ok(2)
         }
     }
 }
@@ -764,32 +794,36 @@ fn fail_reply(reply: &sraa::serve::Json) -> i32 {
     1
 }
 
-fn cmd_gen(args: &[String]) -> i32 {
+fn cmd_gen(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     const USAGE: &str = "sraa gen <seed> <depth> [--helpers <n>]";
-    let Ok((rest, helpers)) = take_value_flag(args, "--helpers") else { return 2 };
+    let Ok((rest, helpers)) = take_value_flag(args, "--helpers") else { return Ok(2) };
     let helpers: usize = match helpers.as_deref().map(str::parse) {
         None => 0,
         Some(Ok(n)) => n,
         Some(Err(_)) => {
             eprintln!("--helpers needs a count\nusage: {USAGE}");
-            return 2;
+            return Ok(2);
         }
     };
     if let Err(code) = reject_unknown_flags(&rest, USAGE) {
-        return code;
+        return Ok(code);
     }
     if let Some(extra) = rest.get(2) {
         eprintln!("unexpected argument `{extra}`\nusage: {USAGE}");
-        return 2;
+        return Ok(2);
     }
-    let Ok(seed) = rest.first().map_or(Ok(1), |a| parse_number::<u64>(a, USAGE)) else { return 2 };
-    let Ok(depth) = rest.get(1).map_or(Ok(3), |a| parse_number::<u8>(a, USAGE)) else { return 2 };
+    let Ok(seed) = rest.first().map_or(Ok(1), |a| parse_number::<u64>(a, USAGE)) else {
+        return Ok(2);
+    };
+    let Ok(depth) = rest.get(1).map_or(Ok(3), |a| parse_number::<u8>(a, USAGE)) else {
+        return Ok(2);
+    };
     let w = sraa::synth::csmith_generate(sraa::synth::CsmithConfig {
         seed,
         max_ptr_depth: depth,
         num_stmts: 80,
         helpers,
     });
-    print!("{}", w.source);
-    0
+    write!(out, "{}", w.source)?;
+    Ok(0)
 }

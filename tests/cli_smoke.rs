@@ -60,6 +60,34 @@ fn deeply_nested_source_is_a_clean_error() {
 }
 
 #[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    // One function of 600 sequential branches: its IR is far larger than
+    // a 64 KiB pipe buffer, so the writer meets the closed pipe whether
+    // it starts writing before or after the read end is dropped.
+    let mut src = String::from("int main() {\n  int x = input();\n  int y = 0;\n");
+    for i in 0..600 {
+        src.push_str(&format!("  if (x > {i}) {{ y = y + {i}; }}\n"));
+    }
+    src.push_str("  return y;\n}\n");
+    let path = std::env::temp_dir().join(format!("sraa_cli_branches_{}.c", std::process::id()));
+    std::fs::write(&path, src).expect("can write temp MiniC file");
+    let full = sraa(&["compile", path.to_str().unwrap()]);
+    assert!(full.stdout.len() > 2 * 64 * 1024, "only {} bytes of IR", full.stdout.len());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sraa"))
+        .args(["compile", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("sraa binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("sraa exits");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    assert!(!stderr_of(&out).contains("panicked"), "stderr: {}", stderr_of(&out));
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = sraa(&["compile", "/nonexistent/sraa_smoke.c"]);
     assert_eq!(out.status.code(), Some(1));

@@ -40,7 +40,7 @@ fn prepare(src: &str) -> Prepared {
     let mut module = sraa_minic::compile(src).expect("generated source compiles");
     let (ranges, _) = sraa_essa::transform_module(&mut module);
     let index = VarIndex::new(&module);
-    let sums = ModuleSummaries::compute(&module, &ranges, GenConfig::default(), &index);
+    let sums = ModuleSummaries::compute(&module, &ranges, &index);
     let keys = SummaryKeys::compute(&module);
     Prepared { module, ranges, index, sums, keys }
 }
@@ -68,14 +68,8 @@ fn reverse_reachable(m: &Module, from: &BTreeSet<FuncId>) -> BTreeSet<FuncId> {
 
 /// The warm run on `p` against `cache`, plus its outcome.
 fn warm(p: &Prepared, cache: &SummaryCache) -> (ModuleSummaries, CacheOutcome) {
-    let (sums, keys, outcome, _) = ModuleSummaries::compute_incremental(
-        &p.module,
-        &p.ranges,
-        GenConfig::default(),
-        &p.index,
-        Some(cache),
-        None,
-    );
+    let (sums, keys, outcome, _) =
+        ModuleSummaries::compute_incremental(&p.module, &p.ranges, &p.index, Some(cache), None);
     assert_eq!(keys, p.keys, "internally computed keys must match the standalone ones");
     (sums, outcome)
 }
@@ -92,15 +86,7 @@ fn assert_warm_equals_cold(p: &Prepared, warm_sums: &ModuleSummaries, name: &str
             p.module.function(f).name
         );
     }
-    let gen = |sums| {
-        sraa_core::generate_with_summaries(
-            &p.module,
-            &p.ranges,
-            GenConfig::default(),
-            &p.index,
-            sums,
-        )
-    };
+    let gen = |sums| sraa_core::generate_with_summaries(&p.module, &p.ranges, &p.index, sums);
     let (sys_w, sys_c) = (gen(warm_sums), gen(&p.sums));
     assert_eq!(sys_w.constraints, sys_c.constraints, "{name}: constraint streams differ");
     assert_eq!(sys_w.num_vars, sys_c.num_vars);
@@ -319,7 +305,7 @@ fn golden_segment() -> Vec<u8> {
     let m = golden_module();
     let ranges = sraa_range::analyze(&m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
+    let sums = ModuleSummaries::compute(&m, &ranges, &index);
     assert_eq!(sums.of(m.function_by_name("next").unwrap()).args_lt_ret(), &[0], "i < next(i)");
     let keys = SummaryKeys::compute(&m);
     let entries: Vec<_> = m.functions().map(|(f, _)| (keys.of(f), sums.of(f).clone())).collect();

@@ -14,8 +14,8 @@
 
 use sraa_alias::{AaEval, StrictInequalityAa};
 use sraa_core::{
-    solve, solve_worklist, Contextuality, DisambiguationEngine, EngineConfig, GenConfig,
-    ModuleSummaries, OnDemandProver, VarId, VarIndex,
+    solve, solve_worklist, Contextuality, DisambiguationEngine, EngineConfig, ModuleSummaries,
+    VarId, VarIndex,
 };
 use sraa_ir::Module;
 use sraa_synth::{call_suite, csmith_generate, wide_module, CsmithConfig};
@@ -69,8 +69,8 @@ fn assert_solvers_agree_on_summaries(source: &str, name: &str) -> usize {
     let mut m = sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: {e}"));
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
-    let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
+    let sums = ModuleSummaries::compute(&m, &ranges, &index);
+    let sys = sraa_core::generate_with_summaries(&m, &ranges, &index, &sums);
     let a = solve(&sys.constraints, sys.num_vars);
     let b = solve_worklist(&sys.constraints, sys.num_vars);
     for v in (0..sys.num_vars).map(VarId::from_index) {
@@ -116,31 +116,6 @@ fn eval_totals_never_drop_on_spec_profiles() {
         let b = AaEval::run(&m2, &[&inter])[0].clone();
         assert_eq!(a.total(), b.total(), "{}", w.name);
         assert!(b.no_alias >= a.no_alias, "{}: {} -> {}", w.name, a.no_alias, b.no_alias);
-    }
-}
-
-#[test]
-fn ondemand_prover_agrees_on_summary_systems() {
-    // The on-demand prover consumes whatever constraint system it is
-    // given — including one with summaries applied at call sites. Its
-    // answers must match the exhaustive fixpoint on that same system.
-    let w = &call_suite(4)[0];
-    let mut m = sraa_minic::compile(&w.source).unwrap();
-    let (ranges, _) = sraa_essa::transform_module(&mut m);
-    let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index);
-    let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
-    let solution = solve_worklist(&sys.constraints, sys.num_vars);
-    let mut prover = OnDemandProver::new(&sys);
-    for (fid, _) in m.functions() {
-        let ptrs = AaEval::pointer_values(&m, fid);
-        for &a in &ptrs {
-            for &b in &ptrs {
-                let (x, y) = (index.id(fid, a), index.id(fid, b));
-                let expected = solution.was_top(y) || solution.less_than(x, y);
-                assert_eq!(prover.less_than(x, y), expected, "{fid}: {a} < {b}");
-            }
-        }
     }
 }
 

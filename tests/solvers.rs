@@ -10,14 +10,14 @@
 //! engine runs must also be byte-identical (no hash-iteration
 //! nondeterminism).
 
-use sraa_core::{generate, solve, solve_worklist, DisambiguationEngine, GenConfig, VarId};
+use sraa_core::{generate, solve, solve_worklist, DisambiguationEngine, VarId};
 use sraa_synth::{csmith_generate, spec_all, CsmithConfig};
 
 fn assert_solvers_agree(source: &str, name: &str) {
     let mut module =
         sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
     let (ranges, _) = sraa_essa::transform_module(&mut module);
-    let sys = generate(&module, &ranges, GenConfig::default());
+    let sys = generate(&module, &ranges);
 
     let base = solve_worklist(&sys.constraints, sys.num_vars);
     let fast = solve(&sys.constraints, sys.num_vars);

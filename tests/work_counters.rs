@@ -20,8 +20,8 @@
 
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
-    solve, solve_worklist, Constraint, DisambiguationEngine, EngineConfig, GenConfig,
-    ModuleSummaries, SharedSummaryStore, Solution, SummaryCache, VarIndex,
+    solve, solve_worklist, Constraint, DisambiguationEngine, EngineConfig, ModuleSummaries,
+    SharedSummaryStore, Solution, SummaryCache, VarIndex,
 };
 use sraa_pentagon::PentagonAnalysis;
 use sraa_range::Bound;
@@ -54,7 +54,7 @@ fn solver_work_on_the_scalability_corpus_stays_within_its_pins() {
         .map(|w| {
             let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
             let (ranges, _) = sraa_essa::transform_module(&mut m);
-            sraa_core::generate(&m, &ranges, GenConfig::default())
+            sraa_core::generate(&m, &ranges)
         })
         .collect();
     assert_eq!(systems.len(), 26, "corpus: workloads");
@@ -106,19 +106,18 @@ fn summaries_gain_precision_within_their_solve_budget() {
 #[test]
 fn unchanged_modules_hit_a_round_tripped_cache_completely() {
     let _serial = serial();
-    let cfg = GenConfig::default();
     let (mut functions, mut hits) = (0, 0);
     for w in &sraa_synth::call_suite(10) {
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
         let (cold, keys, _, _) =
-            ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, None, None);
+            ModuleSummaries::compute_incremental(&m, &ranges, &index, None, None);
         // The cold run's summaries round-tripped into the in-memory cache
         // a daemon re-upload hands the engine.
         let cache = SummaryCache::from_parts(&m, &cold, &keys);
         let (warm, _, outcome, _) =
-            ModuleSummaries::compute_incremental(&m, &ranges, cfg, &index, Some(&cache), None);
+            ModuleSummaries::compute_incremental(&m, &ranges, &index, Some(&cache), None);
         assert_eq!((outcome.misses, outcome.invalidated), (0, 0), "{}: keys churned", w.name);
         assert_eq!(warm.stats.solves, 0, "{}: a warm run solves nothing", w.name);
         for (f, s) in cold.iter() {
