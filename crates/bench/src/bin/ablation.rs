@@ -11,12 +11,18 @@
 
 use sraa_bench::Prepared;
 use sraa_core::GenConfig;
+use std::io::{self, Write};
 
 fn main() {
-    println!(
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<12} {:>10} {:>11} {:>10} {:>10}",
         "benchmark", "LT", "LT-nopairs", "LT-ranges", "queries"
-    );
+    )?;
     let mut faithful = 0u64;
     let mut nopairs = 0u64;
     let mut ranges = 0u64;
@@ -28,25 +34,29 @@ fn main() {
         let b = &base.eval(&[&base.lt])[0];
         let n = &nop.eval(&[&nop.lt])[0];
         let r = &rng.eval(&[&rng.lt])[0];
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>10} {:>11} {:>10} {:>10}",
             w.name,
             b.no_alias,
             n.no_alias,
             r.no_alias,
             b.total()
-        );
+        )?;
         faithful += b.no_alias;
         nopairs += n.no_alias;
         ranges += r.no_alias;
     }
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "totals: faithful={faithful} without-param-pairs={nopairs} with-range-criterion={ranges}"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "param-pair contribution: {:+.2}%, range criterion: {:+.2}%",
         (faithful as f64 - nopairs as f64) / faithful.max(1) as f64 * 100.0,
         (ranges as f64 - faithful as f64) / faithful.max(1) as f64 * 100.0
-    );
+    )?;
+    Ok(())
 }

@@ -21,6 +21,7 @@ use sraa_alias::{
     AliasAnalysis, BasicAliasAnalysis, Combined, NoAa, PentagonAa, StrictInequalityAa,
 };
 use sraa_opt::{eliminate_dead_stores, eliminate_redundant_loads, hoist_invariant_loads, OptStats};
+use std::io::{self, Write};
 
 #[derive(Clone, Copy)]
 enum Oracle {
@@ -53,12 +54,13 @@ fn run_oracle(source: &str, name: &str, oracle: Oracle) -> OptStats {
     stats
 }
 
-fn report(title: &str, workloads: &[sraa_synth::Workload]) {
-    println!("== {title} ==");
-    println!(
+fn report(out: &mut dyn Write, title: &str, workloads: &[sraa_synth::Workload]) -> io::Result<()> {
+    writeln!(out, "== {title} ==")?;
+    writeln!(
+        out,
         "{:<14} {:>11} {:>11} {:>11} {:>11}   (loads forwarded + stores killed + loads hoisted)",
         "benchmark", "none", "BA", "BA+LT", "BA+PT"
-    );
+    )?;
     let mut totals = [OptStats::default(); 4];
     for w in workloads {
         let mut row = [OptStats::default(); 4];
@@ -71,39 +73,46 @@ fn report(title: &str, workloads: &[sraa_synth::Workload]) {
         let cell = |s: OptStats| {
             format!("{}+{}+{}", s.loads_eliminated, s.stores_eliminated, s.loads_hoisted)
         };
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>11} {:>11} {:>11} {:>11}",
             w.name,
             cell(row[0]),
             cell(row[1]),
             cell(row[2]),
             cell(row[3])
-        );
+        )?;
     }
     let grand = |s: OptStats| s.loads_eliminated + s.stores_eliminated + s.loads_hoisted;
-    println!(
+    writeln!(
+        out,
         "totals: none={} BA={} BA+LT={} BA+PT={}",
         grand(totals[0]),
         grand(totals[1]),
         grand(totals[2]),
         grand(totals[3])
-    );
+    )?;
     let rel = |a: OptStats, b: OptStats| {
         (grand(b) as f64 - grand(a) as f64) / grand(a).max(1) as f64 * 100.0
     };
-    println!(
+    writeln!(
+        out,
         "gains: BA over none {:+.1}%; LT on top of BA {:+.1}%; PT on top of BA {:+.1}%",
         rel(totals[0], totals[1]),
         rel(totals[1], totals[2]),
         rel(totals[1], totals[3])
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     // The oracle-sensitive shapes, isolated per kernel family.
-    report("optimisation kernels (scale 8)", &sraa_synth::optk_all(8));
+    report(out, "optimisation kernels (scale 8)", &sraa_synth::optk_all(8))?;
     // The honest negative: the aa-eval-calibrated SPEC stand-ins contain
     // almost no oracle-gated memory traffic.
-    report("SPEC workloads", &sraa_synth::spec_all());
+    report(out, "SPEC workloads", &sraa_synth::spec_all())
 }

@@ -6,8 +6,13 @@
 use sraa_alias::{AaEval, AliasAnalysis, AliasResult};
 use sraa_bench::Prepared;
 use sraa_synth::{Profile, Workload};
+use std::io::{self, Write};
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     let archetypes: Vec<(&str, Profile)> = vec![
         ("stencil", Profile { name: "c", stencil: 1, scale: 1, ..Default::default() }),
         ("chain", Profile { name: "c", chain: 1, scale: 1, ..Default::default() }),
@@ -19,10 +24,11 @@ fn main() {
         ("xchase", Profile { name: "c", xchase: 1, scale: 1, ..Default::default() }),
         ("calls", Profile { name: "c", calls: 1, scale: 1, ..Default::default() }),
     ];
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>8} {:>8} {:>8} {:>8}   (per archetype function)",
         "archetype", "pairs", "BA-yes", "LT-yes", "both"
-    );
+    )?;
     for (name, p) in archetypes {
         let w: Workload = sraa_synth::spec::generate(&p);
         let prep = Prepared::new(&w);
@@ -48,6 +54,7 @@ fn main() {
                 both += (b || l) as u64;
             }
         }
-        println!("{name:<10} {pairs:>8} {ba_yes:>8} {lt_yes:>8} {both:>8}");
+        writeln!(out, "{name:<10} {pairs:>8} {ba_yes:>8} {lt_yes:>8} {both:>8}")?;
     }
+    Ok(())
 }

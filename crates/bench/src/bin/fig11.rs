@@ -3,8 +3,13 @@
 //! reports R² = 0.992 over its 50 largest benchmarks.
 
 use sraa_bench::{r_squared, suite_n, Prepared};
+use std::io::{self, Write};
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     // The 50 largest of suite + spec, like the paper's selection.
     let mut ws = sraa_synth::test_suite(suite_n());
     ws.extend(sraa_synth::spec_all());
@@ -17,15 +22,16 @@ fn main() {
     rows.sort_by_key(|(_, instrs, _)| *instrs);
     let rows: Vec<_> = rows.into_iter().rev().take(50).rev().collect();
 
-    println!("{:<22} {:>14} {:>14}", "benchmark", "# instructions", "# constraints");
+    writeln!(out, "{:<22} {:>14} {:>14}", "benchmark", "# instructions", "# constraints")?;
     for (name, instrs, cs) in &rows {
-        println!("{name:<22} {instrs:>14} {cs:>14}");
+        writeln!(out, "{name:<22} {instrs:>14} {cs:>14}")?;
     }
 
     let xs: Vec<f64> = rows.iter().map(|(_, i, _)| *i as f64).collect();
     let ys: Vec<f64> = rows.iter().map(|(_, _, c)| *c as f64).collect();
     let r2 = r_squared(&xs, &ys);
-    println!();
-    println!("R²(constraints, instructions) = {r2:.4}   (paper: 0.992)");
+    writeln!(out)?;
+    writeln!(out, "R²(constraints, instructions) = {r2:.4}   (paper: 0.992)")?;
     assert!(r2 > 0.9, "constraint generation must look linear, got R² = {r2}");
+    Ok(())
 }

@@ -10,10 +10,15 @@
 use sraa_bench::Prepared;
 use sraa_core::GenConfig;
 use sraa_pdg::DepGraph;
+use std::io::{self, Write};
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     let ws = sraa_synth::csmith_figure12();
-    println!("{:<18} {:>8} {:>6} {:>7}", "program", "static", "BA", "BA+LT");
+    writeln!(out, "{:<18} {:>8} {:>6} {:>7}", "program", "static", "BA", "BA+LT")?;
     let mut tot_static = 0usize;
     let mut tot_ba = 0usize;
     let mut tot_both = 0usize;
@@ -25,10 +30,11 @@ fn main() {
         let p = Prepared::with_config(w, GenConfig { range_offsets: true, ..Default::default() });
         let g_ba = DepGraph::build(&p.module, &p.ba);
         let g_both = DepGraph::build(&p.module, &p.ba_plus_lt());
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>8} {:>6} {:>7}",
             p.name, g_ba.static_accesses, g_ba.memory_nodes, g_both.memory_nodes
-        );
+        )?;
         tot_static += g_ba.static_accesses;
         tot_ba += g_ba.memory_nodes;
         tot_both += g_both.memory_nodes;
@@ -38,18 +44,21 @@ fn main() {
         e.1 += g_ba.memory_nodes;
         e.2 += g_both.memory_nodes;
     }
-    println!();
-    println!("totals: static={tot_static} BA={tot_ba} BA+LT={tot_both}");
-    println!(
+    writeln!(out)?;
+    writeln!(out, "totals: static={tot_static} BA={tot_ba} BA+LT={tot_both}")?;
+    writeln!(
+        out,
         "BA+LT / BA memory-node ratio = {:.2}x   (paper: 6.23x — 1,299 vs 8,114)",
         tot_both as f64 / tot_ba.max(1) as f64
-    );
-    println!();
-    println!("per nesting depth (the paper finds no depth dependence):");
+    )?;
+    writeln!(out)?;
+    writeln!(out, "per nesting depth (the paper finds no depth dependence):")?;
     for (d, (s, ba, both)) in per_depth {
-        println!(
+        writeln!(
+            out,
             "  depth {d}: static={s:>5} BA={ba:>5} BA+LT={both:>5} ratio={:.2}x",
             both as f64 / ba.max(1) as f64
-        );
+        )?;
     }
+    Ok(())
 }

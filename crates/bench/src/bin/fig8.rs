@@ -8,36 +8,48 @@
 //! members.
 
 use sraa_bench::{suite_n, Prepared};
+use std::io::{self, Write};
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     let suite = sraa_synth::test_suite(suite_n());
-    println!("{:<22} {:>12} {:>10} {:>10} {:>10}", "benchmark", "queries", "LT", "BA", "BA+LT");
+    writeln!(
+        out,
+        "{:<22} {:>12} {:>10} {:>10} {:>10}",
+        "benchmark", "queries", "LT", "BA", "BA+LT"
+    )?;
     let mut tot_q = 0u64;
     let mut tot_lt = 0u64;
     let mut tot_ba = 0u64;
     let mut tot_both = 0u64;
     for w in &suite {
         let p = Prepared::new(w);
-        let out = p.eval(&[&p.lt, &p.ba, &p.ba_plus_lt()]);
-        let (lt, ba, both) = (&out[0], &out[1], &out[2]);
-        println!(
+        let evals = p.eval(&[&p.lt, &p.ba, &p.ba_plus_lt()]);
+        let (lt, ba, both) = (&evals[0], &evals[1], &evals[2]);
+        writeln!(
+            out,
             "{:<22} {:>12} {:>10} {:>10} {:>10}",
             p.name,
             lt.total(),
             lt.no_alias,
             ba.no_alias,
             both.no_alias
-        );
+        )?;
         tot_q += lt.total();
         tot_lt += lt.no_alias;
         tot_ba += ba.no_alias;
         tot_both += both.no_alias;
     }
-    println!();
-    println!("suite totals: queries={tot_q} LT={tot_lt} BA={tot_ba} BA+LT={tot_both}");
+    writeln!(out)?;
+    writeln!(out, "suite totals: queries={tot_q} LT={tot_lt} BA={tot_ba} BA+LT={tot_both}")?;
     let gain = (tot_both as f64 - tot_ba as f64) / tot_ba.max(1) as f64 * 100.0;
-    println!(
+    writeln!(
+        out,
         "LT increases BA's no-alias answers by {gain:.2}% \
          (paper: +9.49% on the LLVM test suite)"
-    );
+    )?;
+    Ok(())
 }

@@ -25,13 +25,19 @@
 //! `cargo run --release -p sraa-bench --bin pentagon_vs_lt`.
 
 use sraa_alias::{AaEval, AliasAnalysis, AliasResult, PentagonAa, StrictInequalityAa};
+use std::io::{self, Write};
 use std::time::Instant;
 
 fn main() {
-    println!(
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<12} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9} {:>9} {:>10}",
         "benchmark", "queries", "LT-no", "PT-no", "LT>PT", "PT>LT", "lt-ms", "pt-ms", "pt-bound"
-    );
+    )?;
 
     let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64, 0usize);
     for w in sraa_synth::spec_all() {
@@ -67,10 +73,11 @@ fn main() {
         }
 
         let pt_bound = pt.analysis().total_bindings();
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9.1} {:>9.1} {:>10}",
             w.name, queries, lt_no, pt_no, lt_only, pt_only, lt_ms, pt_ms, pt_bound
-        );
+        )?;
         totals.0 += queries;
         totals.1 += lt_no;
         totals.2 += pt_no;
@@ -79,15 +86,18 @@ fn main() {
         totals.5 += pt_bound;
     }
 
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "totals: queries={} LT-no={} PT-no={} LT-only={} PT-only={} PT-bound={}",
         totals.0, totals.1, totals.2, totals.3, totals.4, totals.5
-    );
+    )?;
     let agree = totals.0 - totals.3 - totals.4;
-    println!(
+    writeln!(
+        out,
         "agreement: {:.3}% of queries ({} pairs decided differently)",
         agree as f64 / totals.0.max(1) as f64 * 100.0,
         totals.3 + totals.4
-    );
+    )?;
+    Ok(())
 }

@@ -16,6 +16,7 @@
 
 use sraa_bench::{r_squared, suite_n};
 use sraa_core::{Constraint, ConstraintSystem, Solution};
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// A fixpoint schedule: [`sraa_core::solve`] or its worklist reference.
@@ -57,6 +58,10 @@ impl SolverTotals {
 }
 
 fn main() {
+    sraa_bench::print_and_exit(run)
+}
+
+fn run(out: &mut dyn Write) -> io::Result<()> {
     let mut ws = sraa_synth::test_suite(suite_n());
     ws.extend(sraa_synth::spec_all());
 
@@ -80,32 +85,35 @@ fn main() {
         }
     }
 
-    println!("benchmarks analysed      : {}", ws.len());
-    println!("total constraints        : {total_constraints}");
+    writeln!(out, "benchmarks analysed      : {}", ws.len())?;
+    writeln!(out, "total constraints        : {total_constraints}")?;
     for t in [&worklist, &scc] {
-        println!(
+        writeln!(
+            out,
             "{:<9} evals/constraint : {:.2}   total {:.0}µs   R²(time, #constraints) {:.4}",
             t.name,
             t.total_evals as f64 / total_constraints.max(1) as f64,
             t.total_us,
             r_squared(&t.xs, &t.ys),
-        );
+        )?;
     }
-    println!("(paper: 2.12 pops/constraint, R² = 0.988 for the worklist)");
+    writeln!(out, "(paper: 2.12 pops/constraint, R² = 0.988 for the worklist)")?;
 
-    println!(
+    writeln!(
+        out,
         "scc vs worklist          : {:.2}x wall-clock, {:.2}x evals (the engine runs scc)",
         worklist.total_us / scc.total_us.max(1e-9),
         worklist.total_evals as f64 / scc.total_evals.max(1) as f64
-    );
+    )?;
 
     let total_vars: usize = size_hist.values().sum();
     let small: usize = size_hist.iter().filter(|(s, _)| **s <= 2).map(|(_, n)| n).sum();
     let small_pct = small as f64 / total_vars.max(1) as f64 * 100.0;
-    println!("LT sets with ≤ 2 elements: {small_pct:.1}%  (paper: >95%)");
-    println!();
-    println!("LT set size histogram (size: count):");
+    writeln!(out, "LT sets with ≤ 2 elements: {small_pct:.1}%  (paper: >95%)")?;
+    writeln!(out)?;
+    writeln!(out, "LT set size histogram (size: count):")?;
     for (sz, n) in size_hist.iter().take(12) {
-        println!("  {sz:>3}: {n}");
+        writeln!(out, "  {sz:>3}: {n}")?;
     }
+    Ok(())
 }

@@ -17,7 +17,9 @@
 //!
 //! `fig8`, `fig11` and `scalability` honour `SRAA_SUITE_N` (suite size,
 //! default 100). All binaries print CSV-ish aligned tables to stdout so
-//! runs can be diffed against each other; `tests/spec_shapes.rs` asserts the shape of each headline result
+//! runs can be diffed against each other, each through one buffered
+//! stdout ([`print_and_exit`]), so `fig9 | head -n 1` is a quiet exit 0;
+//! `tests/spec_shapes.rs` asserts the shape of each headline result
 //! and `tests/work_counters.rs` pins `scalability`'s deterministic work
 //! counters. Timings of the system a user runs come from the benchmark
 //! in `perfbench/`, which also uses this crate's allocation counter.
@@ -30,6 +32,7 @@ use sraa_core::{EngineConfig, GenConfig};
 use sraa_ir::{Module, ModuleStats};
 use sraa_synth::Workload;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{self, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`System`]-backed global allocator that counts allocations, so the
@@ -145,6 +148,25 @@ impl Prepared {
     pub fn eval(&self, analyses: &[&dyn AliasAnalysis]) -> Vec<EvalSummary> {
         AaEval::run(&self.module, analyses)
     }
+}
+
+/// Runs a binary's printing body against one locked, buffered stdout,
+/// flushes it, and exits the process: 0 when everything was written, and
+/// also when the reader closed the pipe early (`fig9 | head -n 1`), as
+/// the reader asked; 1, with a message on stderr, on any other write
+/// error. The same contract as the `sraa` CLI's.
+pub fn print_and_exit(body: fn(&mut dyn Write) -> io::Result<()>) -> ! {
+    let stdout = io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let code = match body(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            1
+        }
+    };
+    std::process::exit(code)
 }
 
 /// Suite size from `SRAA_SUITE_N` (default 100 when unset). A value that

@@ -3,26 +3,24 @@
 //! [`DenseStore`].
 //!
 //! The solvers in [`crate::solver`] and [`crate::fast_solver`] decide
-//! *scheduling* only (FIFO worklist vs SCC topological order). Everything
-//! about how `LT` sets are *represented* lives here, behind one small
-//! contract: a store holds the current set of every variable, re-evaluates
-//! one constraint at a time (`LatticeStore::update`) and reports whether
-//! the defined variable's set actually changed (`ChangeResult`), so a
-//! solver re-enqueues successors only on observed change.
+//! *scheduling* only (FIFO worklist vs SCC topological order, with
+//! [`iterate_component`] the one evaluator of a cyclic component).
+//! Everything about how `LT` sets are *represented* lives here, behind
+//! one small contract: a store holds the current set of every variable,
+//! re-evaluates one constraint at a time (`LatticeStore::update`) and
+//! reports whether the defined variable's set actually changed
+//! (`ChangeResult`), so a solver re-enqueues successors only on observed
+//! change.
 //!
 //! `DenseStore` is a flat CSR-style arena: all explicit sets live in one
 //! contiguous `Vec<u32>` addressed by per-variable `(offset, len)`.
 //! Because the lattice only descends (`new ⊆ old`, paper Theorem 3.7), a
 //! re-evaluation can almost always shrink a set *in place*; fresh arena
 //! space is appended only on a variable's first explicit write, and the
-//! dead words shrinks leave behind are compacted away mid-solve once they
-//! dominate the arena. The straight-line `Union`/`Inter` evaluations run
-//! over the vectorizable sorted-set kernels of `crate::setops`
-//! (block-skip intersection, run-copying merge union); inside large
-//! cyclic components the store switches to fixed-width bitset rows
-//! ([`sraa_ir::BitMatrix`]) over the component's candidate element
-//! universe, turning the hot evaluations into word-parallel operations.
-//! ⊤ stays symbolic (an offset sentinel).
+//! dead words shrinks leave behind are dropped when [`LatticeStore::freeze`]
+//! copies the live windows out. The `Union`/`Inter` evaluations run over
+//! the sorted-set kernels of `crate::setops` (two-pointer intersection,
+//! run-copying merge union). ⊤ stays symbolic (an offset sentinel).
 //!
 //! The trait stays a seam so the test-only reference store
 //! (`crate::lt_set::RefStore`, the paper's set algebra over one
@@ -33,7 +31,6 @@
 use crate::constraints::Constraint;
 use crate::setops::{intersect_in_place, union_merge};
 use crate::solver::{Solution, SolveStats};
-use sraa_ir::BitMatrix;
 use std::collections::VecDeque;
 
 /// Outcome of re-evaluating one constraint: did the defined variable's
@@ -61,15 +58,6 @@ pub(crate) trait LatticeStore {
     /// stores the result for `c.defined()`, reporting whether it changed.
     fn update(&mut self, c: &Constraint) -> ChangeResult;
 
-    /// Chaotic iteration over one cyclic component, to the local greatest
-    /// fixpoint. The default is the representation-agnostic worklist
-    /// ([`iterate_component`]); stores may substitute an equivalent
-    /// accelerated evaluation, but must preserve the exact schedule (the
-    /// `pops` counter is part of the printed output).
-    fn solve_component(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
-        iterate_component(self, cx, stats);
-    }
-
     /// Final step: demote residual ⊤ to ∅ (the paper's freeze) and
     /// package the [`Solution`].
     fn freeze(self, stats: SolveStats) -> Solution
@@ -79,7 +67,7 @@ pub(crate) trait LatticeStore {
 
 /// One cyclic component of the constraint dependency graph, with its
 /// member-local dependents in CSR form. Built once per component by the
-/// SCC solver and interpreted by whichever store solves it.
+/// SCC solver and iterated by [`iterate_component`].
 pub(crate) struct ComponentCtx<'a> {
     /// The full constraint system.
     pub constraints: &'a [Constraint],
@@ -142,11 +130,13 @@ impl<'a> ComponentCtx<'a> {
     }
 }
 
-/// The representation-agnostic component iteration: a FIFO worklist over
-/// local member indices, seeded in emission order, re-enqueueing only the
-/// dependents of constraints whose set changed. Index-based scratch
-/// throughout — no hashing on the solver's hottest path.
-pub(crate) fn iterate_component<S: LatticeStore + ?Sized>(
+/// Chaotic iteration over one cyclic component, to the local greatest
+/// fixpoint: a FIFO worklist over local member indices, seeded in
+/// emission order, re-enqueueing only the dependents of constraints whose
+/// set changed. The schedule is part of the printed output (`pops`), so
+/// every store runs exactly this loop. Index-based scratch throughout — no
+/// hashing on the solver's hottest path.
+pub(crate) fn iterate_component<S: LatticeStore>(
     store: &mut S,
     cx: &ComponentCtx<'_>,
     stats: &mut SolveStats,
@@ -175,28 +165,11 @@ pub(crate) fn iterate_component<S: LatticeStore + ?Sized>(
 /// Sentinel offset marking a variable still at symbolic ⊤.
 const TOP_OFF: u32 = u32::MAX;
 
-/// Inside a cyclic component of at least this many constraints the dense
-/// store evaluates over bitset rows instead of sorted slices. Components
-/// below the threshold are too small to amortise building the element
-/// universe and the row matrices.
-const BITSET_MIN_MEMBERS: usize = 16;
-
-/// Upper bound on `members × universe` bits for the bitset path; above it
-/// (degenerate, enormous components) the generic slice iteration is used
-/// so memory stays proportional to the solution.
-const BITSET_BIT_BUDGET: usize = 1 << 25;
-
-/// Dead arena words below this count never trigger [`DenseStore::compact`]:
-/// small solves finish before fragmentation can matter and the sweep
-/// would cost more than the locality it buys.
-const COMPACT_MIN_GARBAGE: usize = 4096;
-
 /// The flat backend: every explicit set is a `(offset, len)` window into
 /// one contiguous arena. First writes append; later writes shrink in
 /// place (the lattice only descends), leaving dead words behind the
-/// shrunk window — tracked in `garbage` and reclaimed mid-solve by
-/// [`DenseStore::compact`] once they dominate the arena, instead of
-/// only being dropped at freeze. ⊤ is the offset sentinel.
+/// shrunk window until freeze copies the live windows out. ⊤ is the
+/// offset sentinel.
 pub(crate) struct DenseStore {
     off: Vec<u32>,
     len: Vec<u32>,
@@ -205,9 +178,6 @@ pub(crate) struct DenseStore {
     /// Second scratch set, ping-ponged with `scratch` by the merge-union
     /// evaluation of `Union` constraints.
     scratch2: Vec<u32>,
-    /// Arena words no live window covers (shrunk-away tails, abandoned
-    /// windows).
-    garbage: usize,
 }
 
 impl DenseStore {
@@ -220,7 +190,6 @@ impl DenseStore {
             arena: Vec::with_capacity(num_vars.saturating_mul(2)),
             scratch: Vec::new(),
             scratch2: Vec::new(),
-            garbage: 0,
         }
     }
 
@@ -240,7 +209,6 @@ impl DenseStore {
         } else {
             // Cannot happen under descending evaluation, but keep the
             // store total: the abandoned window is dead arena.
-            self.garbage += self.len[x] as usize;
             self.off[x] = TOP_OFF;
             self.len[x] = 0;
             ChangeResult::Changed
@@ -275,289 +243,16 @@ impl DenseStore {
         if self.off[x] != TOP_OFF && n <= self.len[x] as usize {
             let o = self.off[x] as usize;
             self.arena[o..o + n].copy_from_slice(&self.scratch);
-            self.garbage += self.len[x] as usize - n;
         } else {
-            if self.off[x] != TOP_OFF {
-                // Unreachable under descending evaluation, but stay
-                // total: the abandoned window is dead arena.
-                self.garbage += self.len[x] as usize;
-            }
+            // A first write, or (unreachable under descending evaluation)
+            // a growing one whose abandoned window becomes dead arena.
             let o = self.arena.len();
             assert!(o + n < TOP_OFF as usize, "dense lattice arena overflow");
             self.arena.extend_from_slice(&self.scratch);
             self.off[x] = o as u32;
         }
         self.len[x] = n as u32;
-        if self.garbage >= COMPACT_MIN_GARBAGE && self.garbage * 2 > self.arena.len() {
-            self.compact();
-        }
         ChangeResult::Changed
-    }
-
-    /// Slides every live window left over the dead words, in offset
-    /// order, and truncates the arena. Windows are pairwise disjoint and
-    /// sorted source offsets only decrease, so the left-to-right
-    /// `copy_within` never overwrites unread data. Runs mid-solve (from
-    /// [`DenseStore::commit_changed`]) so a long descending solve keeps
-    /// its working set contiguous instead of only reclaiming at freeze.
-    fn compact(&mut self) {
-        let mut live: Vec<u32> =
-            (0..self.off.len() as u32).filter(|&v| self.off[v as usize] != TOP_OFF).collect();
-        live.sort_unstable_by_key(|&v| self.off[v as usize]);
-        let mut w = 0usize;
-        for v in live {
-            let (o, l) = self.slice_bounds(v as usize);
-            debug_assert!(w <= o, "live windows are disjoint and sorted");
-            self.arena.copy_within(o..o + l, w);
-            self.off[v as usize] = w as u32;
-            w += l;
-        }
-        self.arena.truncate(w);
-        self.garbage = 0;
-    }
-
-    /// Appends the current elements of `v` (nothing for ⊤) to `out`.
-    fn extend_with_set(&self, out: &mut Vec<u32>, v: usize) {
-        if self.off[v] != TOP_OFF {
-            let (o, l) = self.slice_bounds(v);
-            out.extend_from_slice(&self.arena[o..o + l]);
-        }
-    }
-
-    /// Word-parallel component evaluation: project the component onto its
-    /// candidate element universe, give every member a bitset row, and
-    /// run the exact worklist schedule of [`iterate_component`] with
-    /// `Union`/`Inter` as word operations. External inputs are final
-    /// (topological order), so they fold into per-member static rows.
-    fn solve_component_bitset(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
-        let k = cx.comp.len();
-
-        // Member variables → local index, for internal/external reads.
-        let mut member_vars: Vec<(u32, u32)> = cx
-            .comp
-            .iter()
-            .enumerate()
-            .map(|(l, &ci)| (cx.constraints[ci as usize].defined().raw(), l as u32))
-            .collect();
-        member_vars.sort_unstable();
-        let local_of_var = |raw: u32| -> Option<u32> {
-            member_vars.binary_search_by_key(&raw, |&(v, _)| v).ok().map(|p| member_vars[p].1)
-        };
-
-        // Candidate element universe: explicit `Union` elements plus
-        // every element of every external (final) source set. Internal
-        // sets are unions/intersections of these, so nothing else can
-        // ever appear.
-        let mut universe: Vec<u32> = Vec::new();
-        for &ci in cx.comp {
-            match &cx.constraints[ci as usize] {
-                Constraint::Init { .. } => {}
-                Constraint::Copy { source, .. } => {
-                    if local_of_var(source.raw()).is_none() {
-                        self.extend_with_set(&mut universe, source.index());
-                    }
-                }
-                Constraint::Union { elems, sources, .. } => {
-                    universe.extend(elems.iter().map(|e| e.raw()));
-                    for s in sources {
-                        if local_of_var(s.raw()).is_none() {
-                            self.extend_with_set(&mut universe, s.index());
-                        }
-                    }
-                }
-                Constraint::Inter { sources, .. } => {
-                    for s in sources {
-                        if local_of_var(s.raw()).is_none() {
-                            self.extend_with_set(&mut universe, s.index());
-                        }
-                    }
-                }
-            }
-        }
-        universe.sort_unstable();
-        universe.dedup();
-        let u = universe.len();
-        if k.saturating_mul(u) > BITSET_BIT_BUDGET {
-            return iterate_component(self, cx, stats);
-        }
-        let bit_of = |raw: u32| -> usize {
-            universe.binary_search(&raw).expect("universe covers every candidate element")
-        };
-
-        // Per-member evaluation plan. `Copy`/`Init` canonicalise to
-        // `Union` (of one source / of nothing).
-        #[derive(Clone, Copy)]
-        enum MKind {
-            Union,
-            Inter,
-        }
-        struct Member {
-            kind: MKind,
-            /// `Union`: some external source is ⊤ — the result is pinned ⊤.
-            forced_top: bool,
-            /// `Inter`: the static row holds the ∩ of external explicit
-            /// sources (absent when every external source is ⊤).
-            has_static: bool,
-            edges: (u32, u32),
-        }
-
-        let mut statics = BitMatrix::new(k, u);
-        let words = statics.words_per_row();
-        let mut vals = BitMatrix::new(k, u);
-        let mut top = vec![true; k];
-        let mut internal: Vec<u32> = Vec::new();
-        let mut scratch_row: Vec<u64> = vec![0; words];
-        let mut members: Vec<Member> = Vec::with_capacity(k);
-
-        for (l, &ci) in cx.comp.iter().enumerate() {
-            let start = internal.len() as u32;
-            let (kind, forced_top, has_static) = match &cx.constraints[ci as usize] {
-                Constraint::Init { .. } => (MKind::Union, false, false),
-                Constraint::Copy { source, .. } => {
-                    let mut forced = false;
-                    if let Some(ls) = local_of_var(source.raw()) {
-                        internal.push(ls);
-                    } else if self.is_top(source.index()) {
-                        forced = true;
-                    } else {
-                        let (o, n) = self.slice_bounds(source.index());
-                        for &e in &self.arena[o..o + n] {
-                            statics.insert(l, bit_of(e));
-                        }
-                    }
-                    (MKind::Union, forced, false)
-                }
-                Constraint::Union { elems, sources, .. } => {
-                    let mut forced = false;
-                    for e in elems {
-                        statics.insert(l, bit_of(e.raw()));
-                    }
-                    for s in sources {
-                        if let Some(ls) = local_of_var(s.raw()) {
-                            internal.push(ls);
-                        } else if self.is_top(s.index()) {
-                            forced = true;
-                        } else {
-                            let (o, n) = self.slice_bounds(s.index());
-                            for &e in &self.arena[o..o + n] {
-                                statics.insert(l, bit_of(e));
-                            }
-                        }
-                    }
-                    (MKind::Union, forced, false)
-                }
-                Constraint::Inter { sources, .. } => {
-                    let mut has_static = false;
-                    for s in sources {
-                        if let Some(ls) = local_of_var(s.raw()) {
-                            internal.push(ls);
-                        } else if !self.is_top(s.index()) {
-                            scratch_row.fill(0);
-                            let (o, n) = self.slice_bounds(s.index());
-                            for &e in &self.arena[o..o + n] {
-                                let b = bit_of(e);
-                                scratch_row[b / 64] |= 1u64 << (b % 64);
-                            }
-                            if has_static {
-                                for (a, b) in statics.row_mut(l).iter_mut().zip(&scratch_row) {
-                                    *a &= b;
-                                }
-                            } else {
-                                statics.row_mut(l).copy_from_slice(&scratch_row);
-                                has_static = true;
-                            }
-                        }
-                        // External ⊤ sources are the identity of ∩.
-                    }
-                    (MKind::Inter, false, has_static)
-                }
-            };
-            members.push(Member {
-                kind,
-                forced_top,
-                has_static,
-                edges: (start, internal.len() as u32),
-            });
-        }
-
-        // The exact schedule of `iterate_component`, over rows.
-        let mut worklist: VecDeque<u32> = (0..k as u32).collect();
-        let mut on_list = vec![true; k];
-        while let Some(l) = worklist.pop_front() {
-            let li = l as usize;
-            on_list[li] = false;
-            stats.pops += 1;
-            let m = &members[li];
-            let ints = &internal[m.edges.0 as usize..m.edges.1 as usize];
-            let new_top = match m.kind {
-                MKind::Union => {
-                    if m.forced_top || ints.iter().any(|&s| top[s as usize]) {
-                        true
-                    } else {
-                        scratch_row.copy_from_slice(statics.row(li));
-                        for &s in ints {
-                            for (a, b) in scratch_row.iter_mut().zip(vals.row(s as usize)) {
-                                *a |= b;
-                            }
-                        }
-                        false
-                    }
-                }
-                MKind::Inter => {
-                    let mut started = m.has_static;
-                    if started {
-                        scratch_row.copy_from_slice(statics.row(li));
-                    }
-                    for &s in ints {
-                        if top[s as usize] {
-                            continue; // ⊤ is the identity of ∩
-                        }
-                        if started {
-                            for (a, b) in scratch_row.iter_mut().zip(vals.row(s as usize)) {
-                                *a &= b;
-                            }
-                        } else {
-                            scratch_row.copy_from_slice(vals.row(s as usize));
-                            started = true;
-                        }
-                    }
-                    !started
-                }
-            };
-            let changed =
-                if new_top { !top[li] } else { top[li] || vals.row(li) != &scratch_row[..] };
-            if changed {
-                top[li] = new_top;
-                if !new_top {
-                    vals.row_mut(li).copy_from_slice(&scratch_row);
-                }
-                for &d in cx.dependents(li) {
-                    if !on_list[d as usize] {
-                        on_list[d as usize] = true;
-                        worklist.push_back(d);
-                    }
-                }
-            }
-        }
-
-        // Write the stabilised rows back into the arena. Members still ⊤
-        // keep their sentinel (the store never wrote them).
-        for (l, &ci) in cx.comp.iter().enumerate() {
-            if top[l] {
-                continue;
-            }
-            let x = cx.constraints[ci as usize].defined().index();
-            self.scratch.clear();
-            for (w, &word) in vals.row(l).iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let tz = bits.trailing_zeros() as usize;
-                    self.scratch.push(universe[w * 64 + tz]);
-                    bits &= bits - 1;
-                }
-            }
-            self.commit_changed(x);
-        }
     }
 }
 
@@ -642,14 +337,6 @@ impl LatticeStore for DenseStore {
         }
     }
 
-    fn solve_component(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
-        if cx.comp.len() >= BITSET_MIN_MEMBERS {
-            self.solve_component_bitset(cx, stats);
-        } else {
-            iterate_component(self, cx, stats);
-        }
-    }
-
     fn freeze(self, mut stats: SolveStats) -> Solution {
         let n = self.off.len();
         let mut frozen = Vec::new();
@@ -722,53 +409,6 @@ mod tests {
         // Identical rewrite is a no-op.
         store.scratch = vec![2];
         assert!(!store.commit(0).changed());
-    }
-
-    #[test]
-    fn dense_store_compacts_mid_solve() {
-        let big = COMPACT_MIN_GARBAGE as u32 * 2;
-        let mut store = DenseStore::new(3);
-        // Two fat windows, then shrink both to singletons: the dead
-        // tails dominate the arena and must be swept without waiting
-        // for freeze.
-        store.scratch = (0..big).collect();
-        assert!(store.commit(0).changed());
-        store.scratch = (0..big).collect();
-        assert!(store.commit(1).changed());
-        assert_eq!(store.arena.len(), 2 * big as usize);
-        store.scratch = vec![7];
-        assert!(store.commit(0).changed());
-        store.scratch = vec![9];
-        assert!(store.commit(1).changed());
-        assert_eq!(store.garbage, 0, "compaction resets the dead-word count");
-        assert_eq!(store.arena.len(), 2, "arena shrinks to the live windows");
-        // Live contents survive the slide, untouched vars stay ⊤.
-        let sol = store.freeze(SolveStats::default());
-        assert_eq!(sol.lt_set(v(0)), &[7][..]);
-        assert_eq!(sol.lt_set(v(1)), &[9][..]);
-        assert!(sol.was_top(v(2)));
-    }
-
-    #[test]
-    fn compaction_preserves_offset_order_with_interleaved_tops() {
-        let big = COMPACT_MIN_GARBAGE as u32 * 2;
-        let mut store = DenseStore::new(4);
-        for x in 0..4 {
-            store.scratch = (0..big).collect();
-            assert!(store.commit(x).changed());
-        }
-        // Demote one to ⊤ (window abandoned) and shrink the others.
-        assert!(store.make_top(1).changed());
-        for (x, e) in [(0usize, 10u32), (2, 20), (3, 30)] {
-            store.scratch = vec![e];
-            assert!(store.commit(x).changed());
-        }
-        assert_eq!(store.arena.len(), 3);
-        let sol = store.freeze(SolveStats::default());
-        assert_eq!(sol.lt_set(v(0)), &[10][..]);
-        assert!(sol.was_top(v(1)));
-        assert_eq!(sol.lt_set(v(2)), &[20][..]);
-        assert_eq!(sol.lt_set(v(3)), &[30][..]);
     }
 
     #[test]
@@ -851,33 +491,34 @@ mod tests {
         }
     }
 
-    /// A component big enough to cross `BITSET_MIN_MEMBERS`, so the
-    /// word-parallel path is exercised against the reference algebra: a
-    /// ring of φ-style `Inter`s threaded through `Union`s, grounded at one
-    /// entry.
+    /// A large cyclic component, solved by the one component evaluator
+    /// and held to the reference algebra: a ring of φ-style `Inter`s
+    /// threaded through `Union`s, grounded at one entry, at 48 and at
+    /// 1,000 ring nodes (96 and 2,000 members).
     #[test]
-    fn large_cycle_uses_bitset_rows_and_agrees() {
-        let k = 3 * BITSET_MIN_MEMBERS as u32;
-        let mut cs = vec![C::Init { x: v(0) }];
-        for i in 0..k {
-            let cur = 1 + 2 * i;
-            let nxt = 1 + 2 * ((i + 1) % k);
-            // cur = φ(ground, around-the-ring); cur+1 = {cur} ∪ cur.
-            cs.push(C::Inter { x: v(cur), sources: vs(&[0, nxt + 1]) });
-            cs.push(C::Union { x: v(cur + 1), elems: vs(&[cur]), sources: vs(&[cur]) });
-        }
-        let n = (1 + 2 * k) as usize;
-        let d = solve_fast_impl(&cs, n, DenseStore::new(n));
-        assert!(d.stats.cyclic_sccs >= 1, "the ring must condense into a cyclic component");
-        // The bitset path must keep the exact schedule of the reference's
-        // generic component iteration.
-        assert_same(&d, &solve_fast_impl(&cs, n, RefStore::new(n)), n);
-        // And the worklist strategy reaches the same fixpoint.
-        let w = solve_impl(&cs, n, RefStore::new(n));
-        for x in 0..n {
-            let x = VarId::from_index(x);
-            assert_eq!(w.lt_set(x), d.lt_set(x), "LT({x})");
-            assert_eq!(w.was_top(x), d.was_top(x));
+    fn large_cycle_agrees_with_reference() {
+        for k in [48u32, 1000] {
+            let mut cs = vec![C::Init { x: v(0) }];
+            for i in 0..k {
+                let cur = 1 + 2 * i;
+                let nxt = 1 + 2 * ((i + 1) % k);
+                // cur = φ(ground, around-the-ring); cur+1 = {cur} ∪ cur.
+                cs.push(C::Inter { x: v(cur), sources: vs(&[0, nxt + 1]) });
+                cs.push(C::Union { x: v(cur + 1), elems: vs(&[cur]), sources: vs(&[cur]) });
+            }
+            let n = (1 + 2 * k) as usize;
+            let d = solve_fast_impl(&cs, n, DenseStore::new(n));
+            assert!(d.stats.cyclic_sccs >= 1, "the ring must condense into a cyclic component");
+            // Sets, frozen ⊤s and the exact schedule (`pops`) of the
+            // reference store's run.
+            assert_same(&d, &solve_fast_impl(&cs, n, RefStore::new(n)), n);
+            // And the worklist strategy reaches the same fixpoint.
+            let w = solve_impl(&cs, n, RefStore::new(n));
+            for x in 0..n {
+                let x = VarId::from_index(x);
+                assert_eq!(w.lt_set(x), d.lt_set(x), "k={k}: LT({x})");
+                assert_eq!(w.was_top(x), d.was_top(x), "k={k}: frozen({x})");
+            }
         }
     }
 }

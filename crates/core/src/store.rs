@@ -49,15 +49,13 @@
 //! # On-disk segment format (all integers little-endian)
 //!
 //! Versioned, checksummed and endianness-safe: magic, [`FORMAT_VERSION`]
-//! (which also versions the key scheme), the [`GenConfig`] byte, and a
-//! trailing FNV-1a checksum:
+//! (which also versions the key scheme), and a trailing FNV-1a checksum:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"SRAASTOR"
 //!      8     2  format version (u16, FORMAT_VERSION)
-//!     10     1  GenConfig encoding (bit0 reserved, always 0 (was
-//!               `extended`); bit1 param_pairs, bit2 range_offsets)
+//!     10     1  reserved (written as 0b010, not read)
 //!     11     1  reserved (0)
 //!     12     4  entry count (u32)
 //!     16     …  entries: key u64, fact count u32, fact indices u32×n
@@ -65,8 +63,10 @@
 //! ```
 //!
 //! No function names: entries are content-addressed, the key *is* the
-//! identity. A defective segment (torn, corrupted, wrong version or
-//! config) is skipped and counted ([`SharedSummaryStore::skipped_segments`]),
+//! identity. No summary depends on the [`GenConfig`] options (they only
+//! steer the pair queries), so a run under any options shares the same
+//! entries. A defective segment (torn, corrupted or of another version)
+//! is skipped and counted ([`SharedSummaryStore::skipped_segments`]),
 //! never trusted — the store can only make a run faster, not wrong.
 
 use crate::constraints::GenConfig;
@@ -79,8 +79,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 const SEG_MAGIC: &[u8; 8] = b"SRAASTOR";
-/// Magic + version + config + reserved + count.
+/// Magic + version + two reserved bytes + count.
 const SEG_HEADER_LEN: usize = 16;
+/// Byte 10 of every segment header. Segments once recorded the
+/// constraint-generation options there, and the default options encoded
+/// as `0b010`; writing that value keeps new segments byte-identical to
+/// old ones. Readers ignore it.
+const SEG_RESERVED_10: u8 = 0b010;
 const CHECKSUM_LEN: usize = 8;
 /// Segment file extension (with the leading dot).
 const SEG_SUFFIX: &str = ".sraaseg";
@@ -128,7 +133,6 @@ impl StoreOutcome {
 #[derive(Debug)]
 pub struct SharedSummaryStore {
     dir: PathBuf,
-    cfg_byte: u8,
     /// Lock-striped index: shard = low key bits, so concurrent merges of
     /// unrelated keys do not serialize on one lock.
     shards: [RwLock<HashMap<u64, FunctionSummary>>; STORE_SHARDS],
@@ -145,14 +149,13 @@ impl SharedSummaryStore {
     /// Opens (creating if needed) the store directory, folds every
     /// readable segment into the in-memory index, and compacts the
     /// directory when it has accumulated `COMPACT_THRESHOLD` segments.
-    /// Summaries are config-dependent, so the store is bound to one
-    /// [`GenConfig`]; segments written under another are skipped.
-    pub fn open(dir: impl Into<PathBuf>, cfg: GenConfig) -> std::io::Result<SharedSummaryStore> {
+    /// The [`GenConfig`] argument is ignored: no summary depends on it,
+    /// so one directory serves runs under any options.
+    pub fn open(dir: impl Into<PathBuf>, _cfg: GenConfig) -> std::io::Result<SharedSummaryStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let store = SharedSummaryStore {
             dir,
-            cfg_byte: encode_gen_config(cfg),
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             seen: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
@@ -199,7 +202,7 @@ impl SharedSummaryStore {
                     continue;
                 }
             };
-            match decode_segment(&bytes, self.cfg_byte) {
+            match decode_segment(&bytes) {
                 Ok(entries) => {
                     for (key, summary) in entries {
                         self.insert_if_absent(key, &summary);
@@ -261,7 +264,7 @@ impl SharedSummaryStore {
             return Ok(0);
         }
         let name = self.next_segment_name();
-        let bytes = encode_segment(fresh.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
+        let bytes = encode_segment(fresh.iter().map(|(k, s)| (*k, s)));
         write_atomic(&self.dir.join(&name), &bytes)?;
         // Our own segment is already folded in.
         self.seen.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
@@ -292,7 +295,7 @@ impl SharedSummaryStore {
         self.len() == 0
     }
 
-    /// Defective (torn/corrupted/mismatched) segment files skipped so
+    /// Defective (torn/corrupted/other-version) segment files skipped so
     /// far — they are never trusted, only counted.
     pub fn skipped_segments(&self) -> u64 {
         self.skipped.load(Ordering::Relaxed)
@@ -319,7 +322,7 @@ impl SharedSummaryStore {
         // Deterministic segment bytes for a given index state.
         all.sort_unstable_by_key(|&(k, _)| k);
         let name = self.next_segment_name();
-        let bytes = encode_segment(all.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
+        let bytes = encode_segment(all.iter().map(|(k, s)| (*k, s)));
         if write_atomic(&self.dir.join(&name), &bytes).is_err() {
             return; // compaction is an optimisation; keep the segments
         }
@@ -343,10 +346,6 @@ fn parse_generation(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn encode_gen_config(cfg: GenConfig) -> u8 {
-    (cfg.param_pairs as u8) << 1 | (cfg.range_offsets as u8) << 2
-}
-
 /// Why a segment could not be folded in. Every variant means "skip and
 /// count it", never a panic.
 #[derive(Debug, PartialEq, Eq)]
@@ -361,9 +360,6 @@ enum SegmentError {
         /// The version recorded in the segment.
         found: u16,
     },
-    /// Written under different constraint-generation options; summaries
-    /// are config-dependent, so reuse would be unsound.
-    ConfigMismatch,
 }
 
 /// Bounds-checked little-endian reader over a segment payload.
@@ -419,12 +415,11 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 fn encode_segment<'a>(
     entries: impl ExactSizeIterator<Item = (u64, &'a FunctionSummary)>,
-    cfg_byte: u8,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEG_HEADER_LEN + 16 * entries.len() + CHECKSUM_LEN);
     out.extend_from_slice(SEG_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(cfg_byte);
+    out.push(SEG_RESERVED_10);
     out.push(0);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (key, summary) in entries {
@@ -441,7 +436,7 @@ fn encode_segment<'a>(
     out
 }
 
-fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummary)>, SegmentError> {
+fn decode_segment(bytes: &[u8]) -> Result<Vec<(u64, FunctionSummary)>, SegmentError> {
     if bytes.len() < SEG_HEADER_LEN + CHECKSUM_LEN {
         return Err(SegmentError::Truncated);
     }
@@ -457,9 +452,6 @@ fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummar
     h.write(payload);
     if h.finish().to_le_bytes() != tail {
         return Err(SegmentError::Corrupted("checksum mismatch"));
-    }
-    if bytes[10] != cfg_byte {
-        return Err(SegmentError::ConfigMismatch);
     }
     let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
     // The FNV checksum is integrity, not authentication: a crafted
@@ -499,43 +491,42 @@ mod tests {
         d
     }
 
+    /// `bytes` with a header field patched and the (non-cryptographic)
+    /// checksum re-sealed, so only the field itself differs.
+    fn resealed(bytes: &[u8], at: usize, field: &[u8]) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        b[at..at + field.len()].copy_from_slice(field);
+        let last = b.len() - CHECKSUM_LEN;
+        let mut h = Fnv64::new();
+        h.write(&b[..last]);
+        let sum = h.finish().to_le_bytes();
+        b[last..].copy_from_slice(&sum);
+        b
+    }
+
     #[test]
     fn segment_bytes_round_trip_and_reject_defects() {
         let entries = vec![(7u64, summary(&[0, 2])), (u64::MAX, summary(&[])), (42, summary(&[1]))];
-        let cfg = encode_gen_config(GenConfig::default());
-        let bytes = encode_segment(entries.iter().map(|(k, s)| (*k, s)), cfg);
-        assert_eq!(decode_segment(&bytes, cfg).unwrap(), entries);
+        let bytes = encode_segment(entries.iter().map(|(k, s)| (*k, s)));
+        assert_eq!(decode_segment(&bytes).unwrap(), entries);
 
         for cut in 0..bytes.len() {
-            assert!(decode_segment(&bytes[..cut], cfg).is_err(), "prefix {cut}");
+            assert!(decode_segment(&bytes[..cut]).is_err(), "prefix {cut}");
         }
         for at in [0, 9, SEG_HEADER_LEN + 1, bytes.len() - 3] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
-            assert!(decode_segment(&bad, cfg).is_err(), "flip at {at}");
+            assert!(decode_segment(&bad).is_err(), "flip at {at}");
         }
-        assert_eq!(decode_segment(&bytes, cfg ^ 1), Err(SegmentError::ConfigMismatch));
-        // Patches a header field and re-seals the (non-cryptographic)
-        // checksum, so the field check itself must fire.
-        let resealed = |at: usize, field: &[u8]| {
-            let mut b = bytes.clone();
-            b[at..at + field.len()].copy_from_slice(field);
-            let last = b.len() - CHECKSUM_LEN;
-            let mut h = Fnv64::new();
-            h.write(&b[..last]);
-            let sum = h.finish().to_le_bytes();
-            b[last..].copy_from_slice(&sum);
-            b
-        };
         // A hostile count is rejected before allocation, not on OOM.
         assert_eq!(
-            decode_segment(&resealed(12, &u32::MAX.to_le_bytes()), cfg),
+            decode_segment(&resealed(&bytes, 12, &u32::MAX.to_le_bytes())),
             Err(SegmentError::Corrupted("entry count exceeds payload"))
         );
         // A future format version is refused with the right variant.
         let next = FORMAT_VERSION + 1;
         assert_eq!(
-            decode_segment(&resealed(8, &next.to_le_bytes()), cfg),
+            decode_segment(&resealed(&bytes, 8, &next.to_le_bytes())),
             Err(SegmentError::VersionMismatch { found: next })
         );
     }
@@ -590,39 +581,28 @@ mod tests {
     }
 
     #[test]
-    fn gen_config_byte_keeps_its_bit_positions() {
-        assert_eq!(encode_gen_config(GenConfig::default()), 0b010);
-        assert_eq!(
-            encode_gen_config(GenConfig { range_offsets: true, ..Default::default() }),
-            0b110
-        );
-    }
-
-    #[test]
-    fn defective_and_mismatched_segments_are_skipped_not_trusted() {
+    fn defective_segments_are_skipped_and_option_bytes_ignored() {
         let dir = tmpdir("defect");
         let a = SharedSummaryStore::open(&dir, GenConfig::default()).unwrap();
         a.publish(&[(1, summary(&[0]))]).unwrap();
         // A torn segment (as if a writer died before the rename, and some
-        // non-atomic copy left a prefix) and a config-mismatched one.
-        let good = encode_segment(
-            [(9u64, &summary(&[1]))].into_iter(),
-            encode_gen_config(GenConfig::default()),
-        );
+        // non-atomic copy left a prefix).
+        let good = encode_segment([(9u64, &summary(&[1]))].into_iter());
         std::fs::write(dir.join(format!("seg-{:016x}-0-0{SEG_SUFFIX}", 99)), &good[..10]).unwrap();
-        let other = encode_segment(
-            [(8u64, &summary(&[1]))].into_iter(),
-            encode_gen_config(GenConfig { range_offsets: true, ..Default::default() }),
-        );
+        // A segment written with `range_offsets` on (byte 10 = 0b110):
+        // summaries do not depend on the options, so it is folded in.
+        let other = resealed(&encode_segment([(8u64, &summary(&[1]))].into_iter()), 10, &[0b110]);
         std::fs::write(dir.join(format!("seg-{:016x}-0-1{SEG_SUFFIX}", 98)), other).unwrap();
         // Unrelated files are ignored entirely.
         std::fs::write(dir.join("README"), "not a segment").unwrap();
 
-        let b = SharedSummaryStore::open(&dir, GenConfig::default()).unwrap();
-        assert_eq!(b.len(), 1, "only the good segment is folded");
+        let b =
+            SharedSummaryStore::open(&dir, GenConfig { range_offsets: true, ..Default::default() })
+                .unwrap();
+        assert_eq!(b.len(), 2, "the good and the other-options segments are folded");
         assert_eq!(b.get(9), None);
-        assert_eq!(b.get(8), None);
-        assert_eq!(b.skipped_segments(), 2);
+        assert_eq!(b.get(8), Some(summary(&[1])));
+        assert_eq!(b.skipped_segments(), 1, "only the torn segment is skipped");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,8 @@
-//! A dense fixed-universe bit set.
+//! Dense fixed-universe bit sets.
 //!
-//! Used for liveness sets and as one of the two representations of the
-//! less-than sets in the solver. Keeping it here (rather than pulling in an
-//! external crate) keeps the workspace dependency-light and lets the solver
-//! iterate set bits without allocation.
+//! [`DenseBitSet`] holds liveness sets; [`BitMatrix`] holds the rows of
+//! the Pentagon baseline's fact table. Keeping them here (rather than
+//! pulling in an external crate) keeps the workspace dependency-light.
 
 /// A set of `usize` elements drawn from a fixed universe `0..len`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -124,15 +123,9 @@ impl DenseBitSet {
     }
 }
 
-/// A matrix of fixed-width bit rows over one contiguous `u64` arena.
-///
-/// This is the row-major companion of [`DenseBitSet`]: `rows` sets drawn
-/// from one universe `0..universe`, all sharing a single allocation so a
-/// solver iterating a strongly connected component touches one cache-warm
-/// block instead of per-set allocations. Rows are exposed as raw `&[u64]`
-/// words so callers can run word-parallel union/intersection between rows
-/// (via a scratch row — two rows of the same matrix cannot be borrowed
-/// mutably at once).
+/// A matrix of fixed-width bit rows over one contiguous `u64` arena:
+/// `rows` sets drawn from one universe `0..universe`, all sharing a
+/// single allocation instead of one per set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: usize,
@@ -148,66 +141,28 @@ impl BitMatrix {
         Self { rows, universe, words_per_row, words: vec![0; words_per_row * rows] }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Universe size shared by every row.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Words backing each row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// Row `r` as raw words (bit `i` of the row ↔ element `i`).
+    /// The word of row `r` that holds element `i`, and `i`'s bit in it.
     #[inline]
-    pub fn row(&self, r: usize) -> &[u64] {
+    fn slot(&self, r: usize, i: usize) -> (usize, u64) {
         assert!(r < self.rows, "row {r} out of {}", self.rows);
-        &self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// Mutable raw words of row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
-        assert!(r < self.rows, "row {r} out of {}", self.rows);
-        &mut self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
+        assert!(i < self.universe, "{i} outside universe {}", self.universe);
+        (r * self.words_per_row + i / 64, 1u64 << (i % 64))
     }
 
     /// Inserts element `i` into row `r`; returns `true` if newly inserted.
     #[inline]
     pub fn insert(&mut self, r: usize, i: usize) -> bool {
-        assert!(i < self.universe, "{i} outside universe {}", self.universe);
-        let w = &mut self.row_mut(r)[i / 64];
-        let bit = 1u64 << (i % 64);
-        let was = *w & bit != 0;
-        *w |= bit;
+        let (w, bit) = self.slot(r, i);
+        let was = self.words[w] & bit != 0;
+        self.words[w] |= bit;
         !was
     }
 
     /// Tests membership of element `i` in row `r`.
     #[inline]
     pub fn contains(&self, r: usize, i: usize) -> bool {
-        assert!(i < self.universe, "{i} outside universe {}", self.universe);
-        self.row(r)[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Elements of row `r` in increasing order.
-    pub fn row_elems(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(r).iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(w * 64 + tz)
-            })
-        })
+        let (w, bit) = self.slot(r, i);
+        self.words[w] & bit != 0
     }
 }
 
@@ -306,37 +261,8 @@ mod tests {
         assert!(m.insert(2, 64));
         assert!(m.contains(0, 0) && m.contains(0, 129) && m.contains(2, 64));
         assert!(!m.contains(1, 0) && !m.contains(0, 64));
-        assert_eq!(m.row_elems(0).collect::<Vec<_>>(), vec![0, 129]);
-        assert_eq!(m.row_elems(1).count(), 0);
-        assert_eq!(m.row_elems(2).collect::<Vec<_>>(), vec![64]);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.universe(), 130);
-        assert_eq!(m.words_per_row(), 3);
-    }
-
-    #[test]
-    fn bit_matrix_word_rows_support_bulk_ops() {
-        let mut m = BitMatrix::new(2, 100);
-        for i in [1usize, 5, 64, 70] {
-            m.insert(0, i);
-        }
-        for i in [5usize, 64, 99] {
-            m.insert(1, i);
-        }
-        // Word-parallel union via a scratch row, the solver's access pattern.
-        let mut scratch: Vec<u64> = m.row(0).to_vec();
-        for (a, b) in scratch.iter_mut().zip(m.row(1)) {
-            *a |= b;
-        }
-        m.row_mut(0).copy_from_slice(&scratch);
-        assert_eq!(m.row_elems(0).collect::<Vec<_>>(), vec![1, 5, 64, 70, 99]);
-    }
-
-    #[test]
-    fn bit_matrix_zero_universe() {
-        let m = BitMatrix::new(4, 0);
-        assert_eq!(m.row(3), &[] as &[u64]);
-        assert_eq!(m.row_elems(0).count(), 0);
+        assert!((0..130).all(|i| !m.contains(1, i)), "row 1 stays empty");
+        assert_eq!((0..130).filter(|&i| m.contains(2, i)).collect::<Vec<_>>(), vec![64]);
     }
 
     #[test]

@@ -119,8 +119,8 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig, Opti
 /// and `serve`. A defective store can cost speed, never correctness: a
 /// directory that cannot be opened degrades to running without a store,
 /// and defective segments are skipped; both warn on stderr.
-fn open_store(dir: &Path, gen: GenConfig) -> Option<SharedSummaryStore> {
-    match SharedSummaryStore::open(dir, gen) {
+fn open_store(dir: &Path) -> Option<SharedSummaryStore> {
+    match SharedSummaryStore::open(dir, GenConfig::default()) {
         Ok(store) => {
             let skipped = store.skipped_segments();
             if skipped > 0 {
@@ -147,7 +147,7 @@ fn analyze(
     cfg: EngineConfig,
     store_dir: Option<PathBuf>,
 ) -> StrictInequalityAa {
-    let store = store_dir.as_deref().and_then(|dir| open_store(dir, cfg.gen));
+    let store = store_dir.as_deref().and_then(open_store);
     let engine = match &store {
         None => DisambiguationEngine::build(m, cfg),
         Some(s) => DisambiguationEngine::build_with_cache_and_store(m, cfg, None, Some(s)),
@@ -501,7 +501,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     // `--shared-store` becomes a resident store handle: opened once at
     // boot, refreshed before each upload so concurrent daemons sharing
     // the directory see each other's published segments.
-    let store = store_dir.and_then(|dir| open_store(Path::new(&dir), GenConfig::default()));
+    let store = store_dir.and_then(|dir| open_store(Path::new(&dir)));
     if let Some(s) = &store {
         eprintln!("# serve: shared store at {} ({} summaries)", s.dir().display(), s.len());
     }

@@ -445,6 +445,31 @@ fn defective_cache_files_fall_back_to_cold_with_a_warning() {
     std::fs::remove_dir_all(&seed).ok();
 }
 
+/// No summary depends on the constraint-generation options, so `pdg`
+/// (which turns on the range-offset criterion) reuses what `eval`
+/// published: every function hits, nothing is republished, and the
+/// directory keeps one segment that neither verb calls defective.
+#[test]
+fn eval_and_pdg_share_one_store_directory() {
+    let f = calls_file();
+    let path = f.to_str().unwrap();
+    let dir = store_dir("eval_pdg");
+    let dir_s = dir.to_str().unwrap();
+    let runs: Vec<Output> = ["eval", "pdg", "eval"]
+        .iter()
+        .map(|verb| sraa(&[verb, path, "--shared-store", dir_s]))
+        .collect();
+    for (verb, out) in ["eval", "pdg", "eval"].iter().zip(&runs) {
+        assert!(out.status.success(), "{verb}: {}", stderr_of(out));
+        assert!(!stderr_of(out).contains("defective"), "{verb}: {}", stderr_of(out));
+    }
+    let pdg = stderr_of(&runs[1]);
+    assert!(pdg.contains("(100.0% hit rate)") && pdg.contains(", 0 published"), "pdg: {pdg}");
+    let segments = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(segments, 1, "one segment serves both verbs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pdg_counts_memory_nodes() {
     let f = tiny_file();
