@@ -176,14 +176,15 @@ pub fn split_at_subtractions_in(
     }
 
     let mut new_defs: Vec<(Value, Value)> = Vec::new();
-    let positions = f.positions();
     for (sub, split_op) in work {
         // Do not split constants: they have no live range.
         if matches!(f.inst(split_op).kind, InstKind::Const(_)) {
             continue;
         }
         let block = f.inst(sub).block.expect("worklist instructions are attached");
-        let at = positions_of(f, &positions, block, sub) + 1;
+        // Positions shift as copies are inserted; scan the (short) block.
+        let at =
+            f.block(block).insts.iter().position(|&x| x == sub).expect("sub is in its block") + 1;
         let copy = f.insert_copy(block, at, split_op, CopyOrigin::SubSplit { sub });
         ranges.extend_copy(fid, copy, split_op);
         new_defs.push((copy, split_op));
@@ -192,11 +193,6 @@ pub fn split_at_subtractions_in(
 
     rename_dominated_uses(f, &new_defs);
     stats
-}
-
-fn positions_of(f: &Function, _stale: &[u32], block: BlockId, v: Value) -> usize {
-    // Positions shift as copies are inserted; scan the (short) block.
-    f.block(block).insts.iter().position(|&x| x == v).expect("instruction is in its block")
 }
 
 fn is_strictly_positive(f: &Function, fid: FuncId, ranges: &RangeAnalysis, v: Value) -> bool {
@@ -348,7 +344,7 @@ pub fn rename_dominated_uses(f: &mut Function, new_defs: &[(Value, Value)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sraa_ir::verify;
+    use sraa_ir::{verify, FunctionBuilder, Pred, Type};
 
     fn compile(src: &str) -> Module {
         sraa_minic::compile(src).expect("test source must compile")
@@ -412,22 +408,25 @@ mod tests {
     fn critical_edges_are_split() {
         // bb0 branches to bb2 which also receives bb1: the bb0→bb2 edge is
         // critical, so the σ-copies must live on a freshly split edge
-        // block. (The MiniC lowering never creates such CFGs, but parsed
-        // or generated IR can.)
-        let mut m = sraa_ir::parse_module(
-            r#"
-func @f(%x: int, %y: int) -> int {
-bb0:
-  %c: int = cmp lt %x, %y
-  br %c, bb1, bb2
-bb1:
-  jump bb2
-bb2:
-  ret %x
-}
-"#,
-        )
-        .unwrap();
+        // block. (The MiniC lowering never creates such CFGs, but IR built
+        // directly with a `FunctionBuilder` can.)
+        //
+        //   bb0: %c = cmp lt %x, %y; br %c, bb1, bb2
+        //   bb1: jump bb2
+        //   bb2: ret %x
+        let mut m = Module::new();
+        let fid =
+            m.declare_function("f", vec![("x", Type::Int), ("y", Type::Int)], Some(Type::Int));
+        let mut b = FunctionBuilder::new(m.function_mut(fid));
+        let (bb1, bb2) = (b.create_block(), b.create_block());
+        let (x, y) = (b.param(0), b.param(1));
+        let c = b.cmp(Pred::Lt, x, y);
+        b.br(c, bb1, bb2);
+        b.switch_to(bb1);
+        b.jump(bb2);
+        b.switch_to(bb2);
+        b.ret(Some(x));
+        b.finish();
         verify(&m).unwrap();
         let stats = split_at_branches(&mut m);
         assert_eq!(stats.edges_split, 1, "only the bb0→bb2 edge is critical: {stats:?}");

@@ -22,7 +22,7 @@
 //! * [`liveness`] — SSA live-in/live-out sets;
 //! * [`defuse`] — def-use chains;
 //! * [`verifier`] — SSA and type well-formedness checks;
-//! * [`printer`] / [`parser`] — a round-trippable textual format;
+//! * [`printer`] — the textual format that `sraa compile` prints;
 //! * [`interp`] — a concrete interpreter with an observable trace, used by
 //!   the property-based tests to validate the paper's adequacy theorem
 //!   (Theorem 3.9) and the no-alias answers dynamically.
@@ -80,7 +80,6 @@ pub mod interp;
 pub mod liveness;
 pub mod loops;
 pub mod module;
-pub mod parser;
 pub mod printer;
 pub mod stats;
 pub mod types;
@@ -100,7 +99,6 @@ pub use interp::{ExecError, Frame, Interpreter, Observer, Trace};
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopForest};
 pub use module::{Global, Module};
-pub use parser::{parse_module, ParseError};
 pub use stats::ModuleStats;
 pub use types::Type;
 pub use verifier::{verify, verify_function, VerifyError};

@@ -149,39 +149,49 @@ impl LoopForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::FunctionBuilder;
+    use crate::inst::{BinOp, Pred};
+    use crate::module::Module;
+    use crate::types::Type;
 
-    fn forest(src: &str, name: &str) -> (crate::module::Module, LoopForest, Cfg) {
-        // The IR parser keeps these tests frontend-free.
-        let m = crate::parser::parse_module(src).expect("parse");
-        let fid = m.function_by_name(name).unwrap();
+    /// Builds a one-function module with `build` and returns the loop
+    /// forest of that function. Blocks are numbered in creation order.
+    fn forest(params: usize, build: impl FnOnce(&mut FunctionBuilder)) -> (LoopForest, Cfg) {
+        let mut m = Module::new();
+        let fid = m.declare_function("f", vec![("n", Type::Int); params], Some(Type::Int));
+        let mut b = FunctionBuilder::new(m.function_mut(fid));
+        build(&mut b);
+        b.finish();
         let f = m.function(fid);
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
         let lf = LoopForest::compute(f, &cfg, &dom);
-        (m, lf, cfg)
+        (lf, cfg)
     }
 
-    const SINGLE_LOOP: &str = r#"
-        func @f(%n: int) -> int {
-        bb0:
-            %c0: int = const 0
-            %c1: int = const 1
-            jump bb1
-        bb1:
-            %i: int = phi [bb0: %c0], [bb2: %i2]
-            %cmp: int = cmp lt %i, %n
-            br %cmp, bb2, bb3
-        bb2:
-            %i2: int = add %i, %c1
-            jump bb1
-        bb3:
-            ret %i
-        }
-    "#;
+    /// `bb0 → bb1 ⇄ bb2`, `bb1 → bb3`: one loop counting `i` up to `n`.
+    fn single_loop(b: &mut FunctionBuilder) {
+        let entry = b.current_block();
+        let (header, latch, exit) = (b.create_block(), b.create_block(), b.create_block());
+        let n = b.param(0);
+        let c0 = b.iconst(0);
+        let c1 = b.iconst(1);
+        b.jump(header);
+        b.switch_to(header);
+        let i = b.phi(Type::Int);
+        let cmp = b.cmp(Pred::Lt, i, n);
+        b.br(cmp, latch, exit);
+        b.switch_to(latch);
+        let i2 = b.binary(BinOp::Add, i, c1);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(i));
+        b.set_phi_incomings(i, vec![(entry, c0), (latch, i2)]);
+    }
 
     #[test]
     fn detects_a_single_loop() {
-        let (_, lf, cfg) = forest(SINGLE_LOOP, "f");
+        let (lf, cfg) = forest(1, single_loop);
         assert_eq!(lf.loops().len(), 1);
         let l = &lf.loops()[0];
         assert_eq!(l.header, BlockId::from_index(1));
@@ -194,34 +204,44 @@ mod tests {
         assert_eq!(lf.depth(BlockId::from_index(3)), 0);
     }
 
-    const NESTED: &str = r#"
-        func @g(%n: int) -> int {
-        bb0:
-            %c0: int = const 0
-            %c1: int = const 1
-            jump bb1
-        bb1:
-            %i: int = phi [bb0: %c0], [bb4: %i2]
-            %ci: int = cmp lt %i, %n
-            br %ci, bb2, bb5
-        bb2:
-            %j: int = phi [bb1: %c0], [bb3: %j2]
-            %cj: int = cmp lt %j, %n
-            br %cj, bb3, bb4
-        bb3:
-            %j2: int = add %j, %c1
-            jump bb2
-        bb4:
-            %i2: int = add %i, %c1
-            jump bb1
-        bb5:
-            ret %i
-        }
-    "#;
+    /// An `i` loop (header bb1, latch bb4) around a `j` loop (header bb2,
+    /// latch bb3); bb5 returns.
+    fn nested(b: &mut FunctionBuilder) {
+        let entry = b.current_block();
+        let (outer, inner, inner_latch, outer_latch, exit) = (
+            b.create_block(),
+            b.create_block(),
+            b.create_block(),
+            b.create_block(),
+            b.create_block(),
+        );
+        let n = b.param(0);
+        let c0 = b.iconst(0);
+        let c1 = b.iconst(1);
+        b.jump(outer);
+        b.switch_to(outer);
+        let i = b.phi(Type::Int);
+        let ci = b.cmp(Pred::Lt, i, n);
+        b.br(ci, inner, exit);
+        b.switch_to(inner);
+        let j = b.phi(Type::Int);
+        let cj = b.cmp(Pred::Lt, j, n);
+        b.br(cj, inner_latch, outer_latch);
+        b.switch_to(inner_latch);
+        let j2 = b.binary(BinOp::Add, j, c1);
+        b.jump(inner);
+        b.switch_to(outer_latch);
+        let i2 = b.binary(BinOp::Add, i, c1);
+        b.jump(outer);
+        b.switch_to(exit);
+        b.ret(Some(i));
+        b.set_phi_incomings(i, vec![(entry, c0), (outer_latch, i2)]);
+        b.set_phi_incomings(j, vec![(outer, c0), (inner_latch, j2)]);
+    }
 
     #[test]
     fn nested_loops_have_parents_and_depths() {
-        let (_, lf, _) = forest(NESTED, "g");
+        let (lf, _) = forest(1, nested);
         assert_eq!(lf.loops().len(), 2);
         let outer = lf.loops().iter().position(|l| l.header.index() == 1).unwrap();
         let inner = lf.loops().iter().position(|l| l.header.index() == 2).unwrap();
@@ -236,16 +256,10 @@ mod tests {
 
     #[test]
     fn straight_line_code_has_no_loops() {
-        let (_, lf, _) = forest(
-            r#"
-            func @h() -> int {
-            bb0:
-                %c: int = const 7
-                ret %c
-            }
-            "#,
-            "h",
-        );
+        let (lf, _) = forest(0, |b| {
+            let c = b.iconst(7);
+            b.ret(Some(c));
+        });
         assert!(lf.loops().is_empty());
         assert_eq!(lf.depth(BlockId::from_index(0)), 0);
     }
@@ -253,31 +267,30 @@ mod tests {
     #[test]
     fn shared_header_loops_are_merged() {
         // Two back edges into one header: one loop with two latches.
-        let (_, lf, _) = forest(
-            r#"
-            func @k(%n: int) -> int {
-            bb0:
-                %c0: int = const 0
-                %c1: int = const 1
-                jump bb1
-            bb1:
-                %i: int = phi [bb0: %c0], [bb2: %i2], [bb3: %i3]
-                %cmp: int = cmp lt %i, %n
-                br %cmp, bb2, bb4
-            bb2:
-                %i2: int = add %i, %c1
-                %even: int = rem %i2, %c1
-                %ce: int = cmp eq %even, %c0
-                br %ce, bb1, bb3
-            bb3:
-                %i3: int = add %i, %c1
-                jump bb1
-            bb4:
-                ret %i
-            }
-            "#,
-            "k",
-        );
+        let (lf, _) = forest(1, |b| {
+            let entry = b.current_block();
+            let (header, latch1, latch2, exit) =
+                (b.create_block(), b.create_block(), b.create_block(), b.create_block());
+            let n = b.param(0);
+            let c0 = b.iconst(0);
+            let c1 = b.iconst(1);
+            b.jump(header);
+            b.switch_to(header);
+            let i = b.phi(Type::Int);
+            let cmp = b.cmp(Pred::Lt, i, n);
+            b.br(cmp, latch1, exit);
+            b.switch_to(latch1);
+            let i2 = b.binary(BinOp::Add, i, c1);
+            let even = b.binary(BinOp::Rem, i2, c1);
+            let ce = b.cmp(Pred::Eq, even, c0);
+            b.br(ce, header, latch2);
+            b.switch_to(latch2);
+            let i3 = b.binary(BinOp::Add, i, c1);
+            b.jump(header);
+            b.switch_to(exit);
+            b.ret(Some(i));
+            b.set_phi_incomings(i, vec![(entry, c0), (latch1, i2), (latch2, i3)]);
+        });
         assert_eq!(lf.loops().len(), 1);
         assert_eq!(lf.loops()[0].latches.len(), 2);
     }

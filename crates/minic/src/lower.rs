@@ -4,9 +4,12 @@
 //! Construction of Static Single Assignment Form" (CC 2013): scalar locals
 //! are kept in per-block definition maps; reads reach backwards through
 //! sealed blocks, inserting φ-functions on demand; blocks are sealed once
-//! all their predecessors are known. Trivial φs are left in place — they
-//! are harmless to every analysis in this workspace (a φ whose operands
-//! coincide intersects a less-than set with itself).
+//! all their predecessors are known. An on-demand φ is removed as soon as
+//! its operands show it trivial (Braun et al.'s `tryRemoveTrivialPhi`),
+//! and so are the φs that become trivial through that removal. The merge
+//! φs of `?:`, `&&` and `||` are built whole and only re-checked when an
+//! operand φ is removed, so one whose arms yield the same value stays:
+//! `c ? x : x` keeps `phi [t: x], [f: x]`.
 //!
 //! Pointer arithmetic (`p + i`, `p[i]`, `&a[i]`) lowers to `gep`
 //! instructions, the canonical derived-pointer form the paper's

@@ -20,24 +20,13 @@ use sraa_ir::{
     BinOp, Cfg, CopyOrigin, DefUse, FuncId, Function, InstKind, Module, Pred, Type, Value,
 };
 
-/// Configuration for [`analyze_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct RangeConfig {
-    /// Propagate argument/return summaries across calls (paper default).
-    pub interprocedural: bool,
-    /// Maximum inter-procedural rounds (each round is sound on its own).
-    pub max_rounds: usize,
-    /// Widening threshold: evaluations of a value before widening kicks in.
-    pub widen_after: usize,
-    /// Narrowing sweeps after the ascending phase.
-    pub narrow_passes: usize,
-}
-
-impl Default for RangeConfig {
-    fn default() -> Self {
-        Self { interprocedural: true, max_rounds: 3, widen_after: 8, narrow_passes: 2 }
-    }
-}
+/// Inter-procedural rounds. Every round is sound on its own, so the
+/// analysis may stop after any of them.
+const MAX_ROUNDS: usize = 3;
+/// Widening threshold: evaluations of a value before widening kicks in.
+const WIDEN_AFTER: usize = 8;
+/// Narrowing sweeps after the ascending phase.
+const NARROW_PASSES: usize = 2;
 
 /// Result of the range analysis: an interval per (function, value).
 #[derive(Clone, Debug)]
@@ -70,13 +59,9 @@ impl RangeAnalysis {
     }
 }
 
-/// Analyzes `module` with the default configuration.
+/// Analyzes `module`, propagating argument and return summaries across
+/// calls, as the paper does.
 pub fn analyze(module: &Module) -> RangeAnalysis {
-    analyze_with(module, RangeConfig::default())
-}
-
-/// Analyzes `module` with an explicit configuration.
-pub fn analyze_with(module: &Module, cfg: RangeConfig) -> RangeAnalysis {
     let nf = module.num_functions();
     // Which functions have at least one internal call site?
     let mut internally_called = vec![false; nf];
@@ -95,16 +80,12 @@ pub fn analyze_with(module: &Module, cfg: RangeConfig) -> RangeAnalysis {
         rets: vec![Interval::TOP; nf],
     };
 
-    let rounds = if cfg.interprocedural { cfg.max_rounds.max(1) } else { 1 };
     let mut results: Vec<Vec<Interval>> = Vec::new();
-    for _ in 0..rounds {
+    for _ in 0..MAX_ROUNDS {
         results = module
             .functions()
-            .map(|(fid, f)| analyze_function(f, fid, module, &summaries, &cfg))
+            .map(|(fid, f)| analyze_function(f, fid, module, &summaries))
             .collect();
-        if !cfg.interprocedural {
-            break;
-        }
         let next = collect_summaries(module, &results, &internally_called);
         if next == summaries {
             break;
@@ -177,7 +158,6 @@ fn analyze_function(
     fid: FuncId,
     module: &Module,
     summaries: &Summaries,
-    cfg: &RangeConfig,
 ) -> Vec<Interval> {
     let nv = f.num_insts();
     let mut env = vec![Interval::BOTTOM; nv];
@@ -219,7 +199,7 @@ fn analyze_function(
         on_list[v.index()] = false;
         let new = eval(f, fid, module, summaries, &env, v);
         let old = env[v.index()];
-        let next = if visits[v.index()] >= cfg.widen_after { old.widen(&new) } else { new };
+        let next = if visits[v.index()] >= WIDEN_AFTER { old.widen(&new) } else { new };
         // Ascending phase: never lose information already gained.
         let next = old.join(&next);
         if next != old {
@@ -241,7 +221,7 @@ fn analyze_function(
     }
 
     // Narrowing sweeps in RPO.
-    for _ in 0..cfg.narrow_passes {
+    for _ in 0..NARROW_PASSES {
         let mut changed = false;
         for &b in &cfg_graph.reverse_postorder() {
             for (v, data) in f.block_insts(b) {

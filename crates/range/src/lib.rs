@@ -26,5 +26,5 @@
 pub mod analysis;
 pub mod interval;
 
-pub use analysis::{analyze, analyze_with, RangeAnalysis, RangeConfig};
+pub use analysis::{analyze, RangeAnalysis};
 pub use interval::{Bound, Interval};

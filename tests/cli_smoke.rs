@@ -112,6 +112,116 @@ fn compile_essa_reports_sigma_stats() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("e-SSA"));
 }
 
+/// `sraa compile --essa` on `tests/fixtures/printer.c`, byte for byte.
+/// MiniC is the only front end, so this golden is what pins the printer's
+/// full format: globals, signatures, every instruction form and all
+/// three copy origins.
+const PRINTER_GOLDEN: &str = r#"global @g: int[4]
+
+func @step(%v0: int*, %v1: int) -> int* {
+bb0:
+  %v2: int = const 0
+  %v8: int = const 1
+  %v3: int = cmp gt %v1, %v2
+  br %v3, bb1, bb2
+bb1:
+  %v11: int = copy %v1 sigma_t(%v3)
+  %v5: int* = gep %v0, %v11
+  ret %v5
+bb2:
+  %v12: int = copy %v1 sigma_f(%v3)
+  jump bb3
+bb3:
+  %v9: int* = gep %v0, %v8
+  ret %v9
+}
+
+func @fill(%v0: int*, %v1: int) {
+bb0:
+  %v2: int = const 0
+  %v10: int = const 2
+  %v12: int = const 1
+  jump bb1
+bb1:
+  %v4: int = phi [bb0: %v2], [bb3: %v16]
+  %v6: int = cmp lt %v4, %v1
+  br %v6, bb2, bb4
+bb2:
+  %v19: int = copy %v4 sigma_t(%v6)
+  %v20: int = copy %v1 sigma_t(%v6)
+  %v9: int* = gep %v0, %v19
+  %v11: int = mul %v19, %v10
+  %v13: int = sub %v11, %v12
+  %v23: int = copy %v11 subsplit(%v13)
+  store %v9, %v13
+  jump bb3
+bb3:
+  %v16: int = add %v19, %v12
+  jump bb1
+bb4:
+  %v21: int = copy %v4 sigma_f(%v6)
+  %v22: int = copy %v1 sigma_f(%v6)
+  ret
+}
+
+func @main() -> int {
+bb0:
+  %v0: int = const 8
+  %v2: int = const 2
+  %v4: int = const 3
+  %v5: int = const 0
+  %v14: int = const 1
+  %v18: int = const 5
+  %v26: int = const 4
+  %v1: int* = alloca %v0
+  %v3: int** = malloc %v2
+  %v6: int = sub %v5, %v4
+  call @fill(%v1, %v0)
+  %v8: int** = gep %v3, %v5
+  %v9: int* = call @step(%v1, %v2)
+  store %v8, %v9
+  %v11: int** = gep %v3, %v5
+  %v12: int* = load %v11
+  %v13: int* = globaladdr @g
+  %v15: int* = gep %v13, %v14
+  %v16: int = load %v12
+  %v17: int = div %v16, %v2
+  %v19: int = rem %v17, %v18
+  store %v15, %v19
+  %v21: int = opaque
+  %v22: int* = globaladdr @g
+  %v23: int* = gep %v22, %v14
+  %v24: int = load %v23
+  %v25: int = add %v6, %v24
+  %v39: int = copy %v24 subsplit(%v25)
+  %v27: int = cmp ge %v21, %v26
+  br %v27, bb1, bb2
+bb1:
+  %v37: int = copy %v21 sigma_t(%v27)
+  %v29: int = sub %v37, %v26
+  %v40: int = copy %v37 subsplit(%v29)
+  %v30: int* = gep %v1, %v29
+  %v31: int = load %v30
+  jump bb3
+bb2:
+  %v38: int = copy %v21 sigma_f(%v27)
+  jump bb3
+bb3:
+  %v34: int = phi [bb1: %v31], [bb2: %v5]
+  %v35: int = add %v25, %v34
+  ret %v35
+}
+
+"#;
+
+#[test]
+fn compile_essa_prints_the_golden_ir() {
+    let f = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/printer.c");
+    let out = sraa(&["compile", f, "--essa"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert_eq!(stdout(&out), PRINTER_GOLDEN);
+}
+
 #[test]
 fn run_interprets_main() {
     let f = tiny_file();

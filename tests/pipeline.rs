@@ -50,37 +50,6 @@ fn essa_preserves_behaviour_on_suite_members() {
 }
 
 #[test]
-fn ir_round_trips_through_the_textual_format() {
-    for seed in 0..5u64 {
-        let w = sraa_synth::csmith_generate(sraa_synth::CsmithConfig {
-            seed,
-            max_ptr_depth: 3,
-            num_stmts: 40,
-            helpers: 0,
-        });
-        let mut m = sraa_minic::compile(&w.source).unwrap();
-        // Round-trip the e-SSA form too (σ-copy annotations included).
-        let _ = StrictInequalityAa::new(&mut m);
-        let printed = sraa_ir::printer::print_module(&m);
-        let reparsed = sraa_ir::parse_module(&printed)
-            .unwrap_or_else(|e| panic!("{} reparse: {e}\n{printed}", w.name));
-        verify(&reparsed).unwrap_or_else(|e| panic!("{} reparsed verify: {e}", w.name));
-        let printed2 = sraa_ir::printer::print_module(&reparsed);
-        let reparsed2 = sraa_ir::parse_module(&printed2).unwrap();
-        assert_eq!(
-            printed2,
-            sraa_ir::printer::print_module(&reparsed2),
-            "{}: print∘parse must stabilise",
-            w.name
-        );
-        // Behaviour survives the round trip.
-        let a = Interpreter::new(&m).with_step_limit(20_000_000).run("main", &[]).unwrap();
-        let b = Interpreter::new(&reparsed).with_step_limit(20_000_000).run("main", &[]).unwrap();
-        assert_eq!(a.result, b.result, "{}", w.name);
-    }
-}
-
-#[test]
 fn alias_results_are_symmetric_and_reflexive() {
     let w = sraa_synth::spec_generate_by_name("astar").unwrap();
     let mut m = sraa_minic::compile(&w.source).unwrap();
