@@ -68,12 +68,10 @@ impl AliasAnalysis for AndersenAnalysis {
         if a.contains(self.unknown) || b.contains(self.unknown) {
             return AliasResult::MayAlias;
         }
-        let mut inter = a.clone();
-        inter.intersect_with(b);
-        if inter.is_empty() {
-            AliasResult::NoAlias
-        } else {
+        if a.intersects(b) {
             AliasResult::MayAlias
+        } else {
+            AliasResult::NoAlias
         }
     }
 }

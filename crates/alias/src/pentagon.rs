@@ -156,6 +156,11 @@ mod tests {
     /// replay-backed adapter the fact table replaced.
     const PT_NO_ALIAS_ON_CORPUS: u64 = 26_490;
 
+    /// `ST`'s, `CF`'s and `BA+LT`'s total `NoAlias` counts over [`corpus`]
+    /// (intraprocedural LT), recorded while ST still walked union-find
+    /// chains, CF intersected a cloned set and BA+LT asked BA twice.
+    const ST_CF_BA_LT_NO_ALIAS_ON_CORPUS: (u64, u64, u64) = (251_100, 388_292, 142_702);
+
     fn pointer_operands(m: &Module, name: &str) -> (FuncId, Vec<Value>) {
         let fid = m.function_by_name(name).unwrap();
         let f = m.function(fid);
@@ -281,6 +286,28 @@ mod tests {
         }
         assert_eq!(pairs, 2_991_135, "the query sets changed size");
         assert_eq!(no_alias, PT_NO_ALIAS_ON_CORPUS, "PT verdicts moved");
+    }
+
+    /// The other baselines of the `sraa eval` report keep their verdicts
+    /// on the same corpus.
+    #[test]
+    fn baseline_no_alias_totals_on_the_corpus_are_pinned() {
+        let mut totals = (0, 0, 0);
+        for w in corpus() {
+            let mut m = sraa_minic::compile(&w.source).unwrap();
+            let lt = StrictInequalityAa::new(&mut m);
+            let st = crate::SteensgaardAnalysis::new(&m);
+            let cf = crate::AndersenAnalysis::new(&m);
+            let ba_lt = crate::Combined::new(vec![
+                Box::new(crate::BasicAliasAnalysis::new(&m)),
+                Box::new(lt),
+            ]);
+            let s = crate::AaEval::run(&m, &[&st, &cf, &ba_lt]);
+            totals.0 += s[0].no_alias;
+            totals.1 += s[1].no_alias;
+            totals.2 += s[2].no_alias;
+        }
+        assert_eq!(totals, ST_CF_BA_LT_NO_ALIAS_ON_CORPUS, "ST, CF or BA+LT verdicts moved");
     }
 
     #[test]

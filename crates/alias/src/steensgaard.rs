@@ -16,6 +16,13 @@
 //! `pointee(q)`; `*p = q` unifies `pointee(p)` with `q`; allocation sites
 //! attach their object to `pointee(p)`. Classes reached by external
 //! pointers are poisoned as `unknown`.
+//!
+//! The union-find links roots by class size and halves paths on every
+//! `find`, which gives Steensgaard's almost-linear bound; the cascade of
+//! pointee merges runs off an explicit worklist, so no program shape can
+//! deepen the stack. Once solved, the union-find is compressed into one
+//! table entry per variable (the class it may point into, if a query can
+//! use it), so a query is one read per pointer.
 
 use crate::{AliasAnalysis, AliasResult};
 use sraa_core::VarIndex;
@@ -25,54 +32,48 @@ use sraa_ir::{FuncId, InstKind, Module, Type, Value};
 #[derive(Clone, Debug)]
 pub struct SteensgaardAnalysis {
     index: VarIndex,
-    uf: UnionFind,
+    /// Per variable: the root of its pointee class, or [`NO_CLASS`] when
+    /// that class is unknown, holds no allocation site, or was never
+    /// created (the variable is never dereferenced).
+    classes: Vec<u32>,
+}
+
+/// A variable no query can separate from anything.
+const NO_CLASS: u32 = u32::MAX;
+
+/// The union-find the constraints are solved on; [`Unifier::finish`]
+/// compresses it into the query table.
+struct Unifier {
+    parent: Vec<u32>,
+    /// Class size, meaningful at roots.
+    size: Vec<u32>,
     /// Pointee class per class representative (dense, by node id).
     pointee: Vec<Option<u32>>,
     /// Class contains at least one concrete allocation site.
     has_object: Vec<bool>,
     /// Class may contain objects the module cannot see.
     unknown: Vec<bool>,
+    /// Pairs of classes still to merge, kept to reuse its buffer.
+    pending: Vec<(u32, u32)>,
 }
 
-#[derive(Clone, Debug)]
-struct UnionFind {
-    parent: Vec<u32>,
-}
-
-impl UnionFind {
+impl Unifier {
     fn new(n: usize) -> Self {
-        Self { parent: (0..n as u32).collect() }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
+        Self {
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+            pointee: vec![None; n],
+            has_object: vec![false; n],
+            unknown: vec![false; n],
+            pending: Vec::new(),
         }
-        x
     }
 
-    fn push(&mut self) -> u32 {
-        let id = self.parent.len() as u32;
-        self.parent.push(id);
-        id
-    }
-}
-
-impl SteensgaardAnalysis {
-    /// Builds and solves the unification constraints for `module`.
-    pub fn new(module: &Module) -> Self {
-        let index = VarIndex::new(module);
-        // Nodes: one per module value; objects and pointee cells are
-        // appended on demand.
-        let mut a = SteensgaardAnalysis {
-            uf: UnionFind::new(index.len()),
-            pointee: vec![None; index.len()],
-            has_object: vec![false; index.len()],
-            unknown: vec![false; index.len()],
-            index,
-        };
+    /// Solves the unification constraints of `module` over the nodes of
+    /// `index`.
+    fn solve(module: &Module, index: &VarIndex) -> Self {
+        let mut u = Unifier::new(index.len());
+        let id = |f: FuncId, v: Value| index.id(f, v).raw();
 
         let mut internally_called = vec![false; module.num_functions()];
         for (_, f) in module.functions() {
@@ -89,60 +90,52 @@ impl SteensgaardAnalysis {
             let is_ptr = |v: Value| f.value_type(v).is_some_and(Type::is_ptr);
             for b in f.block_ids() {
                 for (v, data) in f.block_insts(b) {
-                    let vid = self_id(&a.index, fid, v);
+                    let vid = id(fid, v);
                     match &data.kind {
                         InstKind::Alloca { .. }
                         | InstKind::Malloc { .. }
                         | InstKind::GlobalAddr(_) => {
-                            let pointee = a.pointee_of(vid);
-                            a.mark_object(pointee);
+                            let pointee = u.pointee_of(vid);
+                            u.has_object[pointee as usize] = true;
                         }
                         InstKind::Copy { src, .. } | InstKind::Gep { base: src, .. }
                             if is_ptr(v) =>
                         {
-                            let sid = self_id(&a.index, fid, *src);
-                            a.unify(vid, sid);
+                            u.unify(vid, id(fid, *src));
                         }
                         InstKind::Phi { incomings } if is_ptr(v) => {
                             for (_, x) in incomings {
-                                let xid = self_id(&a.index, fid, *x);
-                                a.unify(vid, xid);
+                                u.unify(vid, id(fid, *x));
                             }
                         }
                         InstKind::Load { ptr } if is_ptr(v) => {
-                            let pid = self_id(&a.index, fid, *ptr);
-                            let pointee = a.pointee_of(pid);
-                            a.unify(vid, pointee as usize);
+                            let pointee = u.pointee_of(id(fid, *ptr));
+                            u.unify(vid, pointee);
                         }
                         InstKind::Store { ptr, value } if is_ptr(*value) => {
-                            let pid = self_id(&a.index, fid, *ptr);
-                            let pointee = a.pointee_of(pid);
-                            let sid = self_id(&a.index, fid, *value);
-                            a.unify(pointee as usize, sid);
+                            let pointee = u.pointee_of(id(fid, *ptr));
+                            u.unify(pointee, id(fid, *value));
                         }
                         InstKind::Param(_) if is_ptr(v) && !internally_called[fid.index()] => {
-                            let pointee = a.pointee_of(vid);
-                            a.mark_unknown(pointee);
+                            let pointee = u.pointee_of(vid);
+                            u.unknown[pointee as usize] = true;
                         }
                         InstKind::Opaque if is_ptr(v) => {
-                            let pointee = a.pointee_of(vid);
-                            a.mark_unknown(pointee);
+                            let pointee = u.pointee_of(vid);
+                            u.unknown[pointee as usize] = true;
                         }
                         InstKind::Call { callee, args } => {
                             let cf = module.function(*callee);
                             for (i, arg) in args.iter().enumerate() {
                                 if f.value_type(*arg).is_some_and(Type::is_ptr) {
-                                    let formal = self_id(&a.index, *callee, cf.param_value(i));
-                                    let aid = self_id(&a.index, fid, *arg);
-                                    a.unify(formal, aid);
+                                    u.unify(id(*callee, cf.param_value(i)), id(fid, *arg));
                                 }
                             }
                             if is_ptr(v) {
                                 for cb in cf.block_ids() {
                                     if let Some(t) = cf.terminator(cb) {
                                         if let InstKind::Ret(Some(r)) = cf.inst(t).kind {
-                                            let rid = self_id(&a.index, *callee, r);
-                                            a.unify(vid, rid);
+                                            u.unify(vid, id(*callee, r));
                                         }
                                     }
                                 }
@@ -153,15 +146,28 @@ impl SteensgaardAnalysis {
                 }
             }
         }
-        a
+        u
     }
 
-    fn pointee_of(&mut self, node: usize) -> u32 {
-        let root = self.uf.find(node as u32) as usize;
-        if let Some(p) = self.pointee[root] {
-            return self.uf.find(p);
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let gp = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = gp;
+            x = gp;
         }
-        let fresh = self.uf.push();
+        x
+    }
+
+    /// The root of the pointee class of `node`'s class, created empty if
+    /// the class has none yet.
+    fn pointee_of(&mut self, node: u32) -> u32 {
+        let root = self.find(node) as usize;
+        if let Some(p) = self.pointee[root] {
+            return self.find(p);
+        }
+        let fresh = self.parent.len() as u32;
+        self.parent.push(fresh);
+        self.size.push(1);
         self.pointee.push(None);
         self.has_object.push(false);
         self.unknown.push(false);
@@ -169,57 +175,55 @@ impl SteensgaardAnalysis {
         fresh
     }
 
-    fn mark_object(&mut self, class: u32) {
-        let r = self.uf.find(class) as usize;
-        self.has_object[r] = true;
-    }
-
-    fn mark_unknown(&mut self, class: u32) {
-        let r = self.uf.find(class) as usize;
-        self.unknown[r] = true;
-    }
-
     /// Steensgaard's join: unifies two classes *and their pointees,
-    /// recursively* — this cascading merge is what makes the analysis
+    /// transitively* — this cascading merge is what makes the analysis
     /// almost linear and is exactly where it loses precision to Andersen's.
-    fn unify(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.uf.find(a as u32), self.uf.find(b as u32));
-        if ra == rb {
-            return;
-        }
-        let (ra, rb) = (ra as usize, rb as usize);
-        // Merge rb into ra.
-        self.uf.parent[rb] = ra as u32;
-        self.has_object[ra] |= self.has_object[rb];
-        self.unknown[ra] |= self.unknown[rb];
-        match (self.pointee[ra], self.pointee[rb]) {
-            (None, Some(p)) => self.pointee[ra] = Some(p),
-            (Some(pa), Some(pb)) => self.unify(pa as usize, pb as usize),
-            _ => {}
+    fn unify(&mut self, a: u32, b: u32) {
+        self.pending.push((a, b));
+        while let Some((a, b)) = self.pending.pop() {
+            let (mut ra, mut rb) = (self.find(a) as usize, self.find(b) as usize);
+            if ra == rb {
+                continue;
+            }
+            if self.size[ra] < self.size[rb] {
+                std::mem::swap(&mut ra, &mut rb);
+            }
+            // Merge the smaller class rb into ra.
+            self.parent[rb] = ra as u32;
+            self.size[ra] += self.size[rb];
+            self.has_object[ra] |= self.has_object[rb];
+            self.unknown[ra] |= self.unknown[rb];
+            match (self.pointee[ra], self.pointee[rb]) {
+                (None, Some(p)) => self.pointee[ra] = Some(p),
+                (Some(pa), Some(pb)) => self.pending.push((pa, pb)),
+                _ => {}
+            }
         }
     }
 
-    fn class_info(&self, f: FuncId, v: Value) -> (u32, bool, bool) {
-        // Immutable find (no path compression).
-        let mut x = self.index.id(f, v).raw();
-        while self.uf.parent[x as usize] != x {
-            x = self.uf.parent[x as usize];
-        }
-        let pointee = self.pointee[x as usize].map(|mut p| {
-            while self.uf.parent[p as usize] != p {
-                p = self.uf.parent[p as usize];
-            }
-            p
-        });
-        match pointee {
-            Some(p) => (p, self.has_object[p as usize], self.unknown[p as usize]),
-            None => (u32::MAX, false, true), // never dereferenced: stay safe
-        }
+    /// The query table: per variable node, the root of its pointee class
+    /// if that class holds an allocation site and nothing unknown.
+    fn finish(mut self, variables: usize) -> Vec<u32> {
+        (0..variables as u32)
+            .map(|x| {
+                let root = self.find(x) as usize;
+                // A variable that is never dereferenced has no pointee.
+                let class = self.pointee[root].map(|p| self.find(p));
+                class
+                    .filter(|&c| self.has_object[c as usize] && !self.unknown[c as usize])
+                    .unwrap_or(NO_CLASS)
+            })
+            .collect()
     }
 }
 
-fn self_id(index: &VarIndex, f: FuncId, v: Value) -> usize {
-    index.id(f, v).index()
+impl SteensgaardAnalysis {
+    /// Builds and solves the unification constraints for `module`.
+    pub fn new(module: &Module) -> Self {
+        let index = VarIndex::new(module);
+        let classes = Unifier::solve(module, &index).finish(index.len());
+        SteensgaardAnalysis { index, classes }
+    }
 }
 
 impl AliasAnalysis for SteensgaardAnalysis {
@@ -231,12 +235,9 @@ impl AliasAnalysis for SteensgaardAnalysis {
         if p1 == p2 {
             return AliasResult::MustAlias;
         }
-        let (c1, o1, u1) = self.class_info(func, p1);
-        let (c2, o2, u2) = self.class_info(func, p2);
-        if u1 || u2 || c1 == u32::MAX || c2 == u32::MAX {
-            return AliasResult::MayAlias;
-        }
-        if c1 != c2 && o1 && o2 {
+        let c1 = self.classes[self.index.id(func, p1).index()];
+        let c2 = self.classes[self.index.id(func, p2).index()];
+        if c1 != NO_CLASS && c2 != NO_CLASS && c1 != c2 {
             AliasResult::NoAlias
         } else {
             AliasResult::MayAlias
@@ -338,6 +339,49 @@ mod tests {
         let (m, st) = prepared("int f(int* p, int* q) { *p = 1; *q = 2; return 0; }");
         let (fid, ptrs) = mem_ptrs(&m, "f");
         assert_eq!(st.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::MayAlias);
+    }
+
+    /// `n` sequential `if (x > k) { y = y + 1; p = p + 1; *p = y; }`: one
+    /// long function whose pointer copies all land in one class.
+    fn branches(n: usize) -> String {
+        let mut src =
+            String::from("int main() {\n int a[8]; int* p = a; int y = 0; int x = input();\n");
+        for k in 0..n {
+            src += &format!(" if (x > {k}) {{ y = y + 1; p = p + 1; *p = y; }}\n");
+        }
+        src + " return y;\n}\n"
+    }
+
+    /// A long run of branches puts every copy of `p` in one class. Union
+    /// by size bounds every chain by log2 of the node count, and after
+    /// `new` each variable's class is one table read that agrees with a
+    /// full walk of the solved union-find.
+    #[test]
+    fn a_thousand_branches_leave_no_chain_to_walk() {
+        let mut m = sraa_minic::compile(&branches(1000)).unwrap();
+        let _ = sraa_essa::transform_module(&mut m);
+        let index = VarIndex::new(&m);
+        let u = Unifier::solve(&m, &index);
+        let root = |mut x: u32| {
+            let mut steps = 0u32;
+            while u.parent[x as usize] != x {
+                x = u.parent[x as usize];
+                steps += 1;
+            }
+            (x, steps)
+        };
+        let nodes = u.parent.len() as u32;
+        let deepest = (0..nodes).map(|x| root(x).1).max().unwrap();
+        assert!(1 << deepest <= nodes, "{nodes} nodes, a chain of {deepest} steps");
+
+        let st = SteensgaardAnalysis::new(&m);
+        assert_eq!(st.classes.len(), index.len(), "one table entry per value");
+        for x in 0..index.len() as u32 {
+            let walked = u.pointee[root(x).0 as usize]
+                .map(|p| root(p).0)
+                .filter(|&c| u.has_object[c as usize] && !u.unknown[c as usize]);
+            assert_eq!(st.classes[x as usize], walked.unwrap_or(NO_CLASS), "node {x}");
+        }
     }
 
     #[test]

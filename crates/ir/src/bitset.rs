@@ -100,6 +100,14 @@ impl DenseBitSet {
         changed
     }
 
+    /// `true` if `self` and `other` share an element. Unlike
+    /// `intersect_with` on a clone, it allocates nothing and stops at the
+    /// first shared word.
+    pub fn intersects(&self, other: &DenseBitSet) -> bool {
+        assert_eq!(self.len, other.len, "universe mismatch");
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
     /// In-place difference (`self \ other`); returns `true` if changed.
     pub fn difference_with(&mut self, other: &DenseBitSet) -> bool {
         assert_eq!(self.len, other.len, "universe mismatch");
@@ -253,6 +261,29 @@ mod tests {
     }
 
     #[test]
+    fn intersects_sees_one_shared_element_in_any_word() {
+        for n in [0usize, 1, 63, 64, 65, 130, 256] {
+            let (mut a, mut b) = (DenseBitSet::new(n), DenseBitSet::new(n));
+            assert!(!a.intersects(&b), "empty sets over {n}");
+            if n == 0 {
+                continue;
+            }
+            a.insert(n - 1);
+            assert!(!a.intersects(&b) && !b.intersects(&a), "one side empty over {n}");
+            b.insert(0);
+            assert_eq!(a.intersects(&b), n == 1, "disjoint unless n = 1 ({n})");
+            b.insert(n - 1);
+            assert!(a.intersects(&b) && b.intersects(&a), "last element shared over {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "universe mismatch")]
+    fn intersects_rejects_another_universe() {
+        DenseBitSet::new(64).intersects(&DenseBitSet::new(65));
+    }
+
+    #[test]
     fn bit_matrix_rows_are_independent_sets() {
         let mut m = BitMatrix::new(3, 130);
         assert!(m.insert(0, 0));
@@ -304,6 +335,21 @@ mod tests {
             // A∩B ⊆ A ⊆ A∪B
             for e in i.iter() { prop_assert!(a.contains(e)); }
             for e in a.iter() { prop_assert!(u.contains(e)); }
+        }
+
+        #[test]
+        fn intersects_is_a_nonempty_intersection(n in 0usize..260,
+                                                 xs in proptest::collection::vec(0usize..260, 0..12),
+                                                 ys in proptest::collection::vec(0usize..260, 0..12)) {
+            // Universes of 0 to 5 words; elements outside one are dropped,
+            // so either set may be empty.
+            let (mut a, mut b) = (DenseBitSet::new(n), DenseBitSet::new(n));
+            xs.iter().filter(|&&i| i < n).for_each(|&i| { a.insert(i); });
+            ys.iter().filter(|&&i| i < n).for_each(|&i| { b.insert(i); });
+            let mut i = a.clone();
+            i.intersect_with(&b);
+            prop_assert_eq!(a.intersects(&b), !i.is_empty());
+            prop_assert_eq!(b.intersects(&a), !i.is_empty());
         }
     }
 }

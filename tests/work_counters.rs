@@ -17,7 +17,11 @@
 //!   and 24 Csmith programs, all in e-SSA form), where the dense Pentagon
 //!   fixpoint's full facts are pinned: its footprint, every ordered-pair
 //!   verdict of its fact table and its finite intervals at definitions.
+//!
+//! The `sraa eval` report (`render_eval`) has its allocations pinned on
+//! `test_suite(10)` plus `call_suite(10)`.
 
+use sraa_alias::{render_eval, AaEval, StrictInequalityAa};
 use sraa_bench::{alloc_count, Prepared};
 use sraa_core::{
     solve, solve_worklist, Constraint, DisambiguationEngine, EngineConfig, ModuleSummaries,
@@ -80,6 +84,28 @@ fn solver_work_on_the_scalability_corpus_stays_within_its_pins() {
     // allocation pattern may differ between toolchains (stable vs MSRV).
     assert!(worklist.allocs <= 715 * 5 / 4, "worklist allocations: {worklist:?}");
     assert!(scc.allocs <= 9_712 * 5 / 4, "scc allocations: {scc:?}");
+}
+
+/// The heap allocations of the `sraa eval --interproc` report: building
+/// BA, CF, ST and PT, asking every analysis every pair, and formatting.
+/// The LT engine is built before counting starts.
+#[test]
+fn eval_report_allocations_stay_within_their_pin() {
+    let _serial = serial();
+    let mut ws = sraa_synth::test_suite(10);
+    ws.extend(sraa_synth::call_suite(10));
+    let (mut allocs, mut queries) = (0, 0);
+    for w in &ws {
+        let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
+        let lt = StrictInequalityAa::interprocedural(&mut m);
+        let a0 = alloc_count();
+        let report = render_eval(&m, &lt);
+        allocs += alloc_count() - a0;
+        drop(report);
+        queries += AaEval::num_queries(&m);
+    }
+    assert_eq!(queries, 133_216, "corpus: pair queries");
+    assert!(allocs <= 70_708 * 5 / 4, "render_eval allocations: {allocs}");
 }
 
 #[test]
