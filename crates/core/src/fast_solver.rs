@@ -452,6 +452,60 @@ mod tests {
         assert!(cycle_pos < three_pos);
     }
 
+    /// Components equal mutual reachability among the active nodes, and
+    /// every edge points into its own or an earlier component, on random
+    /// graphs whose edges join active nodes only.
+    #[test]
+    fn tarjan_matches_mutual_reachability_on_random_graphs() {
+        let mut state = 7u64;
+        let mut below = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % n as u64) as usize
+        };
+        for _ in 0..400 {
+            let n = 1 + below(14);
+            let active: Vec<bool> = (0..n).map(|_| below(5) != 0).collect();
+            let mut rows = vec![Vec::new(); n];
+            for _ in 0..below(3 * n + 1) {
+                let (u, v) = (below(n), below(n));
+                if active[u] && active[v] {
+                    rows[u].push(v as u32);
+                }
+            }
+            let reach: Vec<Vec<bool>> = (0..n)
+                .map(|u| {
+                    let mut seen = vec![false; n];
+                    let mut stack = vec![u];
+                    seen[u] = true;
+                    while let Some(x) = stack.pop() {
+                        for &y in &rows[x] {
+                            if !std::mem::replace(&mut seen[y as usize], true) {
+                                stack.push(y as usize);
+                            }
+                        }
+                    }
+                    seen
+                })
+                .collect();
+            let sccs = scc_rows(&tarjan_sccs(&csr(rows.clone()), |v| active[v as usize]));
+            let mut comp_of = vec![usize::MAX; n];
+            for (k, comp) in sccs.iter().enumerate() {
+                for &v in comp {
+                    assert!(active[v as usize] && comp_of[v as usize] == usize::MAX);
+                    comp_of[v as usize] = k;
+                }
+            }
+            for u in (0..n).filter(|&u| active[u]) {
+                for v in (0..n).filter(|&v| active[v]) {
+                    assert_eq!(comp_of[u] == comp_of[v], reach[u][v] && reach[v][u], "{rows:?}");
+                }
+                assert!(rows[u].iter().all(|&v| comp_of[v as usize] <= comp_of[u]), "{rows:?}");
+            }
+        }
+    }
+
     #[test]
     fn deep_chain_does_not_overflow_stack() {
         let n = 200_000u32;

@@ -588,6 +588,25 @@ fn pdg_counts_memory_nodes() {
     assert!(stdout(&out).contains("memory nodes"), "got: {}", stdout(&out));
 }
 
+/// `sraa pdg` on a program with nested loops, an early return from a
+/// loop and a loop that never exits, all five lines pinned. The
+/// `control edges` count is the end-to-end check of the post-dominator
+/// tree, which must leave out the blocks that reach no `ret`.
+#[test]
+fn pdg_prints_the_golden_counts() {
+    let f = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pdg.c");
+    let out = sraa(&["pdg", f]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert_eq!(
+        stdout(&out),
+        "static accesses : 10\n\
+         memory nodes BA : 5\n\
+         memory nodes +LT: 6\n\
+         data edges      : 136\n\
+         control edges   : 75\n"
+    );
+}
+
 #[test]
 fn opt_preserves_program_behaviour() {
     let f = tiny_file();
