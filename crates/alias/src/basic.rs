@@ -220,35 +220,19 @@ mod tests {
         (m, ba)
     }
 
-    fn mem_ptrs(m: &Module, name: &str) -> (FuncId, Vec<Value>) {
-        let fid = m.function_by_name(name).unwrap();
-        let f = m.function(fid);
-        let mut out = Vec::new();
-        for b in f.block_ids() {
-            for (_, d) in f.block_insts(b) {
-                match &d.kind {
-                    InstKind::Load { ptr } => out.push(*ptr),
-                    InstKind::Store { ptr, .. } => out.push(*ptr),
-                    _ => {}
-                }
-            }
-        }
-        (fid, out)
-    }
-
     #[test]
     fn distinct_mallocs_do_not_alias() {
         let (m, ba) = prepared(
             "int main() { int* p = malloc(4); int* q = malloc(4); *p = 1; *q = 2; return *p; }",
         );
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::NoAlias);
     }
 
     #[test]
     fn distinct_globals_do_not_alias() {
         let (m, ba) = prepared("int a[4]; int b[4]; int main() { a[0] = 1; b[0] = 2; return 0; }");
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::NoAlias);
     }
 
@@ -256,7 +240,7 @@ mod tests {
     fn same_array_constant_offsets() {
         let (m, ba) =
             prepared("int main() { int a[8]; a[1] = 1; a[2] = 2; a[1] = 3; return a[1]; }");
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         // a[1] vs a[2]: disjoint; a[1] vs a[1]: must.
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::NoAlias);
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[2]), AliasResult::MustAlias);
@@ -265,7 +249,7 @@ mod tests {
     #[test]
     fn variable_offsets_on_same_array_may_alias() {
         let (m, ba) = prepared("int f(int* v, int i, int j) { return v[i] + v[j]; }");
-        let (fid, ptrs) = mem_ptrs(&m, "f");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "f");
         assert_eq!(
             ba.alias(&m, fid, ptrs[0], ptrs[1]),
             AliasResult::MayAlias,
@@ -276,7 +260,7 @@ mod tests {
     #[test]
     fn local_alloca_vs_parameter() {
         let (m, ba) = prepared("int f(int* p) { int a[4]; a[0] = 1; *p = 2; return a[0]; }");
-        let (fid, ptrs) = mem_ptrs(&m, "f");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "f");
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::NoAlias);
     }
 
@@ -295,7 +279,7 @@ mod tests {
             }
             "#,
         );
-        let (fid, ptrs) = mem_ptrs(&m, "f");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "f");
         // load *slot produces q; then a[0] store vs *q store.
         let a0 = ptrs[ptrs.len() - 3];
         let q = ptrs[ptrs.len() - 2];
@@ -305,7 +289,7 @@ mod tests {
     #[test]
     fn identical_pointer_is_must() {
         let (m, ba) = prepared("int f(int* p) { return *p; }");
-        let (fid, ptrs) = mem_ptrs(&m, "f");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "f");
         assert_eq!(ba.alias(&m, fid, ptrs[0], ptrs[0]), AliasResult::MustAlias);
     }
 }

@@ -23,6 +23,7 @@ pub mod andersen;
 pub mod basic;
 pub mod lt;
 pub mod pentagon;
+mod points_to;
 pub mod steensgaard;
 
 pub use aa_eval::{render_eval, AaEval, EvalSummary};
@@ -106,6 +107,23 @@ impl AliasAnalysis for NoAa {
             AliasResult::MayAlias
         }
     }
+}
+
+/// The pointer operand of every load and store of function `name`, in
+/// layout order: the accesses the analyses' unit tests query.
+#[cfg(test)]
+fn mem_ptrs(module: &Module, name: &str) -> (FuncId, Vec<Value>) {
+    let fid = module.function_by_name(name).unwrap();
+    let f = module.function(fid);
+    let mut out = Vec::new();
+    for b in f.block_ids() {
+        for (_, d) in f.block_insts(b) {
+            if let sraa_ir::InstKind::Load { ptr } | sraa_ir::InstKind::Store { ptr, .. } = d.kind {
+                out.push(ptr);
+            }
+        }
+    }
+    (fid, out)
 }
 
 #[cfg(test)]

@@ -15,7 +15,13 @@
 //! class. `p = q` unifies `p` and `q`; `p = *q` unifies `p` with
 //! `pointee(q)`; `*p = q` unifies `pointee(p)` with `q`; allocation sites
 //! attach their object to `pointee(p)`. Classes reached by external
-//! pointers are poisoned as `unknown`.
+//! pointers are poisoned as `unknown`. These are the facts of the crate's
+//! one pointer-fact walk (`points_to`), the same facts
+//! [`AndersenAnalysis`](crate::AndersenAnalysis) includes where this
+//! module unifies. An address-of fact marks its pointee class as holding
+//! an object whichever object it names, so two `globaladdr`s of one
+//! global get separate classes and answer `NoAlias`: a known unsoundness
+//! (ROADMAP item 12) whose fix is one case of the walk's consumer here.
 //!
 //! The union-find links roots by class size and halves paths on every
 //! `find`, which gives Steensgaard's almost-linear bound; the cascade of
@@ -24,9 +30,10 @@
 //! table entry per variable (the class it may point into, if a query can
 //! use it), so a query is one read per pointer.
 
+use crate::points_to::{Fact, PointerFacts};
 use crate::{AliasAnalysis, AliasResult};
 use sraa_core::VarIndex;
-use sraa_ir::{FuncId, InstKind, Module, Type, Value};
+use sraa_ir::{FuncId, Module, Value};
 
 /// Unification-based (Steensgaard) points-to analysis.
 #[derive(Clone, Debug)]
@@ -73,79 +80,27 @@ impl Unifier {
     /// `index`.
     fn solve(module: &Module, index: &VarIndex) -> Self {
         let mut u = Unifier::new(index.len());
-        let id = |f: FuncId, v: Value| index.id(f, v).raw();
-
-        let mut internally_called = vec![false; module.num_functions()];
-        for (_, f) in module.functions() {
-            for b in f.block_ids() {
-                for (_, d) in f.block_insts(b) {
-                    if let InstKind::Call { callee, .. } = &d.kind {
-                        internally_called[callee.index()] = true;
-                    }
-                }
+        PointerFacts::new(module, index).walk(|fact| match fact {
+            // Every site marks the pointee class as holding an object,
+            // whichever object the site names (ROADMAP item 12).
+            Fact::AddrOf { dst, .. } => {
+                let pointee = u.pointee_of(dst);
+                u.has_object[pointee as usize] = true;
             }
-        }
-
-        for (fid, f) in module.functions() {
-            let is_ptr = |v: Value| f.value_type(v).is_some_and(Type::is_ptr);
-            for b in f.block_ids() {
-                for (v, data) in f.block_insts(b) {
-                    let vid = id(fid, v);
-                    match &data.kind {
-                        InstKind::Alloca { .. }
-                        | InstKind::Malloc { .. }
-                        | InstKind::GlobalAddr(_) => {
-                            let pointee = u.pointee_of(vid);
-                            u.has_object[pointee as usize] = true;
-                        }
-                        InstKind::Copy { src, .. } | InstKind::Gep { base: src, .. }
-                            if is_ptr(v) =>
-                        {
-                            u.unify(vid, id(fid, *src));
-                        }
-                        InstKind::Phi { incomings } if is_ptr(v) => {
-                            for (_, x) in incomings {
-                                u.unify(vid, id(fid, *x));
-                            }
-                        }
-                        InstKind::Load { ptr } if is_ptr(v) => {
-                            let pointee = u.pointee_of(id(fid, *ptr));
-                            u.unify(vid, pointee);
-                        }
-                        InstKind::Store { ptr, value } if is_ptr(*value) => {
-                            let pointee = u.pointee_of(id(fid, *ptr));
-                            u.unify(pointee, id(fid, *value));
-                        }
-                        InstKind::Param(_) if is_ptr(v) && !internally_called[fid.index()] => {
-                            let pointee = u.pointee_of(vid);
-                            u.unknown[pointee as usize] = true;
-                        }
-                        InstKind::Opaque if is_ptr(v) => {
-                            let pointee = u.pointee_of(vid);
-                            u.unknown[pointee as usize] = true;
-                        }
-                        InstKind::Call { callee, args } => {
-                            let cf = module.function(*callee);
-                            for (i, arg) in args.iter().enumerate() {
-                                if f.value_type(*arg).is_some_and(Type::is_ptr) {
-                                    u.unify(id(*callee, cf.param_value(i)), id(fid, *arg));
-                                }
-                            }
-                            if is_ptr(v) {
-                                for cb in cf.block_ids() {
-                                    if let Some(t) = cf.terminator(cb) {
-                                        if let InstKind::Ret(Some(r)) = cf.inst(t).kind {
-                                            u.unify(vid, id(*callee, r));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            Fact::Copy { dst, src } => u.unify(dst, src),
+            Fact::Load { dst, ptr } => {
+                let pointee = u.pointee_of(ptr);
+                u.unify(dst, pointee);
             }
-        }
+            Fact::Store { ptr, src } => {
+                let pointee = u.pointee_of(ptr);
+                u.unify(pointee, src);
+            }
+            Fact::Unknown { dst } => {
+                let pointee = u.pointee_of(dst);
+                u.unknown[pointee as usize] = true;
+            }
+        });
         u
     }
 
@@ -256,28 +211,12 @@ mod tests {
         (m, st)
     }
 
-    fn mem_ptrs(m: &Module, name: &str) -> (FuncId, Vec<Value>) {
-        let fid = m.function_by_name(name).unwrap();
-        let f = m.function(fid);
-        let mut out = Vec::new();
-        for b in f.block_ids() {
-            for (_, d) in f.block_insts(b) {
-                match &d.kind {
-                    InstKind::Load { ptr } => out.push(*ptr),
-                    InstKind::Store { ptr, .. } => out.push(*ptr),
-                    _ => {}
-                }
-            }
-        }
-        (fid, out)
-    }
-
     #[test]
     fn distinct_mallocs_do_not_alias() {
         let (m, st) = prepared(
             "int main() { int* p = malloc(4); int* q = malloc(4); *p = 1; *q = 2; return 0; }",
         );
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         assert_eq!(st.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::NoAlias);
     }
 
@@ -299,7 +238,7 @@ mod tests {
         "#;
         let (m, st) = prepared(src);
         let an = AndersenAnalysis::new(&m);
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         // *p vs *q:
         assert_eq!(
             an.alias(&m, fid, ptrs[0], ptrs[1]),
@@ -328,7 +267,7 @@ mod tests {
             }
             "#,
         );
-        let (fid, ptrs) = mem_ptrs(&m, "main");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "main");
         let q = ptrs[ptrs.len() - 2];
         let p = ptrs[ptrs.len() - 1];
         assert_eq!(st.alias(&m, fid, q, p), AliasResult::MayAlias);
@@ -337,7 +276,7 @@ mod tests {
     #[test]
     fn entry_params_are_unknown() {
         let (m, st) = prepared("int f(int* p, int* q) { *p = 1; *q = 2; return 0; }");
-        let (fid, ptrs) = mem_ptrs(&m, "f");
+        let (fid, ptrs) = crate::mem_ptrs(&m, "f");
         assert_eq!(st.alias(&m, fid, ptrs[0], ptrs[1]), AliasResult::MayAlias);
     }
 

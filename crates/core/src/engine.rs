@@ -89,6 +89,8 @@ impl From<GenConfig> for EngineConfig {
 /// inputs to the engine's cache and store counters.
 #[derive(Default)]
 struct Reused {
+    /// The summary keys the reuse path derived, kept for export.
+    keys: Option<persist::SummaryKeys>,
     cache: CacheOutcome,
     store: StoreOutcome,
     store_warning: Option<String>,
@@ -111,6 +113,9 @@ pub struct DisambiguationEngine {
     /// Interprocedural summaries, when built with
     /// [`Contextuality::Summaries`].
     summaries: Option<ModuleSummaries>,
+    /// The summaries' keys, when the build derived them (the reuse path
+    /// does; [`DisambiguationEngine::on_prepared`] never hashes bodies).
+    keys: Option<persist::SummaryKeys>,
     /// Why publishing to the shared store failed, if it did.
     store_warning: Option<String>,
 }
@@ -200,11 +205,20 @@ impl DisambiguationEngine {
     /// [`DisambiguationEngine::build_with_cache_and_store`] on the next
     /// upload of the same module. `module` must be the (e-SSA) module
     /// this engine was built on. `None` for intraprocedural engines,
-    /// which carry no summaries to cache.
+    /// which carry no summaries to cache. The keys are the ones the build
+    /// derived; only an engine built by
+    /// [`DisambiguationEngine::on_prepared`] hashes the bodies here.
     pub fn export_summary_cache(&self, module: &Module) -> Option<persist::SummaryCache> {
         let sums = self.summaries.as_ref()?;
-        let keys = persist::SummaryKeys::compute(module);
-        Some(persist::SummaryCache::from_parts(module, sums, &keys))
+        let computed;
+        let keys = match &self.keys {
+            Some(keys) => keys,
+            None => {
+                computed = persist::SummaryKeys::compute(module);
+                &computed
+            }
+        };
+        Some(persist::SummaryCache::from_parts(module, sums, keys))
     }
 
     /// The summary phase of the reuse path: classify every component
@@ -243,7 +257,7 @@ impl DisambiguationEngine {
                 }
             };
         }
-        (sums, Reused { cache: outcome, store: store_outcome, store_warning })
+        (sums, Reused { keys: Some(keys), cache: outcome, store: store_outcome, store_warning })
     }
 
     /// The tail of every construction path: constraint generation, the
@@ -322,6 +336,7 @@ impl DisambiguationEngine {
             ranges: ranges.clone(),
             cfg: cfg.gen,
             summaries,
+            keys: reuse.keys,
             store_warning: reuse.store_warning,
         }
     }

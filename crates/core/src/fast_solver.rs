@@ -9,10 +9,12 @@
 //! property-tested in `tests/` and below) with three structural
 //! improvements:
 //!
-//! 1. **Topological scheduling.** The constraint dependency graph is
-//!    condensed into strongly connected components (iterative Tarjan, so
-//!    deep chains cannot overflow the stack) and solved dependencies-
-//!    first. Acyclic regions — the vast majority of real systems, see the
+//! 1. **Topological scheduling.** After a topological peel of the
+//!    acyclic bulk, the residual constraint dependency graph is condensed
+//!    into strongly connected components by the workspace's one Tarjan,
+//!    [`sraa_ir::scc::tarjan`] (iterative, so deep chains cannot overflow
+//!    the stack; components come back in one flat CSR, since singletons
+//!    dominate), and solved dependencies-first. Acyclic regions — the vast majority of real systems, see the
 //!    Figure 11 corpus — are then solved with *exactly one* evaluation
 //!    per constraint, where a FIFO worklist may revisit.
 //! 2. **Union-cycle short-circuit.** Starting from ⊤, a cyclic component
@@ -41,6 +43,7 @@
 use crate::constraints::Constraint;
 use crate::lattice::{iterate_component, ComponentCtx, LatticeStore};
 use crate::solver::{Solution, SolveStats};
+use sraa_ir::scc::tarjan;
 
 /// Solves the constraint system over `num_vars` variables by SCC
 /// condensation over `store`. Produces the same fixpoint as the worklist
@@ -125,36 +128,34 @@ pub(crate) fn solve_fast_impl<S: LatticeStore>(
     for &ci in &pending {
         active[ci as usize] = true;
     }
-    let deps = {
-        let mut offsets = vec![0u32; constraints.len() + 1];
-        let mut edges = Vec::new();
-        for &ci in &pending {
-            edges.extend(
-                constraints[ci as usize]
-                    .reads()
-                    .iter()
-                    .filter(|r| !final_[r.index()])
-                    .map(|r| defining[r.index()])
-                    .filter(|&d| d != NO_DEF),
-            );
-            offsets[ci as usize + 1] = edges.len() as u32;
-        }
-        // `pending` is sorted, so a prefix-max pass turns the sparse row
-        // ends into cumulative offsets for the inactive rows too.
-        for i in 0..constraints.len() {
-            offsets[i + 1] = offsets[i + 1].max(offsets[i]);
-        }
-        Csr { offsets, edges }
-    };
+    let mut offsets = vec![0u32; constraints.len() + 1];
+    let mut edges = Vec::new();
+    for &ci in &pending {
+        edges.extend(
+            constraints[ci as usize]
+                .reads()
+                .iter()
+                .filter(|r| !final_[r.index()])
+                .map(|r| defining[r.index()])
+                .filter(|&d| d != NO_DEF),
+        );
+        offsets[ci as usize + 1] = edges.len() as u32;
+    }
+    // `pending` is sorted, so a prefix-max pass turns the sparse row
+    // ends into cumulative offsets for the inactive rows too.
+    for i in 0..constraints.len() {
+        offsets[i + 1] = offsets[i + 1].max(offsets[i]);
+    }
+    let deps = |ci: u32| &edges[offsets[ci as usize] as usize..offsets[ci as usize + 1] as usize];
 
-    let sccs = tarjan_sccs(&deps, |ci| active[ci as usize]);
-    stats.sccs += sccs.len();
+    let sccs = tarjan(constraints.len(), |ci| deps(ci).iter().copied(), |ci| active[ci as usize]);
+    let components = sccs.iter();
+    stats.sccs += components.len();
 
     // Tarjan emits components dependencies-first, so by the time a
     // component is processed every external read is final.
-    for k in 0..sccs.len() {
-        let comp = sccs.row(k as u32);
-        let cyclic = comp.len() > 1 || deps.row(comp[0]).contains(&comp[0]);
+    for comp in components {
+        let cyclic = comp.len() > 1 || deps(comp[0]).contains(&comp[0]);
         if !cyclic {
             // Acyclic (downstream of a cycle): one evaluation suffices;
             // dependents sit in later components and read the stored
@@ -181,95 +182,8 @@ pub(crate) fn solve_fast_impl<S: LatticeStore>(
     store.freeze(stats)
 }
 
-/// Compressed sparse rows: `edges[offsets[i]..offsets[i+1]]` are node
-/// `i`'s out-edges.
-struct Csr {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-}
-
-impl Csr {
-    fn row(&self, i: u32) -> &[u32] {
-        &self.edges[self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize]
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
-/// Iterative Tarjan over the constraint dependency graph (`deps.row(c)`
-/// lists the constraints `c` reads from), restricted to the nodes where
-/// `active` holds — the Kahn peel in [`solve_fast_impl`] resolves the
-/// acyclic bulk first, so only the residual needs condensing. Components
-/// are emitted dependencies-first — the processing order
-/// [`solve_fast_impl`] relies on — into one flat CSR (row `k` = component
-/// `k`'s members): singleton components dominate real systems, so one
-/// `Vec` per component would be the allocator's hottest path. Iterative so that
-/// chain-shaped systems (tens of thousands of constraints deep) cannot
-/// overflow the call stack.
-fn tarjan_sccs(deps: &Csr, active: impl Fn(u32) -> bool) -> Csr {
-    const UNVISITED: u32 = u32::MAX;
-    let n = deps.len();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Csr { offsets: vec![0], edges: Vec::new() };
-
-    // Explicit DFS frames: (node, next edge position to explore).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if !active(root) || index[root as usize] != UNVISITED {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
-            if let Some(&w) = deps.row(v).get(*ei) {
-                *ei += 1;
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        sccs.edges.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.offsets.push(sccs.edges.len() as u32);
-                }
-            }
-        }
-    }
-    sccs
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::constraints::Constraint as C;
     use crate::solver::{solve, solve_worklist};
     use crate::var_index::VarId;
@@ -412,98 +326,6 @@ mod tests {
         let fast = solve(&cs, 5);
         assert_eq!(fast.lt_set(v(4)), &[] as &[u32]);
         assert_agrees(&cs, 5);
-    }
-
-    fn csr(rows: Vec<Vec<u32>>) -> Csr {
-        let mut offsets = vec![0u32];
-        let mut edges = Vec::new();
-        for row in rows {
-            edges.extend(row);
-            offsets.push(edges.len() as u32);
-        }
-        Csr { offsets, edges }
-    }
-
-    fn scc_rows(sccs: &Csr) -> Vec<Vec<u32>> {
-        (0..sccs.len()).map(|k| sccs.row(k as u32).to_vec()).collect()
-    }
-
-    #[test]
-    fn tarjan_orders_dependencies_first() {
-        // 0 → (nothing); 1 reads 0; 2 reads 1. deps edges point at
-        // dependencies, so emission must be [0], [1], [2].
-        let deps = csr(vec![vec![], vec![0], vec![1]]);
-        let sccs = scc_rows(&tarjan_sccs(&deps, |_| true));
-        assert_eq!(sccs, vec![vec![0], vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn tarjan_groups_cycles() {
-        // 1 ⇄ 2 cycle, 3 reads the cycle, 0 independent.
-        let deps = csr(vec![vec![], vec![2], vec![1], vec![1]]);
-        let sccs = scc_rows(&tarjan_sccs(&deps, |_| true));
-        let cycle = sccs.iter().find(|c| c.len() == 2).expect("cycle component");
-        let mut cycle = cycle.clone();
-        cycle.sort_unstable();
-        assert_eq!(cycle, vec![1, 2]);
-        // The 2-cycle must be emitted before node 3 which depends on it.
-        let cycle_pos = sccs.iter().position(|c| c.len() == 2).unwrap();
-        let three_pos = sccs.iter().position(|c| c == &vec![3]).unwrap();
-        assert!(cycle_pos < three_pos);
-    }
-
-    /// Components equal mutual reachability among the active nodes, and
-    /// every edge points into its own or an earlier component, on random
-    /// graphs whose edges join active nodes only.
-    #[test]
-    fn tarjan_matches_mutual_reachability_on_random_graphs() {
-        let mut state = 7u64;
-        let mut below = |n: usize| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % n as u64) as usize
-        };
-        for _ in 0..400 {
-            let n = 1 + below(14);
-            let active: Vec<bool> = (0..n).map(|_| below(5) != 0).collect();
-            let mut rows = vec![Vec::new(); n];
-            for _ in 0..below(3 * n + 1) {
-                let (u, v) = (below(n), below(n));
-                if active[u] && active[v] {
-                    rows[u].push(v as u32);
-                }
-            }
-            let reach: Vec<Vec<bool>> = (0..n)
-                .map(|u| {
-                    let mut seen = vec![false; n];
-                    let mut stack = vec![u];
-                    seen[u] = true;
-                    while let Some(x) = stack.pop() {
-                        for &y in &rows[x] {
-                            if !std::mem::replace(&mut seen[y as usize], true) {
-                                stack.push(y as usize);
-                            }
-                        }
-                    }
-                    seen
-                })
-                .collect();
-            let sccs = scc_rows(&tarjan_sccs(&csr(rows.clone()), |v| active[v as usize]));
-            let mut comp_of = vec![usize::MAX; n];
-            for (k, comp) in sccs.iter().enumerate() {
-                for &v in comp {
-                    assert!(active[v as usize] && comp_of[v as usize] == usize::MAX);
-                    comp_of[v as usize] = k;
-                }
-            }
-            for u in (0..n).filter(|&u| active[u]) {
-                for v in (0..n).filter(|&v| active[v]) {
-                    assert_eq!(comp_of[u] == comp_of[v], reach[u][v] && reach[v][u], "{rows:?}");
-                }
-                assert!(rows[u].iter().all(|&v| comp_of[v as usize] <= comp_of[u]), "{rows:?}");
-            }
-        }
     }
 
     #[test]

@@ -91,8 +91,8 @@ const CHECKSUM_LEN: usize = 8;
 const SEG_SUFFIX: &str = ".sraaseg";
 /// Loading this many segments triggers a compaction.
 const COMPACT_THRESHOLD: usize = 16;
-/// Power of two, so shard selection is a mask (the engine's pair-cache
-/// idiom).
+/// Number of lock stripes in the index; a power of two, so
+/// [`shard_of`] selects one with a mask.
 const STORE_SHARDS: usize = 16;
 
 /// How a solve used the shared store, counted per *function* — the

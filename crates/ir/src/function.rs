@@ -108,11 +108,6 @@ impl Function {
         &self.blocks[b.index()]
     }
 
-    /// Mutable access to a block.
-    pub fn block_mut(&mut self, b: BlockId) -> &mut Block {
-        &mut self.blocks[b.index()]
-    }
-
     /// Iterates over all block ids in layout order.
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
         (0..self.blocks.len()).map(BlockId::from_index)

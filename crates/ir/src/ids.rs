@@ -66,69 +66,6 @@ entity_id! {
     GlobalId, "@g"
 }
 
-/// A dense map from an entity id to `T`, backed by a `Vec`.
-///
-/// Used instead of hash maps throughout the analyses: entity ids are dense
-/// arena indices, so a `Vec` is both faster and simpler.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EntityMap<T> {
-    items: Vec<T>,
-}
-
-impl<T: Clone + Default> EntityMap<T> {
-    /// Creates a map with `len` default-initialised entries.
-    pub fn with_len(len: usize) -> Self {
-        Self { items: vec![T::default(); len] }
-    }
-}
-
-impl<T> EntityMap<T> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self { items: Vec::new() }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Appends an entry, returning its index.
-    pub fn push(&mut self, item: T) -> usize {
-        self.items.push(item);
-        self.items.len() - 1
-    }
-
-    /// Iterates over the entries.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.items.iter()
-    }
-}
-
-impl<T> Default for EntityMap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> std::ops::Index<usize> for EntityMap<T> {
-    type Output = T;
-    fn index(&self, index: usize) -> &T {
-        &self.items[index]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for EntityMap<T> {
-    fn index_mut(&mut self, index: usize) -> &mut T {
-        &mut self.items[index]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +89,5 @@ mod tests {
     #[test]
     fn ids_order_by_index() {
         assert!(Value::from_index(1) < Value::from_index(2));
-    }
-
-    #[test]
-    fn entity_map_push_and_index() {
-        let mut m = EntityMap::new();
-        let i = m.push("a");
-        let j = m.push("b");
-        assert_eq!(m[i], "a");
-        assert_eq!(m[j], "b");
-        assert_eq!(m.len(), 2);
     }
 }

@@ -14,7 +14,7 @@
 //! never a valid location.
 
 use crate::function::Function;
-use crate::ids::{BlockId, FuncId, GlobalId, Value};
+use crate::ids::{BlockId, FuncId, Value};
 use crate::inst::{BinOp, InstKind};
 use crate::module::Module;
 use crate::types::Type;
@@ -140,11 +140,6 @@ impl<'m> Interpreter<'m> {
     pub fn with_step_limit(mut self, limit: u64) -> Self {
         self.step_limit = limit;
         self
-    }
-
-    /// The base address of global `g`.
-    pub fn global_address(&self, g: GlobalId) -> i64 {
-        self.global_base[g.index()]
     }
 
     /// Lazily allocates the buffer behind pointer-typed [`InstKind::Opaque`]

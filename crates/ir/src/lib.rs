@@ -16,7 +16,10 @@
 //! * [`callgraph`] — the direct call graph and its SCC condensation in
 //!   bottom-up (callees-first) order, the substrate of the
 //!   interprocedural summary layer;
-//! * [`dom`] — dominator tree (Cooper–Harvey–Kennedy) and dominance queries;
+//! * [`scc`] — strongly connected components of any graph (iterative
+//!   Tarjan), shared by the call-graph condensation and the LT solver;
+//! * [`dom`] — dominator and post-dominator trees (one Cooper–Harvey–Kennedy
+//!   solve) and dominance queries;
 //! * [`fingerprint`] — endianness-stable content hashes of function
 //!   bodies, the per-body half of the incremental summary key;
 //! * [`liveness`] — SSA live-in/live-out sets;
@@ -81,6 +84,7 @@ pub mod liveness;
 pub mod loops;
 pub mod module;
 pub mod printer;
+pub mod scc;
 pub mod stats;
 pub mod types;
 pub mod verifier;

@@ -30,11 +30,6 @@ impl Type {
         matches!(self, Type::Ptr(_))
     }
 
-    /// Returns `true` if this is the integer type.
-    pub fn is_int(self) -> bool {
-        matches!(self, Type::Int)
-    }
-
     /// The type obtained by dereferencing this pointer type.
     ///
     /// Returns `None` for [`Type::Int`].

@@ -5,8 +5,8 @@
 //! also checks that the draw covered the shapes that matter (unreachable
 //! blocks, self-loops, blocks that never return, inactive nodes).
 
+use sraa_ir::{scc, InstKind, Module, PostDomTree, Pred, Type};
 use sraa_ir::{BlockId, CallGraph, Cfg, DomTree, FuncId, Function, FunctionBuilder};
-use sraa_ir::{InstKind, Module, PostDomTree, Pred, Type};
 use std::collections::BTreeSet;
 
 const DRAWS: u64 = 400;
@@ -134,6 +134,7 @@ fn dom_tree_matches_the_set_fixpoint() {
             for a in (0..n).map(BlockId::from_index) {
                 let expected = dom[bi].as_ref().is_some_and(|d| d.contains(&a.index()));
                 assert_eq!(dt.dominates(a, b), expected, "seed {seed}: {a} dom {b}");
+                assert_eq!(dt.strictly_dominates(a, b), expected && a != b, "seed {seed}");
             }
         }
     }
@@ -240,22 +241,69 @@ fn call_module(succs: &[Vec<usize>]) -> Module {
 }
 
 #[test]
-fn condensation_matches_mutual_reachability() {
-    let (mut cycles, mut self_calls) = (0, 0);
+fn tarjan_matches_mutual_reachability() {
+    let (mut cycles, mut inactive) = (0, 0);
+    for seed in 0..DRAWS {
+        let (succs, active) = random_graph(seed);
+        let sccs = scc::tarjan(
+            succs.len(),
+            |v| succs[v as usize].iter().map(|&w| w as u32),
+            |v| active[v as usize],
+        );
+        let comps: Vec<Vec<usize>> =
+            sccs.iter().map(|c| c.iter().map(|&v| v as usize).collect()).collect();
+        check_components(&succs, &active, &comps, &format!("seed {seed}"));
+        cycles += comps.iter().filter(|c| c.len() > 1).count();
+        inactive += active.iter().filter(|&&a| !a).count();
+    }
+    assert!(cycles > 0 && inactive > 0, "{cycles} cycles, {inactive} inactive nodes");
+}
+
+/// The call graph's edge lists, and its condensation checked like
+/// [`scc::tarjan`] plus members, recursion flags and callee components.
+#[test]
+fn call_graph_and_condensation_match_their_definitions() {
+    let (mut cycles, mut self_calls, mut duplicates) = (0, 0, 0);
     for seed in 0..DRAWS {
         let (succs, _) = random_graph(seed);
-        let all = vec![true; succs.len()];
-        let cond = CallGraph::build(&call_module(&succs)).condense();
+        let n = succs.len();
+        let cg = CallGraph::build(&call_module(&succs));
+        let f = FuncId::from_index;
+        for (u, ss) in succs.iter().enumerate() {
+            let mut callees: Vec<FuncId> = ss.iter().map(|&v| f(v)).collect();
+            callees.sort_unstable();
+            callees.dedup();
+            duplicates += ss.len() - callees.len();
+            assert_eq!(cg.callees(f(u)), callees, "seed {seed}: callees of f{u}");
+            let callers: Vec<FuncId> = (0..n).filter(|&w| succs[w].contains(&u)).map(f).collect();
+            assert_eq!(cg.callers(f(u)), callers, "seed {seed}: callers of f{u}");
+        }
+
+        let cond = cg.condense();
         let comps: Vec<Vec<usize>> =
             cond.bottom_up().map(|(_, c)| c.iter().map(|f| f.index()).collect()).collect();
-        check_components(&succs, &all, &comps, &format!("seed {seed}"));
+        check_components(&succs, &vec![true; n], &comps, &format!("seed {seed}"));
+        assert_eq!(cond.is_empty(), n == 0);
+        let mut recursive = 0;
         for (k, comp) in comps.iter().enumerate() {
             assert!(comp.windows(2).all(|w| w[0] < w[1]), "seed {seed}: members sorted");
+            assert!(comp.iter().all(|&u| cond.component_of(f(u)) == k), "seed {seed}: {k}");
             let self_call = comp.len() == 1 && succs[comp[0]].contains(&comp[0]);
             cycles += usize::from(comp.len() > 1);
             self_calls += usize::from(self_call);
+            recursive += usize::from(comp.len() > 1 || self_call);
             assert_eq!(cond.is_recursive(k), comp.len() > 1 || self_call, "seed {seed}: {k}");
+            let mut callee_comps: Vec<u32> = comp
+                .iter()
+                .flat_map(|&u| &succs[u])
+                .map(|&v| cond.component_of(f(v)) as u32)
+                .filter(|&c| c as usize != k)
+                .collect();
+            callee_comps.sort_unstable();
+            callee_comps.dedup();
+            assert_eq!(cond.callee_components(k), callee_comps, "seed {seed}: {k}");
         }
+        assert_eq!(cond.num_recursive(), recursive, "seed {seed}");
     }
-    assert!(cycles > 0 && self_calls > 0, "{cycles} cycles, {self_calls} self-calls");
+    assert!(cycles > 0 && self_calls > 0 && duplicates > 0, "{cycles} {self_calls} {duplicates}");
 }

@@ -220,11 +220,6 @@ impl Server {
         &self.daemon.stats
     }
 
-    /// Number of modules currently resident.
-    pub fn num_modules(&self) -> usize {
-        self.daemon.modules_read().len()
-    }
-
     /// Serves until shutdown, then drains in-flight connections and
     /// removes the Unix socket file. Connection-level IO errors are
     /// absorbed (that connection closes); only accept-loop failures

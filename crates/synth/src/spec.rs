@@ -60,21 +60,6 @@ pub struct Profile {
     pub scale: usize,
 }
 
-impl Profile {
-    /// Functions per replica.
-    pub fn funcs_per_replica(&self) -> usize {
-        self.stencil
-            + self.chain
-            + self.sorted
-            + self.walk
-            + self.sites
-            + self.cstencil
-            + self.chase
-            + self.xchase
-            + self.calls
-    }
-}
-
 /// The 16 profiles, ordered as the paper's Figure 9 (by query count).
 pub fn profiles() -> Vec<Profile> {
     #[rustfmt::skip]

@@ -32,8 +32,7 @@ fn main() {
         GenConfig { range_offsets: true, ..Default::default() },
     );
     let ba = BasicAliasAnalysis::new(&module);
-    let both =
-        Combined::new(vec![Box::new(BasicAliasAnalysis::new(&module)), Box::new(lt.clone())]);
+    let both = Combined::new(vec![Box::new(ba.clone()), Box::new(lt.clone())]);
 
     let g_ba = DepGraph::build(&module, &ba);
     let g_both = DepGraph::build(&module, &both);

@@ -386,7 +386,7 @@ fn cmd_pdg(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     cfg.gen.range_offsets = true; // the Figure 12 experiment's setting
     let lt = analyze(&mut m, cfg, store_dir);
     let ba = BasicAliasAnalysis::new(&m);
-    let both = Combined::new(vec![Box::new(BasicAliasAnalysis::new(&m)), Box::new(lt.clone())]);
+    let both = Combined::new(vec![Box::new(ba.clone()), Box::new(lt.clone())]);
     let g_ba = DepGraph::build(&m, &ba);
     let g_both = DepGraph::build(&m, &both);
     writeln!(out, "static accesses : {}", g_ba.static_accesses)?;

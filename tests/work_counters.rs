@@ -105,7 +105,7 @@ fn eval_report_allocations_stay_within_their_pin() {
         queries += AaEval::num_queries(&m);
     }
     assert_eq!(queries, 133_216, "corpus: pair queries");
-    assert!(allocs <= 70_708 * 5 / 4, "render_eval allocations: {allocs}");
+    assert!(allocs <= 70_688 * 5 / 4, "render_eval allocations: {allocs}");
 }
 
 #[test]
