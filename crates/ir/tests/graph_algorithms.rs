@@ -289,10 +289,11 @@ fn call_graph_and_condensation_match_their_definitions() {
             assert!(comp.windows(2).all(|w| w[0] < w[1]), "seed {seed}: members sorted");
             assert!(comp.iter().all(|&u| cond.component_of(f(u)) == k), "seed {seed}: {k}");
             let self_call = comp.len() == 1 && succs[comp[0]].contains(&comp[0]);
+            let is_recursive = comp.len() > 1 || self_call;
             cycles += usize::from(comp.len() > 1);
             self_calls += usize::from(self_call);
-            recursive += usize::from(comp.len() > 1 || self_call);
-            assert_eq!(cond.is_recursive(k), comp.len() > 1 || self_call, "seed {seed}: {k}");
+            recursive += usize::from(is_recursive);
+            assert_eq!(cond.is_recursive(k), is_recursive, "seed {seed}: {k}");
             let mut callee_comps: Vec<u32> = comp
                 .iter()
                 .flat_map(|&u| &succs[u])
