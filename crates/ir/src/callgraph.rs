@@ -182,3 +182,139 @@ impl Condensation {
         &self.callee_comps[i]
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::function::Function;
+    use crate::types::Type;
+
+    /// Builds a module whose call structure is given by `edges` over
+    /// `n` trivial functions.
+    fn call_module(n: usize, edges: &[(usize, usize)]) -> Module {
+        let mut m = Module::new();
+        for i in 0..n {
+            m.declare_function(format!("f{i}"), vec![], Some(Type::Int));
+        }
+        for i in 0..n {
+            let fid = FuncId::from_index(i);
+            let callees: Vec<usize> =
+                edges.iter().filter(|(a, _)| *a == i).map(|(_, b)| *b).collect();
+            let f: &mut Function = m.function_mut(fid);
+            let entry = f.entry();
+            for c in callees {
+                f.append_inst(
+                    entry,
+                    InstKind::Call { callee: FuncId::from_index(c), args: vec![] },
+                    Some(Type::Int),
+                );
+            }
+            let zero = f.add_const(0);
+            f.append_inst(entry, InstKind::Ret(Some(zero)), None);
+        }
+        m
+    }
+
+    #[test]
+    fn edges_are_deduplicated_and_sorted() {
+        let m = call_module(3, &[(0, 2), (0, 1), (0, 2), (1, 2)]);
+        let cg = CallGraph::build(&m);
+        assert_eq!(cg.callees(FuncId::from_index(0)).len(), 2);
+        assert_eq!(cg.callers(FuncId::from_index(2)).len(), 2);
+        assert_eq!(cg.num_edges(), 3);
+        assert_eq!(cg.num_functions(), 3);
+    }
+
+    #[test]
+    fn chain_condenses_bottom_up() {
+        // 0 -> 1 -> 2: bottom-up order must visit 2 before 1 before 0.
+        let m = call_module(3, &[(0, 1), (1, 2)]);
+        let cond = CallGraph::build(&m).condense();
+        assert_eq!(cond.len(), 3);
+        assert!(!cond.is_empty());
+        let order: Vec<usize> = cond.bottom_up().map(|(_, c)| c[0].index()).collect();
+        assert_eq!(order, vec![2, 1, 0]);
+        assert_eq!(cond.num_recursive(), 0);
+    }
+
+    #[test]
+    fn self_loop_is_recursive() {
+        let m = call_module(2, &[(0, 0), (0, 1)]);
+        let cond = CallGraph::build(&m).condense();
+        let c0 = cond.component_of(FuncId::from_index(0));
+        assert!(cond.is_recursive(c0));
+        let c1 = cond.component_of(FuncId::from_index(1));
+        assert!(!cond.is_recursive(c1));
+        // Leaf first.
+        assert!(c1 < c0);
+    }
+
+    #[test]
+    fn mutual_recursion_is_one_component() {
+        // 0 <-> 1, both call 2.
+        let m = call_module(3, &[(0, 1), (1, 0), (0, 2), (1, 2)]);
+        let cond = CallGraph::build(&m).condense();
+        assert_eq!(cond.len(), 2);
+        let c = cond.component_of(FuncId::from_index(0));
+        assert_eq!(c, cond.component_of(FuncId::from_index(1)));
+        assert!(cond.is_recursive(c));
+        assert_eq!(cond.members(c).len(), 2);
+        // The shared leaf comes first in bottom-up order.
+        assert_eq!(cond.component_of(FuncId::from_index(2)), 0);
+    }
+
+    /// Every cross-component call edge points to an earlier component,
+    /// on every shape: chains, diamonds, disconnected leaves, cycles and
+    /// duplicated call sites. This is what lets summary computation walk
+    /// the components in `condense()` order and find every callee solved.
+    #[test]
+    fn callees_always_precede_callers() {
+        // The fourth shape has a diamond over the cycle {3,4}.
+        let shapes: [(usize, &[(usize, usize)]); 5] = [
+            (3, &[(0, 1), (1, 2)]),
+            (4, &[(0, 1), (0, 2), (1, 3), (2, 3)]),
+            (4, &[(3, 0)]),
+            (5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 3)]),
+            (4, &[(3, 2), (3, 0), (3, 1), (3, 2), (3, 0)]),
+        ];
+        for (n, edges) in shapes {
+            let cg = CallGraph::build(&call_module(n, edges));
+            let cond = cg.condense();
+            let mut seen = vec![0usize; n];
+            for (c, members) in cond.bottom_up() {
+                for &f in members {
+                    assert_eq!(cond.component_of(f), c);
+                    seen[f.index()] += 1;
+                    for &g in cg.callees(f) {
+                        let d = cond.component_of(g);
+                        assert!(d <= c, "{edges:?}: f{} calls later f{}", f.index(), g.index());
+                        if d != c {
+                            assert!(cond.callee_components(c).contains(&(d as u32)));
+                        }
+                    }
+                }
+                assert!(cond.callee_components(c).iter().all(|&d| (d as usize) < c));
+            }
+            assert!(seen.iter().all(|&k| k == 1), "{edges:?}: every function in one component");
+            assert_eq!(cond.num_recursive(), usize::from(n == 5), "{edges:?}");
+        }
+    }
+
+    #[test]
+    fn empty_module_condenses_to_nothing() {
+        let cond = CallGraph::build(&Module::new()).condense();
+        assert!(cond.is_empty());
+        assert_eq!(cond.len(), 0);
+    }
+
+    #[test]
+    fn callee_components_are_sorted_and_deduplicated() {
+        // f3 calls into f0, f1, f2 (several call sites each).
+        let m = call_module(4, &[(3, 2), (3, 0), (3, 1), (3, 2), (3, 0)]);
+        let cond = CallGraph::build(&m).condense();
+        let c3 = cond.component_of(FuncId::from_index(3));
+        let cs = cond.callee_components(c3);
+        assert_eq!(cs.len(), 3);
+        assert!(cs.windows(2).all(|w| w[0] < w[1]));
+    }
+}

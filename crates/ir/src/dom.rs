@@ -350,6 +350,71 @@ mod tests {
         (f, [entry, t, e, join])
     }
 
+    fn diamond_with_loop() -> (Function, Vec<BlockId>) {
+        // entry → header; header → {body, exit}; body → {l, r}; l,r → latch;
+        // latch → header
+        let mut f = Function::new("g", vec![("n", Type::Int)], None);
+        let mut b = FunctionBuilder::new(&mut f);
+        let entry = b.current_block();
+        let header = b.create_block();
+        let body = b.create_block();
+        let l = b.create_block();
+        let r = b.create_block();
+        let latch = b.create_block();
+        let exit = b.create_block();
+        let n = b.param(0);
+        let z = b.iconst(0);
+        b.jump(header);
+        b.switch_to(header);
+        let c = b.cmp(Pred::Lt, z, n);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let c2 = b.cmp(Pred::Lt, n, z);
+        b.br(c2, l, r);
+        b.switch_to(l);
+        b.jump(latch);
+        b.switch_to(r);
+        b.jump(latch);
+        b.switch_to(latch);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(None);
+        b.finish();
+        (f, vec![entry, header, body, l, r, latch, exit])
+    }
+
+    #[test]
+    fn idoms_of_nested_diamond() {
+        let (f, bs) = diamond_with_loop();
+        let cfg = Cfg::compute(&f);
+        let dt = DomTree::compute(&f, &cfg);
+        let [entry, header, body, l, r, latch, exit] = bs[..] else { unreachable!() };
+        assert_eq!(dt.idom(entry), None);
+        assert_eq!(dt.idom(header), Some(entry));
+        assert_eq!(dt.idom(body), Some(header));
+        assert_eq!(dt.idom(l), Some(body));
+        assert_eq!(dt.idom(r), Some(body));
+        assert_eq!(dt.idom(latch), Some(body));
+        assert_eq!(dt.idom(exit), Some(header));
+    }
+
+    #[test]
+    fn dominates_is_reflexive_and_transitive() {
+        let (f, bs) = diamond_with_loop();
+        let cfg = Cfg::compute(&f);
+        let dt = DomTree::compute(&f, &cfg);
+        for &b in &bs {
+            assert!(dt.dominates(b, b));
+            assert!(!dt.strictly_dominates(b, b));
+        }
+        let [entry, header, body, l, _, latch, exit] = bs[..] else { unreachable!() };
+        assert!(dt.dominates(entry, exit));
+        assert!(dt.dominates(header, latch));
+        assert!(dt.strictly_dominates(body, l));
+        assert!(!dt.dominates(l, latch), "l does not dominate the join");
+        assert!(!dt.dominates(exit, header));
+    }
+
     #[test]
     fn def_use_dominance_within_block() {
         let mut f = Function::new("t", Vec::<(&str, Type)>::new(), None);
@@ -363,6 +428,35 @@ mod tests {
         let pos = f.positions();
         assert!(dt.def_dominates_use(&f, &pos, x, y));
         assert!(!dt.def_dominates_use(&f, &pos, y, x));
+    }
+
+    #[test]
+    fn unreachable_blocks_do_not_dominate() {
+        let mut f = Function::new("t", Vec::<(&str, Type)>::new(), None);
+        let mut b = FunctionBuilder::new(&mut f);
+        let dead = b.create_block();
+        b.ret(None);
+        b.switch_to(dead);
+        b.ret(None);
+        b.finish();
+        let cfg = Cfg::compute(&f);
+        let dt = DomTree::compute(&f, &cfg);
+        assert!(!dt.dominates(dead, f.entry()));
+        assert!(!dt.dominates(f.entry(), dead));
+        assert!(!dt.dominates(dead, dead));
+    }
+
+    #[test]
+    fn join_postdominates_the_branch() {
+        let (f, [entry, t, e, join]) = diamond();
+        let cfg = Cfg::compute(&f);
+        let pdt = PostDomTree::compute(&f, &cfg);
+        assert!(pdt.post_dominates(join, entry));
+        assert!(pdt.post_dominates(join, t));
+        assert!(!pdt.post_dominates(t, entry), "only one arm does not post-dominate");
+        assert_eq!(pdt.ipdom(t), Some(join));
+        assert_eq!(pdt.ipdom(e), Some(join));
+        assert_eq!(pdt.ipdom(entry), Some(join));
     }
 
     #[test]
@@ -403,5 +497,20 @@ mod tests {
         // The header controls its own re-execution (loop).
         assert_eq!(cd[header.index()], vec![header]);
         assert!(pdt.post_dominates(exit, header));
+    }
+
+    #[test]
+    fn infinite_loop_blocks_have_no_postdominator() {
+        let mut f = Function::new("w", Vec::<(&str, Type)>::new(), None);
+        let mut b = FunctionBuilder::new(&mut f);
+        let spin = b.create_block();
+        b.jump(spin);
+        b.switch_to(spin);
+        b.jump(spin);
+        b.finish();
+        let cfg = Cfg::compute(&f);
+        let pdt = PostDomTree::compute(&f, &cfg);
+        assert_eq!(pdt.ipdom(spin), None);
+        assert!(!pdt.post_dominates(spin, f.entry()));
     }
 }

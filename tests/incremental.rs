@@ -245,6 +245,13 @@ fn engine_warm_run_through_a_cache_file_matches_the_cold_engine() {
     let s = mem.stats();
     assert_eq!((s.cache_hits, s.cache_misses, s.cache_invalidated), (n, 0, 0));
 
+    // The never-cached engine derives its keys only on export; its cache
+    // equals the one the reuse path exports from the keys it kept.
+    let recomputed = cold.export_summary_cache(&m_cold).expect("summaries mode");
+    for (_, f) in m_cold.functions() {
+        assert_eq!(recomputed.get(&f.name), prior.get(&f.name), "{} differs", f.name);
+    }
+
     // Every query result — LT sets and batch no-alias verdicts — is
     // identical to the never-cached engine's.
     for (m_warm, warm) in [(&m_disk, &disk), (&m_mem, &mem)] {
