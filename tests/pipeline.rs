@@ -146,3 +146,66 @@ fn stencil_loops_disambiguate_via_gep_offsets() {
         "i < i+1 separates the two accesses of one iteration"
     );
 }
+
+/// Lowering yields minimal SSA: no φ whose operands, other than the φ
+/// itself, are all one value. The paper's rule 4 relies on it, because a
+/// φ joins the less-than facts of its operands and a trivial φ loses the
+/// facts of the value it forwards. The merge φs of `?:`, `&&` and `||`
+/// are the known exception (ROADMAP item 9); this pins the programs that
+/// keep one, so a lowering change that adds or removes one shows here.
+#[test]
+fn lowering_keeps_trivial_phis_only_in_the_known_programs() {
+    let mut corpus = sraa_synth::test_suite(100);
+    corpus.extend(sraa_synth::call_suite(12));
+    corpus.extend(sraa_synth::csmith_figure12());
+    for d in 2..=7u8 {
+        for k in 0..8u64 {
+            corpus.push(sraa_synth::csmith_generate(sraa_synth::CsmithConfig {
+                seed: u64::from(d) * 100 + k,
+                max_ptr_depth: d,
+                num_stmts: 60,
+                helpers: 1 + (k % 2) as usize,
+            }));
+        }
+    }
+    let trivial_phis = |w: &sraa_synth::Workload| {
+        let m = sraa_minic::compile(&w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let mut count = 0;
+        for (_, f) in m.functions() {
+            for b in f.block_ids() {
+                for &v in &f.block(b).insts {
+                    let InstKind::Phi { incomings } = &f.inst(v).kind else { continue };
+                    let mut others = incomings.iter().map(|&(_, x)| x).filter(|&x| x != v);
+                    let first = others.next();
+                    if others.all(|x| Some(x) == first) {
+                        count += 1;
+                    }
+                }
+            }
+        }
+        count
+    };
+    // Two threads, one per interleaved half, keep the debug run near 10 s:
+    // lowering the larger Figure 12 programs dominates it.
+    let halves: [Vec<usize>; 2] = std::thread::scope(|s| {
+        let odd = s.spawn(|| corpus.iter().skip(1).step_by(2).map(trivial_phis).collect());
+        let even = corpus.iter().step_by(2).map(trivial_phis).collect();
+        [even, odd.join().expect("the worker thread panicked")]
+    });
+    let trivial: Vec<(&str, usize)> = corpus
+        .iter()
+        .enumerate()
+        .map(|(k, w)| (w.name.as_str(), halves[k % 2][k / 2]))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    assert_eq!(
+        trivial,
+        [
+            ("csmith_d2_s2017", 1),
+            ("csmith_d2_s2018", 1),
+            ("csmith_d3_s301_h2", 1),
+            ("csmith_d3_s304_h1", 1),
+            ("csmith_d3_s305_h2", 1),
+        ]
+    );
+}
