@@ -180,6 +180,7 @@ fn format_report(module: &Module, rows: &[EvalSummary]) -> String {
 mod tests {
     use super::*;
     use crate::Combined;
+    use sraa_core::EngineConfig;
 
     #[test]
     fn totals_agree_across_analyses() {
@@ -264,7 +265,10 @@ mod tests {
         }));
         for w in &ws {
             let mut m = sraa_minic::compile(&w.source).unwrap();
-            let lt = StrictInequalityAa::interprocedural(&mut m);
+            let lt = StrictInequalityAa::with_engine_config(
+                &mut m,
+                EngineConfig::default().with_summaries(),
+            );
             let ba = BasicAliasAnalysis::new(&m);
             let cf = AndersenAnalysis::new(&m);
             let st = SteensgaardAnalysis::new(&m);

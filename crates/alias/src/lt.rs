@@ -8,7 +8,7 @@
 //! of re-running or deep-copying the analysis.
 
 use crate::{AliasAnalysis, AliasResult};
-use sraa_core::{DisambiguationEngine, EngineConfig, GenConfig};
+use sraa_core::{DisambiguationEngine, EngineConfig};
 use sraa_ir::{FuncId, Module, Value};
 use std::sync::Arc;
 
@@ -27,26 +27,13 @@ impl StrictInequalityAa {
     /// Runs the pipeline on `module` (converting it to e-SSA form) with
     /// the default (intraprocedural) configuration.
     pub fn new(module: &mut Module) -> Self {
-        Self::from_engine(DisambiguationEngine::run(module))
+        Self::from_engine(DisambiguationEngine::build(module, EngineConfig::default()))
     }
 
-    /// Runs the pipeline with explicit constraint-generation options.
-    pub fn with_config(module: &mut Module, cfg: GenConfig) -> Self {
-        Self::from_engine(DisambiguationEngine::build(module, cfg.into()))
-    }
-
-    /// Runs the pipeline with a full engine configuration (constraint
-    /// options + interprocedural mode).
+    /// Runs the pipeline with a full engine configuration;
+    /// `EngineConfig::default().with_summaries()` is the `--interproc` mode.
     pub fn with_engine_config(module: &mut Module, cfg: EngineConfig) -> Self {
         Self::from_engine(DisambiguationEngine::build(module, cfg))
-    }
-
-    /// Runs the pipeline with bottom-up interprocedural summaries enabled
-    /// (the `--interproc` CLI mode): strict-inequality facts cross direct
-    /// call boundaries, so verdicts are a strict refinement of
-    /// [`StrictInequalityAa::new`]'s.
-    pub fn interprocedural(module: &mut Module) -> Self {
-        Self::with_engine_config(module, EngineConfig::default().with_summaries())
     }
 
     /// Wraps an already-built engine.

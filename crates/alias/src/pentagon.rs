@@ -19,7 +19,7 @@
 //! [`StrictInequalityAa::new`](crate::StrictInequalityAa::new).
 
 use crate::{AliasAnalysis, AliasResult};
-use sraa_core::{derived_pointer, strip_copies};
+use sraa_core::derived_pointer;
 use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
 use sraa_pentagon::{FactTable, PentagonAnalysis};
 
@@ -105,7 +105,7 @@ impl FuncFacts {
 fn variable_offset(func: &Function, p: Value) -> Option<(Value, Value)> {
     let (base, offset) = derived_pointer(func, p)?;
     let is_var = !matches!(func.inst(offset).kind, InstKind::Const(_));
-    is_var.then(|| (strip_copies(func, base), offset))
+    is_var.then(|| (func.strip_copies(base), offset))
 }
 
 impl PentagonAa {

@@ -6,9 +6,8 @@
 //! ```
 //!
 //! The pipeline itself lives in the [`DisambiguationEngine`]; this
-//! module keeps the two IR-walking helpers Definition 3.11 needs
-//! ([`derived_pointer`], [`strip_copies`]) and the paper's examples as
-//! tests.
+//! module keeps the IR-walking helper Definition 3.11 needs
+//! ([`derived_pointer`]) and the paper's examples as tests.
 //!
 //! [`DisambiguationEngine`]: crate::DisambiguationEngine
 
@@ -17,32 +16,21 @@ use sraa_ir::{Function, InstKind, Value};
 /// If `p` is a derived pointer `base + offset`, returns `(base, offset)`.
 /// Copies around the `gep` are looked through.
 pub fn derived_pointer(func: &Function, p: Value) -> Option<(Value, Value)> {
-    match &func.inst(strip_copies(func, p)).kind {
+    match &func.inst(func.strip_copies(p)).kind {
         InstKind::Gep { base, offset } => Some((*base, *offset)),
         _ => None,
-    }
-}
-
-/// Follows `Copy` chains to the underlying value (σ-copies and live-range
-/// splits denote the same run-time value as their source).
-pub fn strip_copies(func: &Function, mut v: Value) -> Value {
-    loop {
-        match &func.inst(v).kind {
-            InstKind::Copy { src, .. } => v = *src,
-            _ => return v,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DisambiguationEngine;
+    use crate::{DisambiguationEngine, EngineConfig};
     use sraa_ir::{FuncId, Module};
 
     fn analyzed(src: &str) -> (Module, DisambiguationEngine) {
         let mut m = sraa_minic::compile(src).unwrap();
-        let lt = DisambiguationEngine::run(&mut m);
+        let lt = DisambiguationEngine::build(&mut m, EngineConfig::default());
         sraa_ir::verify(&m).unwrap();
         (m, lt)
     }
@@ -98,7 +86,7 @@ mod tests {
                 };
                 // Same index variable (i vs i) must NOT be disambiguated;
                 // i vs j must.
-                let same = strip_copies(f, xa) == strip_copies(f, xb);
+                let same = f.strip_copies(xa) == f.strip_copies(xb);
                 if same {
                     assert!(!lt.no_alias(f, fid, a, b), "v[i] vs v[i] must may-alias");
                 } else {

@@ -23,7 +23,7 @@
 //! failed publish to the store comes back as a value
 //! ([`DisambiguationEngine::store_warning`]).
 
-use crate::analysis::{derived_pointer, strip_copies};
+use crate::analysis::derived_pointer;
 use crate::constraints::{self, Constraint, GenConfig};
 use crate::persist;
 use crate::solver::{solve, Solution, SolveStats};
@@ -121,14 +121,6 @@ pub struct DisambiguationEngine {
 }
 
 impl DisambiguationEngine {
-    /// Runs the full pipeline with default (paper-faithful constraints,
-    /// intraprocedural) settings.
-    ///
-    /// The module is mutated: it is converted to e-SSA form first.
-    pub fn run(module: &mut Module) -> Self {
-        Self::build(module, EngineConfig::default())
-    }
-
     /// Runs the full pipeline with an explicit configuration.
     pub fn build(module: &mut Module, cfg: EngineConfig) -> Self {
         let (ranges, _) = sraa_essa::transform_module(module);
@@ -429,7 +421,7 @@ impl DisambiguationEngine {
         if let (Some((b1, x1)), Some((b2, x2))) =
             (derived_pointer(func, p1), derived_pointer(func, p2))
         {
-            if strip_copies(func, b1) == strip_copies(func, b2) {
+            if func.strip_copies(b1) == func.strip_copies(b2) {
                 let is_var = |x: Value| !matches!(func.inst(x).kind, InstKind::Const(_));
                 if is_var(x1)
                     && is_var(x2)
@@ -482,14 +474,14 @@ impl DisambiguationEngine {
         p: Value,
     ) -> (Value, sraa_range::Interval) {
         let mut total = sraa_range::Interval::constant(0);
-        let mut cur = strip_copies(func, p);
+        let mut cur = func.strip_copies(p);
         while let InstKind::Gep { base, offset } = &func.inst(cur).kind {
             let r = match func.inst(*offset).kind {
                 InstKind::Const(c) => sraa_range::Interval::constant(c),
                 _ => self.ranges.range(f, *offset),
             };
             total = total.add(&r);
-            cur = strip_copies(func, *base);
+            cur = func.strip_copies(*base);
         }
         (cur, total)
     }
@@ -501,7 +493,7 @@ mod tests {
 
     fn build_engine(src: &str) -> (Module, DisambiguationEngine) {
         let mut m = sraa_minic::compile(src).unwrap();
-        let engine = DisambiguationEngine::run(&mut m);
+        let engine = DisambiguationEngine::build(&mut m, EngineConfig::default());
         (m, engine)
     }
 

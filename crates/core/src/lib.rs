@@ -67,14 +67,14 @@
 //! # Example — the paper's motivating loop
 //!
 //! ```
-//! use sraa_core::DisambiguationEngine;
+//! use sraa_core::{DisambiguationEngine, EngineConfig};
 //!
 //! let mut module = sraa_minic::compile(r#"
 //!     void f(int* v, int N) {
 //!         for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
 //!     }
 //! "#).unwrap();
-//! let lt = DisambiguationEngine::run(&mut module);
+//! let lt = DisambiguationEngine::build(&mut module, EngineConfig::default());
 //!
 //! // find the store (v[i]) and load (v[j]) addresses:
 //! let fid = module.function_by_name("f").unwrap();
@@ -110,7 +110,7 @@ pub mod summary;
 pub(crate) mod test_systems;
 pub mod var_index;
 
-pub use analysis::{derived_pointer, strip_copies};
+pub use analysis::derived_pointer;
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
 pub use engine::{Contextuality, DisambiguationEngine, EngineConfig};
 pub use persist::{SummaryCache, SummaryKeys, FORMAT_VERSION};

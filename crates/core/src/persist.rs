@@ -136,17 +136,10 @@ impl SummaryCache {
         SummaryCache { entries }
     }
 
-    /// The stored `(key, summary)` for `name`, if present.
+    /// The stored `(key, summary)` for `name`, if present. The summary
+    /// is current only while the key equals the function's key now.
     pub fn get(&self, name: &str) -> Option<(u64, &FunctionSummary)> {
         self.entries.get(name).map(|(k, s)| (*k, s))
-    }
-
-    /// The stored summary for `name`, provided its key matches `key`.
-    pub fn lookup(&self, name: &str, key: u64) -> Option<&FunctionSummary> {
-        match self.entries.get(name) {
-            Some((k, s)) if *k == key => Some(s),
-            _ => None,
-        }
     }
 }
 
@@ -178,8 +171,13 @@ mod tests {
             let (key, summary) = cache.get(&f.name).expect("entry present");
             assert_eq!(key, keys.of(fid));
             assert_eq!(summary, sums.of(fid));
-            assert_eq!(cache.lookup(&f.name, key), Some(sums.of(fid)));
-            assert!(cache.lookup(&f.name, key ^ 1).is_none(), "stale keys must not match");
+        }
+        // An edited body re-keys the function and its callers, so their
+        // entries read as stale.
+        let (edited, _, edited_keys) = cold(&SRC.replace("i + 1", "i + 2"));
+        for (fid, f) in edited.functions() {
+            let (key, _) = cache.get(&f.name).expect("entry present");
+            assert_ne!(key, edited_keys.of(fid), "{}: stale keys must not match", f.name);
         }
         assert!(cache.get("absent").is_none());
         assert!(SummaryCache::default().get("main").is_none());

@@ -13,8 +13,7 @@
 //! ```text
 //!                   SharedSummaryStore (one directory)
 //!        ┌───────────────────────────────────────────────────┐
-//!        │  in-memory index: [RwLock<HashMap<u64, summary>>; │
-//!        │                    16 shards, keyed by low bits]  │
+//!        │  in-memory index: RwLock<HashMap<u64, summary>>   │
 //!        │  on disk: append-only segments, each written      │
 //!        │           write-temp-then-rename                  │
 //!        │    seg-<generation>-<pid>-<seq>.sraaseg           │
@@ -91,9 +90,6 @@ const CHECKSUM_LEN: usize = 8;
 const SEG_SUFFIX: &str = ".sraaseg";
 /// Loading this many segments triggers a compaction.
 const COMPACT_THRESHOLD: usize = 16;
-/// Number of lock stripes in the index; a power of two, so
-/// [`shard_of`] selects one with a mask.
-const STORE_SHARDS: usize = 16;
 
 /// How a solve used the shared store, counted per *function* — the
 /// store-side sibling of [`crate::CacheOutcome`]. Deterministic for a
@@ -133,9 +129,9 @@ impl StoreOutcome {
 #[derive(Debug)]
 pub struct SharedSummaryStore {
     dir: PathBuf,
-    /// Lock-striped index: shard = low key bits, so concurrent merges of
-    /// unrelated keys do not serialize on one lock.
-    shards: [RwLock<HashMap<u64, FunctionSummary>>; STORE_SHARDS],
+    /// The index. One lock: it guards a single hash probe per function,
+    /// which is small next to the solve an upload does around it.
+    index: RwLock<HashMap<u64, FunctionSummary>>,
     /// Segment file names already folded into the index.
     seen: Mutex<HashSet<String>>,
     /// Highest generation observed in the directory; new segments are
@@ -156,7 +152,7 @@ impl SharedSummaryStore {
         std::fs::create_dir_all(&dir)?;
         let store = SharedSummaryStore {
             dir,
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            index: RwLock::new(HashMap::new()),
             seen: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
@@ -221,7 +217,7 @@ impl SharedSummaryStore {
     /// the function's Init-grounded solve — the key already certifies
     /// that its whole transitive callee world is unchanged.
     pub fn get(&self, key: u64) -> Option<FunctionSummary> {
-        self.shards[shard_of(key)].read().unwrap_or_else(|e| e.into_inner()).get(&key).cloned()
+        self.index.read().unwrap_or_else(|e| e.into_inner()).get(&key).cloned()
     }
 
     /// Insert-if-absent merge (memory only — [`SharedSummaryStore::publish`]
@@ -229,15 +225,14 @@ impl SharedSummaryStore {
     /// debug builds an existing entry is asserted equal to the incoming
     /// one: identical keys must mean identical summaries.
     pub(crate) fn insert_if_absent(&self, key: u64, summary: &FunctionSummary) -> bool {
-        let shard = &self.shards[shard_of(key)];
-        if let Some(existing) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        if let Some(existing) = self.index.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
             debug_assert_eq!(
                 existing, summary,
                 "shared-store invariant violated: key {key:#018x} maps to two summaries"
             );
             return false;
         }
-        match shard.write().unwrap_or_else(|e| e.into_inner()).entry(key) {
+        match self.index.write().unwrap_or_else(|e| e.into_inner()).entry(key) {
             std::collections::hash_map::Entry::Occupied(o) => {
                 debug_assert_eq!(
                     o.get(),
@@ -287,7 +282,7 @@ impl SharedSummaryStore {
 
     /// Number of summaries resident in the index.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len()).sum()
+        self.index.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Whether the store holds no summaries.
@@ -314,11 +309,10 @@ impl SharedSummaryStore {
             }
             seen.iter().cloned().collect()
         };
-        let mut all: Vec<(u64, FunctionSummary)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let g = shard.read().unwrap_or_else(|e| e.into_inner());
-            all.extend(g.iter().map(|(k, s)| (*k, s.clone())));
-        }
+        let mut all: Vec<(u64, FunctionSummary)> = {
+            let index = self.index.read().unwrap_or_else(|e| e.into_inner());
+            index.iter().map(|(k, s)| (*k, s.clone())).collect()
+        };
         // Deterministic segment bytes for a given index state.
         all.sort_unstable_by_key(|&(k, _)| k);
         let name = self.next_segment_name();
@@ -333,11 +327,6 @@ impl SharedSummaryStore {
             seen.remove(&old);
         }
     }
-}
-
-fn shard_of(key: u64) -> usize {
-    // Mix the high bits in: keys are FNV hashes, but cheap insurance.
-    ((key ^ (key >> 32)) as usize) & (STORE_SHARDS - 1)
 }
 
 /// Parses the generation out of `seg-<gen>-<pid>-<seq>.sraaseg`.

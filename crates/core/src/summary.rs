@@ -210,6 +210,7 @@ impl ModuleSummaries {
             },
         };
 
+        let mut cached: Vec<&FunctionSummary> = Vec::new();
         for (ci, members) in cond.bottom_up() {
             // Warm path first: an all-members hit installs the cached
             // summaries and skips the solve. Partial hits cannot happen
@@ -217,32 +218,26 @@ impl ModuleSummaries {
             // edit re-keys them all) short of a hash collision; if one
             // ever did, the cold solve below recomputes everything soundly.
             if let Some(Reuse { keys, cache: Some(cache), .. }) = reuse {
-                let mut all_hit = true;
+                cached.clear();
                 for &f in members {
                     match cache.get(&module.function(f).name) {
-                        Some((k, _)) if k == keys.of(f) => outcome.hits += 1,
-                        Some(_) => {
-                            outcome.invalidated += 1;
-                            all_hit = false;
+                        Some((k, s)) if k == keys.of(f) => {
+                            outcome.hits += 1;
+                            cached.push(s);
                         }
-                        None => {
-                            outcome.misses += 1;
-                            all_hit = false;
-                        }
+                        Some(_) => outcome.invalidated += 1,
+                        None => outcome.misses += 1,
                     }
                 }
-                if all_hit {
-                    for &f in members {
-                        let cached = cache
-                            .lookup(&module.function(f).name, keys.of(f))
-                            .expect("classified as hit above");
-                        sums.per_func[f.index()] = cached.clone();
+                if cached.len() == members.len() {
+                    for (&f, &s) in members.iter().zip(&cached) {
+                        sums.per_func[f.index()] = s.clone();
                     }
                     continue;
                 }
             }
             // Shared-store consult, after the per-module cache (a cache
-            // hit is free; the store takes a shard lock). The key is
+            // hit is free; the store takes a lock). The key is
             // content-addressed across modules, so a hit here may come
             // from a different module name, another daemon, or another
             // machine. All-or-nothing per component, like the cache:

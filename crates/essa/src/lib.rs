@@ -24,7 +24,7 @@
 //! ```
 //! let mut m = sraa_minic::compile(
 //!     "int f(int a, int b) { if (a < b) return b - a; return 0; }").unwrap();
-//! let stats = sraa_essa::split_at_branches(&mut m);
+//! let (_, stats) = sraa_essa::transform_module(&mut m);
 //! assert!(stats.sigma_copies >= 4); // a_t, b_t, a_f, b_f
 //! sraa_ir::verify(&m).unwrap();
 //! ```
@@ -73,7 +73,7 @@ pub fn transform_module(module: &mut Module) -> (RangeAnalysis, EssaStats) {
 
 /// Inserts σ-copies for both operands of every comparison-guarded branch,
 /// in every function of `module` (Figure 5 (b) of the paper).
-pub fn split_at_branches(module: &mut Module) -> EssaStats {
+fn split_at_branches(module: &mut Module) -> EssaStats {
     let mut stats = EssaStats::default();
     let fids: Vec<FuncId> = module.functions().map(|(id, _)| id).collect();
     for fid in fids {
@@ -83,7 +83,7 @@ pub fn split_at_branches(module: &mut Module) -> EssaStats {
 }
 
 /// σ-splitting for a single function.
-pub fn split_at_branches_in(f: &mut Function) -> EssaStats {
+fn split_at_branches_in(f: &mut Function) -> EssaStats {
     let mut stats = EssaStats::default();
 
     // Collect the work first: (branch block, cmp, then target, else target).
@@ -142,7 +142,7 @@ pub fn split_at_branches_in(f: &mut Function) -> EssaStats {
 ///
 /// New copies inherit their source's interval via
 /// [`RangeAnalysis::extend_copy`], keeping `ranges` usable afterwards.
-pub fn split_at_subtractions_in(
+fn split_at_subtractions_in(
     f: &mut Function,
     fid: FuncId,
     ranges: &mut RangeAnalysis,
@@ -209,57 +209,6 @@ fn is_strictly_negative(f: &Function, fid: FuncId, ranges: &RangeAnalysis, v: Va
     }
 }
 
-/// Checks the Static Single Information property this crate establishes
-/// (paper Definition 3.2, specialised to the less-than analysis): every
-/// comparison-guarded conditional branch carries σ-copies of each
-/// non-constant comparison operand on *both* out-edges (directly in the
-/// target when the edge is the target's only in-edge, or on a split edge
-/// block otherwise).
-///
-/// # Errors
-///
-/// Returns a description of the first missing σ-copy.
-pub fn verify_ssi(f: &Function) -> Result<(), String> {
-    let cfg = Cfg::compute(f);
-    for b in f.block_ids() {
-        let Some(term) = f.terminator(b) else { continue };
-        let InstKind::Br { cond, then_bb, else_bb } = f.inst(term).kind else { continue };
-        if then_bb == else_bb {
-            continue;
-        }
-        let InstKind::Cmp { lhs, rhs, .. } = f.inst(cond).kind else { continue };
-        for (target, truthy) in [(then_bb, true), (else_bb, false)] {
-            // Split edges host their copies in an intermediate block that
-            // only the transform knows; we check the single-predecessor
-            // case (the common one) and skip split edges.
-            if cfg.preds(target).len() > 1 {
-                continue;
-            }
-            for op in [lhs, rhs] {
-                if matches!(f.inst(op).kind, InstKind::Const(_)) {
-                    continue;
-                }
-                let found = f.block_insts(target).any(|(_, d)| match (&d.kind, truthy) {
-                    (InstKind::Copy { origin: CopyOrigin::SigmaTrue { cmp }, .. }, true) => {
-                        *cmp == cond
-                    }
-                    (InstKind::Copy { origin: CopyOrigin::SigmaFalse { cmp }, .. }, false) => {
-                        *cmp == cond
-                    }
-                    _ => false,
-                });
-                if !found {
-                    return Err(format!(
-                        "missing σ-copy for {op} on the {} edge of {b} (cmp {cond})",
-                        if truthy { "true" } else { "false" }
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Rewrites every use of each original value that is dominated by its new
 /// copy — the paper's "rename x to x′ at any block l if l′ dom l". This is
 /// the classic stack-based dominator-tree walk of SSA renaming, applied to
@@ -267,7 +216,7 @@ pub fn verify_ssi(f: &Function) -> Result<(), String> {
 ///
 /// φ operands count as uses on the incoming edge: they are rewritten when
 /// the walk processes the predecessor block.
-pub fn rename_dominated_uses(f: &mut Function, new_defs: &[(Value, Value)]) {
+fn rename_dominated_uses(f: &mut Function, new_defs: &[(Value, Value)]) {
     if new_defs.is_empty() {
         return;
     }
@@ -558,6 +507,53 @@ mod tests {
 #[cfg(test)]
 mod ssi_tests {
     use super::*;
+
+    /// Checks the Static Single Information property this crate establishes
+    /// (paper Definition 3.2, specialised to the less-than analysis): every
+    /// comparison-guarded conditional branch carries σ-copies of each
+    /// non-constant comparison operand on *both* out-edges (directly in the
+    /// target when the edge is the target's only in-edge, or on a split edge
+    /// block otherwise). The error names the first missing σ-copy.
+    fn verify_ssi(f: &Function) -> Result<(), String> {
+        let cfg = Cfg::compute(f);
+        for b in f.block_ids() {
+            let Some(term) = f.terminator(b) else { continue };
+            let InstKind::Br { cond, then_bb, else_bb } = f.inst(term).kind else { continue };
+            if then_bb == else_bb {
+                continue;
+            }
+            let InstKind::Cmp { lhs, rhs, .. } = f.inst(cond).kind else { continue };
+            for (target, truthy) in [(then_bb, true), (else_bb, false)] {
+                // Split edges host their copies in an intermediate block that
+                // only the transform knows; we check the single-predecessor
+                // case (the common one) and skip split edges.
+                if cfg.preds(target).len() > 1 {
+                    continue;
+                }
+                for op in [lhs, rhs] {
+                    if matches!(f.inst(op).kind, InstKind::Const(_)) {
+                        continue;
+                    }
+                    let found = f.block_insts(target).any(|(_, d)| match (&d.kind, truthy) {
+                        (InstKind::Copy { origin: CopyOrigin::SigmaTrue { cmp }, .. }, true) => {
+                            *cmp == cond
+                        }
+                        (InstKind::Copy { origin: CopyOrigin::SigmaFalse { cmp }, .. }, false) => {
+                            *cmp == cond
+                        }
+                        _ => false,
+                    });
+                    if !found {
+                        return Err(format!(
+                            "missing σ-copy for {op} on the {} edge of {b} (cmp {cond})",
+                            if truthy { "true" } else { "false" }
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 
     #[test]
     fn verify_ssi_accepts_transformed_modules() {

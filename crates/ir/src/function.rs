@@ -98,6 +98,16 @@ impl Function {
         &mut self.insts[v.index()]
     }
 
+    /// Follows `Copy` chains to the underlying value: σ-copies and
+    /// live-range splits denote the same run-time value as their source.
+    #[inline]
+    pub fn strip_copies(&self, mut v: Value) -> Value {
+        while let InstKind::Copy { src, .. } = self.inst(v).kind {
+            v = src;
+        }
+        v
+    }
+
     /// Result type of a value, if it produces one.
     pub fn value_type(&self, v: Value) -> Option<Type> {
         self.inst(v).ty

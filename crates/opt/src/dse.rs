@@ -18,7 +18,7 @@
 //! redundant-load pass, this is the simplest sound client that turns
 //! disambiguation precision into removed instructions.
 
-use crate::OptStats;
+use crate::{must_alias, OptStats};
 use sraa_alias::{AliasAnalysis, AliasResult};
 use sraa_ir::{FuncId, InstKind, Module, Value};
 
@@ -67,31 +67,6 @@ fn eliminate_in_function(module: &mut Module, fid: FuncId, aa: &dyn AliasAnalysi
         func.detach_inst(v);
     }
     OptStats { stores_eliminated: n, ..OptStats::default() }
-}
-
-/// `MustAlias` from the oracle, or structural gep equality (same
-/// stripped base and offset) — see `load_elim::must_alias`.
-fn must_alias(module: &Module, fid: FuncId, aa: &dyn AliasAnalysis, p1: Value, p2: Value) -> bool {
-    if aa.alias(module, fid, p1, p2) == AliasResult::MustAlias {
-        return true;
-    }
-    let func = module.function(fid);
-    let strip = |mut v: Value| loop {
-        match &func.inst(v).kind {
-            InstKind::Copy { src, .. } => v = *src,
-            _ => return v,
-        }
-    };
-    let (s1, s2) = (strip(p1), strip(p2));
-    if s1 == s2 {
-        return true;
-    }
-    match (&func.inst(s1).kind, &func.inst(s2).kind) {
-        (InstKind::Gep { base: b1, offset: o1 }, InstKind::Gep { base: b2, offset: o2 }) => {
-            strip(*b1) == strip(*b2) && strip(*o1) == strip(*o2)
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]

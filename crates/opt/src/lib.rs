@@ -42,6 +42,9 @@ pub use dse::eliminate_dead_stores;
 pub use licm::hoist_invariant_loads;
 pub use load_elim::eliminate_redundant_loads;
 
+use sraa_alias::{AliasAnalysis, AliasResult};
+use sraa_ir::{FuncId, InstKind, Module, Value};
+
 /// What an optimisation pass did to one function.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptStats {
@@ -58,5 +61,32 @@ impl std::ops::AddAssign for OptStats {
         self.loads_eliminated += rhs.loads_eliminated;
         self.stores_eliminated += rhs.stores_eliminated;
         self.loads_hoisted += rhs.loads_hoisted;
+    }
+}
+
+/// `MustAlias` from the oracle, or structural equality of gep addresses
+/// (same stripped base, same offset value) — local value numbering that
+/// any real compiler performs before memory optimisation.
+pub(crate) fn must_alias(
+    module: &Module,
+    fid: FuncId,
+    aa: &dyn AliasAnalysis,
+    p1: Value,
+    p2: Value,
+) -> bool {
+    if aa.alias(module, fid, p1, p2) == AliasResult::MustAlias {
+        return true;
+    }
+    let func = module.function(fid);
+    let (s1, s2) = (func.strip_copies(p1), func.strip_copies(p2));
+    if s1 == s2 {
+        return true;
+    }
+    match (&func.inst(s1).kind, &func.inst(s2).kind) {
+        (InstKind::Gep { base: b1, offset: o1 }, InstKind::Gep { base: b2, offset: o2 }) => {
+            func.strip_copies(*b1) == func.strip_copies(*b2)
+                && func.strip_copies(*o1) == func.strip_copies(*o2)
+        }
+        _ => false,
     }
 }

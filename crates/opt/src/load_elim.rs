@@ -19,7 +19,7 @@
 //! deliberately the simplest sound scope — the experiment compares
 //! oracles, not scheduling.
 
-use crate::OptStats;
+use crate::{must_alias, OptStats};
 use sraa_alias::{AliasAnalysis, AliasResult};
 use sraa_ir::{Cfg, FuncId, InstKind, Module, Value};
 
@@ -108,32 +108,6 @@ fn eliminate_in_function(module: &mut Module, fid: FuncId, aa: &dyn AliasAnalysi
         func.detach_inst(load);
     }
     OptStats { loads_eliminated: replacements.len(), ..OptStats::default() }
-}
-
-/// `MustAlias` from the oracle, or structural equality of gep addresses
-/// (same stripped base, same offset value) — local value numbering that
-/// any real compiler performs before memory optimisation.
-fn must_alias(module: &Module, fid: FuncId, aa: &dyn AliasAnalysis, p1: Value, p2: Value) -> bool {
-    if aa.alias(module, fid, p1, p2) == AliasResult::MustAlias {
-        return true;
-    }
-    let func = module.function(fid);
-    let strip = |mut v: Value| loop {
-        match &func.inst(v).kind {
-            InstKind::Copy { src, .. } => v = *src,
-            _ => return v,
-        }
-    };
-    let (s1, s2) = (strip(p1), strip(p2));
-    if s1 == s2 {
-        return true;
-    }
-    match (&func.inst(s1).kind, &func.inst(s2).kind) {
-        (InstKind::Gep { base: b1, offset: o1 }, InstKind::Gep { base: b2, offset: o2 }) => {
-            strip(*b1) == strip(*b2) && strip(*o1) == strip(*o2)
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]

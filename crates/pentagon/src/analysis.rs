@@ -314,13 +314,7 @@ fn transfer(st: &mut PentagonState, v: Value, data: &InstData) {
         InstKind::Binary { op, lhs, rhs } => {
             let il = st.interval(*lhs).unwrap_or(Interval::TOP);
             let ir = st.interval(*rhs).unwrap_or(Interval::TOP);
-            let iv = match op {
-                BinOp::Add => il.add(&ir),
-                BinOp::Sub => il.sub(&ir),
-                BinOp::Mul => il.mul(&ir),
-                BinOp::Rem => il.rem(&ir),
-                BinOp::Div => Interval::TOP,
-            };
+            let iv = il.binary(*op, &ir);
             match relation(*op, *lhs, il, *rhs, ir) {
                 Relation::Equal(src) => st.bind_equal(v, src),
                 Relation::Above(src) => {
@@ -419,11 +413,7 @@ fn relation(op: BinOp, lhs: Value, il: Interval, rhs: Value, ir: Interval) -> Re
 #[must_use]
 fn refine_edge(st: &mut PentagonState, func: &Function, cond: Value, taken: bool) -> bool {
     // The condition may be a (σ-)copy of the comparison.
-    let mut c = cond;
-    while let InstKind::Copy { src, .. } = &func.inst(c).kind {
-        c = *src;
-    }
-    let InstKind::Cmp { pred, lhs, rhs } = &func.inst(c).kind else {
+    let InstKind::Cmp { pred, lhs, rhs } = &func.inst(func.strip_copies(cond)).kind else {
         return true; // opaque condition: nothing to learn
     };
     let p = if taken { *pred } else { pred.negated() };
@@ -689,23 +679,20 @@ mod tests {
     fn ordered_offset_pairs(m: &Module, p: &PentagonAnalysis, name: &str) -> usize {
         let (fid, addrs) = addresses(m, name);
         let func = m.function(fid);
-        let strip = |mut v: Value| loop {
-            match &func.inst(v).kind {
-                InstKind::Copy { src, .. } => v = *src,
-                _ => return v,
-            }
-        };
         let mut proven = 0;
         for (x, &p1) in addrs.iter().enumerate() {
             for &p2 in &addrs[x + 1..] {
                 let (
                     InstKind::Gep { base: b1, offset: o1 },
                     InstKind::Gep { base: b2, offset: o2 },
-                ) = (&func.inst(strip(p1)).kind, &func.inst(strip(p2)).kind)
+                ) = (
+                    &func.inst(func.strip_copies(p1)).kind,
+                    &func.inst(func.strip_copies(p2)).kind,
+                )
                 else {
                     continue;
                 };
-                if strip(*b1) != strip(*b2) || o1 == o2 {
+                if func.strip_copies(*b1) != func.strip_copies(*b2) || o1 == o2 {
                     continue;
                 }
                 if p.proves_lt(m, fid, *o1, *o2) || p.proves_lt(m, fid, *o2, *o1) {

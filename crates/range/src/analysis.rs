@@ -16,9 +16,7 @@
 //! [`sraa-essa`]: https://crates.io/crates/sraa-essa
 
 use crate::interval::{Bound, Interval};
-use sraa_ir::{
-    BinOp, Cfg, CopyOrigin, DefUse, FuncId, Function, InstKind, Module, Pred, Type, Value,
-};
+use sraa_ir::{Cfg, CopyOrigin, DefUse, FuncId, Function, InstKind, Module, Pred, Type, Value};
 
 /// Inter-procedural rounds. Every round is sound on its own, so the
 /// analysis may stop after any of them.
@@ -270,13 +268,7 @@ fn eval(
             {
                 return Interval::TOP;
             }
-            match op {
-                BinOp::Add => a.add(&b),
-                BinOp::Sub => a.sub(&b),
-                BinOp::Mul => a.mul(&b),
-                BinOp::Div => Interval::TOP,
-                BinOp::Rem => a.rem(&b),
-            }
+            a.binary(*op, &b)
         }
         InstKind::Cmp { .. } => Interval::finite(0, 1),
         InstKind::Phi { incomings } => {
@@ -369,7 +361,7 @@ fn inc(b: Bound) -> Bound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sraa_ir::FunctionBuilder;
+    use sraa_ir::{BinOp, FunctionBuilder};
 
     #[test]
     fn constants_and_arithmetic_fold() {

@@ -5,6 +5,7 @@
 //! `x1 = x2 + x3` as an addition, a subtraction, or an unknown, based on
 //! the sign of the operands' ranges.
 
+use sraa_ir::BinOp;
 use std::fmt;
 
 /// An interval bound: −∞, a finite value, or +∞.
@@ -182,6 +183,20 @@ impl Interval {
         let lo = if self.lo == Bound::NegInf { next.lo } else { self.lo };
         let hi = if self.hi == Bound::PosInf { next.hi } else { self.hi };
         Interval::new(lo, hi)
+    }
+
+    /// Abstract transfer of the binary operation `self op other`, shared
+    /// by the range analysis and the Pentagon domain. Division is not
+    /// modelled (⊤).
+    #[inline]
+    pub fn binary(&self, op: BinOp, other: &Interval) -> Interval {
+        match op {
+            BinOp::Add => self.add(other),
+            BinOp::Sub => self.sub(other),
+            BinOp::Mul => self.mul(other),
+            BinOp::Rem => self.rem(other),
+            BinOp::Div => Interval::TOP,
+        }
     }
 
     /// Abstract addition.

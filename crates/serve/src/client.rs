@@ -2,7 +2,8 @@
 //! streamed `pairs` consumption.
 
 use crate::protocol::{self, FrameError, Json, JsonError};
-use std::io::{BufRead, BufReader, Write};
+use crate::stream::Stream;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -41,26 +42,10 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl std::io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
 /// A connected client. One request/reply (or request/stream) at a time.
 pub struct Client {
     reader: BufReader<Stream>,
-    writer: Box<dyn Write + Send>,
+    writer: Stream,
 }
 
 /// Replies longer than this are refused client-side (an `eval` report is
@@ -71,25 +56,27 @@ impl Client {
     /// Connects over a Unix socket.
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        let stream = UnixStream::connect(path)?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        let writer = Box::new(stream.try_clone()?);
-        Ok(Client { reader: BufReader::new(Stream::Unix(stream)), writer })
+        Client::over(Stream::Unix(UnixStream::connect(path)?))
     }
 
     /// Connects over TCP.
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        let writer = Box::new(stream.try_clone()?);
-        Ok(Client { reader: BufReader::new(Stream::Tcp(stream)), writer })
+        Client::over(Stream::Tcp(TcpStream::connect(addr)?))
+    }
+
+    /// A client on a connected stream: a reply may take up to a minute to
+    /// arrive, and writes have no timeout.
+    fn over(stream: Stream) -> Result<Client, ClientError> {
+        stream.set_timeouts(Some(Duration::from_secs(60)), None)?;
+        let writer = stream.try_clone()?;
+        Ok(Client { reader: BufReader::new(stream), writer })
     }
 
     /// Sends one request and reads one reply frame. The reply may be a
     /// typed error object (`"ok": false`) — that is a successful round
     /// trip at this layer.
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
-        self.send(req)?;
+        self.writer.write_frame(req)?;
         self.read_reply()
     }
 
@@ -102,7 +89,7 @@ impl Client {
         req: &Json,
         mut on_frame: impl FnMut(&Json),
     ) -> Result<Json, ClientError> {
-        self.send(req)?;
+        self.writer.write_frame(req)?;
         loop {
             let frame = self.read_reply()?;
             on_frame(&frame);
@@ -110,12 +97,6 @@ impl Client {
                 return Ok(frame);
             }
         }
-    }
-
-    fn send(&mut self, req: &Json) -> Result<(), ClientError> {
-        self.writer.write_all(protocol::encode_frame(&req.render()).as_bytes())?;
-        self.writer.flush()?;
-        Ok(())
     }
 
     fn read_reply(&mut self) -> Result<Json, ClientError> {

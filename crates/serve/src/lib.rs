@@ -25,6 +25,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod stats;
+mod stream;
 
 pub use client::{Client, ClientError};
 pub use protocol::{decode_frame, encode_frame, obj, parse, FrameError, Json, JsonError, MAGIC};

@@ -19,14 +19,15 @@
 
 use crate::protocol::{self, error_reply, obj, FrameError, Json};
 use crate::stats::ServeStats;
+use crate::stream::Stream;
 use sraa_alias::{render_eval, AaEval, StrictInequalityAa};
 use sraa_core::{DisambiguationEngine, EngineConfig, SharedSummaryStore, SummaryCache};
 use sraa_ir::{FuncId, Module, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -91,66 +92,6 @@ enum Listener {
     #[cfg(unix)]
     Unix(UnixListener),
     Tcp(TcpListener),
-}
-
-enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn configure(&self) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(TICK))?;
-                s.set_write_timeout(Some(WRITE_TIMEOUT))
-            }
-            Stream::Tcp(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(TICK))?;
-                s.set_write_timeout(Some(WRITE_TIMEOUT))
-            }
-        }
-    }
-
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks until
@@ -321,7 +262,7 @@ impl Outcome {
 
 fn handle_conn(daemon: &Daemon, stream: Stream) {
     daemon.stats.connections.fetch_add(1, Ordering::Relaxed);
-    if stream.configure().is_err() {
+    if stream.set_timeouts(Some(TICK), Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else { return };
@@ -334,7 +275,7 @@ fn handle_conn(daemon: &Daemon, stream: Stream) {
                 daemon.stats.frames.fetch_add(1, Ordering::Relaxed);
                 daemon.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let reply = error_reply(FrameError::Oversized.code(), "frame exceeds size cap");
-                if write_frame(&mut writer, &reply).is_err() {
+                if writer.write_frame(&reply).is_err() {
                     return;
                 }
                 continue;
@@ -345,7 +286,7 @@ fn handle_conn(daemon: &Daemon, stream: Stream) {
         let t0 = Instant::now();
         let outcome = process_line(daemon, &line);
         for frame in &outcome.frames {
-            if write_frame(&mut writer, frame).is_err() {
+            if writer.write_frame(frame).is_err() {
                 return;
             }
         }
@@ -431,11 +372,6 @@ fn read_frame_line(daemon: &Daemon, reader: &mut BufReader<Stream>) -> LineRead 
             }
         }
     }
-}
-
-fn write_frame(writer: &mut Stream, frame: &Json) -> std::io::Result<()> {
-    writer.write_all(protocol::encode_frame(&frame.render()).as_bytes())?;
-    writer.flush()
 }
 
 fn process_line(daemon: &Daemon, line: &[u8]) -> Outcome {

@@ -27,9 +27,9 @@ fn main() {
     // The PDG experiment enables the §3.6 range-offset criterion
     // (`GenConfig::range_offsets`): Csmith indexing is constant-valued,
     // which is exactly what that criterion resolves.
-    let lt = StrictInequalityAa::with_config(
+    let lt = StrictInequalityAa::with_engine_config(
         &mut module,
-        GenConfig { range_offsets: true, ..Default::default() },
+        GenConfig { range_offsets: true, ..Default::default() }.into(),
     );
     let ba = BasicAliasAnalysis::new(&module);
     let both = Combined::new(vec![Box::new(ba.clone()), Box::new(lt.clone())]);

@@ -111,7 +111,10 @@ fn eval_totals_never_drop_on_spec_profiles() {
         let mut m1 = sraa_minic::compile(&w.source).unwrap();
         let intra = StrictInequalityAa::new(&mut m1);
         let mut m2 = sraa_minic::compile(&w.source).unwrap();
-        let inter = StrictInequalityAa::interprocedural(&mut m2);
+        let inter = StrictInequalityAa::with_engine_config(
+            &mut m2,
+            EngineConfig::default().with_summaries(),
+        );
         let a = AaEval::run(&m1, &[&intra])[0].clone();
         let b = AaEval::run(&m2, &[&inter])[0].clone();
         assert_eq!(a.total(), b.total(), "{}", w.name);

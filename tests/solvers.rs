@@ -10,7 +10,7 @@
 //! engine runs must also be byte-identical (no hash-iteration
 //! nondeterminism).
 
-use sraa_core::{generate, solve, solve_worklist, DisambiguationEngine, VarId};
+use sraa_core::{generate, solve, solve_worklist, DisambiguationEngine, EngineConfig, VarId};
 use sraa_synth::{csmith_generate, spec_all, CsmithConfig};
 
 fn assert_solvers_agree(source: &str, name: &str) {
@@ -98,7 +98,7 @@ fn repeated_runs_are_deterministic() {
     let w = spec_all().into_iter().next().expect("spec corpus is non-empty");
     let run = || {
         let mut m = sraa_minic::compile(&w.source).unwrap();
-        let engine = DisambiguationEngine::run(&mut m);
+        let engine = DisambiguationEngine::build(&mut m, EngineConfig::default());
         let mut rendered = String::new();
         for (fid, f) in m.functions() {
             for v in f.value_ids() {

@@ -15,6 +15,7 @@
 use sraa_alias::{
     AliasAnalysis, AliasResult, AndersenAnalysis, BasicAliasAnalysis, Combined, StrictInequalityAa,
 };
+use sraa_core::EngineConfig;
 use sraa_ir::{Cfg, Frame, FuncId, Interpreter, Liveness, Module, Observer, Type, Value};
 
 /// What must hold when `watched`'s definition executes.
@@ -128,7 +129,10 @@ fn check_workload(source: &str, name: &str) {
     // e-SSA pipeline is deterministic, so the copies are identical) and
     // must survive the same execution as the intraprocedural one.
     let mut module2 = sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let lt_ip = StrictInequalityAa::interprocedural(&mut module2);
+    let lt_ip = StrictInequalityAa::with_engine_config(
+        &mut module2,
+        EngineConfig::default().with_summaries(),
+    );
     assert_eq!(module, module2, "{name}: contextuality must not perturb the pipeline");
     let ba = BasicAliasAnalysis::new(&module);
     let cf = AndersenAnalysis::new(&module);
@@ -315,9 +319,9 @@ fn range_offset_criterion_is_dynamically_sound() {
                 helpers: 0,
             });
             let mut module = sraa_minic::compile(&w.source).unwrap();
-            let lt = StrictInequalityAa::with_config(
+            let lt = StrictInequalityAa::with_engine_config(
                 &mut module,
-                GenConfig { range_offsets: true, ..Default::default() },
+                GenConfig { range_offsets: true, ..Default::default() }.into(),
             );
             let analyses: Vec<(&'static str, &dyn AliasAnalysis)> = vec![("LT+ranges", &lt)];
             let checks = build_checks(&module, &[("LT+ranges", &lt)], &analyses);

@@ -97,7 +97,10 @@ fn eval_report_allocations_stay_within_their_pin() {
     let (mut allocs, mut queries) = (0, 0);
     for w in &ws {
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
-        let lt = StrictInequalityAa::interprocedural(&mut m);
+        let lt = StrictInequalityAa::with_engine_config(
+            &mut m,
+            EngineConfig::default().with_summaries(),
+        );
         let a0 = alloc_count();
         let report = render_eval(&m, &lt);
         allocs += alloc_count() - a0;
